@@ -10,9 +10,8 @@ constraints, together with the generating functions and symmetric-group
 refinements attached to them.
 """
 
-from .rat import Rational, rat, rat_from_str, rat_to_str
-from .linalg import (SparseMatrix, RrefResult, rref, kernel_basis, rank,
-                     rank_with_modular_prescreen)
+from .rat import Rational, exact, rat, rat_from_str, rat_to_str
+from .linalg import SparseMatrix, RrefResult, rref, kernel_basis, rank
 from .algebra import (AlgebraError, BaseAlgebra, GeneratorSpec, Monomial,
                       Element, AlgebraContext, AlgebraMap, TensorAlgebra,
                       tensor_many, tensor_power, load_base_algebra,
@@ -28,7 +27,8 @@ from .models import (ProjectiveSpace, Surface, Product, Custom, SpaceSpec,
                      twisted_section_model, euler_class_twist,
                      cotangent_chern, symmetric_action)
 from .analysis import (BigradedSeries, ClassFunction, poincare_series_U,
-                       weightwise_euler, p_r_closed_form, rho_series,
+                       weightwise_euler, configuration_euler,
+                       p_r_closed_form, rho_series,
                        rho_bracket, r1_stable_series, invariant_cohomology,
                        isotypic_cohomology, character_euler,
                        stable_range_bound, trivial_character, sign_character,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import SparseMatrix, rref
-from .rat import ONE, Rational, rat_from_str, rat_to_str
+from .rat import ONE, exact, rat_from_str, rat_to_str
 
 
 class AlgebraError(ValueError):
@@ -65,7 +65,7 @@ class BaseAlgebra:
         # normalize the table: drop zero coefficients and empty products
         tbl: dict[tuple[int, int], dict[int, object]] = {}
         for (i, j), prod in table.items():
-            clean = {k: Rational(c) for k, c in prod.items() if c}
+            clean = {k: exact(c) for k, c in prod.items() if c}
             if clean:
                 tbl[(i, j)] = clean
         self.table = tbl
@@ -157,11 +157,11 @@ class BaseAlgebra:
                     left: dict[int, object] = {}
                     for m, c in ij.items():
                         for t, c2 in self.product(m, k).items():
-                            left[t] = left.get(t, Rational(0)) + c * c2
+                            left[t] = left.get(t, 0) + c * c2
                     right: dict[int, object] = {}
                     for m, c in self.product(j, k).items():
                         for t, c2 in self.product(i, m).items():
-                            right[t] = right.get(t, Rational(0)) + c * c2
+                            right[t] = right.get(t, 0) + c * c2
                     left = {t: c for t, c in left.items() if c}
                     right = {t: c for t, c in right.items() if c}
                     if left != right:
@@ -269,7 +269,7 @@ class TensorAlgebra(BaseAlgebra):
         out: dict[int, object] = {}
         for combo, c in acc:
             k = self._enc(combo)
-            out[k] = out.get(k, Rational(0)) + c
+            out[k] = out.get(k, 0) + c
         return {k: c for k, c in out.items() if c}
 
     def pullback(self, slot: int, coeffs: dict[int, object]) -> dict[int, object]:
@@ -279,7 +279,7 @@ class TensorAlgebra(BaseAlgebra):
         for idx, c in coeffs.items():
             combo = list(units)
             combo[slot] = idx
-            out[self._enc(tuple(combo))] = Rational(c)
+            out[self._enc(tuple(combo))] = exact(c)
         return {k: c for k, c in out.items() if c}
 
 
@@ -366,7 +366,7 @@ class AlgebraContext:
 
     def base_element(self, coeffs: dict[int, object]) -> "Element":
         zero_exps = (0,) * len(self.generators)
-        return Element(self, {Monomial(i, zero_exps): Rational(c)
+        return Element(self, {Monomial(i, zero_exps): exact(c)
                               for i, c in coeffs.items() if c})
 
     def gen_element(self, gen: int | str) -> "Element":
@@ -383,7 +383,7 @@ class AlgebraContext:
             raise AlgebraError(f"unknown generator label {label!r}") from None
 
     def element(self, terms: dict[Monomial, object]) -> "Element":
-        return Element(self, {m: Rational(c) for m, c in terms.items() if c})
+        return Element(self, {m: exact(c) for m, c in terms.items() if c})
 
     # -- grading ----------------------------------------------------------
 
@@ -532,7 +532,7 @@ class Element:
         return Element(self.context, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "Element":
-        c = Rational(c)
+        c = exact(c)
         if not c:
             return Element(self.context, {})
         return Element(self.context, {m: c * v for m, v in self.terms.items()})
@@ -699,31 +699,55 @@ def apply_homomorphism(gen_images: dict[int, Element],
 # Textual base-algebra format
 # ---------------------------------------------------------------------------
 
-def base_algebra_from_dict(data: dict) -> BaseAlgebra:
+def base_algebra_from_dict(data) -> BaseAlgebra:
     """Build a BaseAlgebra from the JSON document structure.
 
     Required fields: ``name``, ``n``, ``basis`` (list of objects with
-    ``label``, ``degree`` and optional ``weight``), ``unit``,
-    ``fundamental``, ``products`` (list of {left, right, value} with
-    value a list of [label, "p/q"] pairs).  Omitted products default to
-    zero, except that products with the unit are implied and a product
+    ``label``, integer ``degree`` and optional integer ``weight``),
+    ``unit``, ``fundamental``, ``products`` (list of {left, right, value}
+    with value a list of [label, "p/q"] pairs).  Omitted products default
+    to zero, except that products with the unit are implied and a product
     stated in only one order is completed by graded commutativity.  All
     algebra laws are then validated; the first violated law is named in
-    the raised error.
+    the raised error.  Any malformed document raises ``AlgebraError``.
     """
+    if not isinstance(data, dict):
+        raise AlgebraError(f"algebra document must be a JSON object, not "
+                           f"{type(data).__name__}")
     try:
-        name = str(data["name"])
-        n = int(data["n"])
-        basis = data["basis"]
-        unit_label = str(data["unit"])
-        fund_label = str(data["fundamental"])
+        fields = _parse_algebra_document(data)
     except KeyError as missing:
         raise AlgebraError(f"missing field {missing.args[0]!r}") from None
+    except AlgebraError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise AlgebraError(f"malformed algebra document: {err}") from None
+    name, n, labels, degrees, weights, unit, fund, table = fields
+    return BaseAlgebra(name, n, labels, degrees, unit, fund, table,
+                       weights=weights, validate=True)
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # JSON true/false are not integers
+        raise AlgebraError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_algebra_document(data: dict):
+    """The BaseAlgebra arguments a document states; no law checked yet."""
+    name = str(data["name"])
+    n = _integer(data["n"], "n")
+    basis = data["basis"]
+    unit_label = str(data["unit"])
+    fund_label = str(data["fundamental"])
     labels, degrees, weights = [], [], []
     for entry in basis:
-        labels.append(str(entry["label"]))
-        degrees.append(int(entry["degree"]))
-        weights.append(int(entry.get("weight", entry["degree"])))
+        label = str(entry["label"])
+        degree = _integer(entry["degree"], f"degree of {label!r}")
+        labels.append(label)
+        degrees.append(degree)
+        weights.append(_integer(entry.get("weight", degree),
+                                f"weight of {label!r}"))
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise AlgebraError("duplicate basis labels")
@@ -753,7 +777,7 @@ def base_algebra_from_dict(data: dict) -> BaseAlgebra:
             if k is None:
                 raise AlgebraError(f"product value references unknown "
                                    f"label {lab!r}")
-            value[k] = value.get(k, Rational(0)) + rat_from_str(str(coeff))
+            value[k] = value.get(k, 0) + rat_from_str(str(coeff))
         table[(i, j)] = {k: c for k, c in value.items() if c}
         stated.add((i, j))
     # implied products: unit action, then graded-commutative mirrors
@@ -766,8 +790,7 @@ def base_algebra_from_dict(data: dict) -> BaseAlgebra:
         if (j, i) not in stated and (j, i) not in table:
             sign = -ONE if (degrees[i] % 2 and degrees[j] % 2) else ONE
             table[(j, i)] = {k: sign * c for k, c in table[(i, j)].items()}
-    return BaseAlgebra(name, n, labels, degrees, unit, fund, table,
-                       weights=weights, validate=True)
+    return name, n, labels, degrees, weights, unit, fund, table
 
 
 def load_base_algebra(path: str) -> BaseAlgebra:
@@ -775,6 +798,6 @@ def load_base_algebra(path: str) -> BaseAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON or bad UTF-8
             raise AlgebraError(f"invalid algebra file {path}: {err}") from None
     return base_algebra_from_dict(data)

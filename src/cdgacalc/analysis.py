@@ -32,9 +32,9 @@ from .algebra import AlgebraContext, AlgebraError, BaseAlgebra, GeneratorSpec
 from .engine import (CohomologyTable, Presentation, cohomology,
                      differential_matrix, map_matrix, quotient_slice,
                      _slice_weights)
-from .linalg import SparseMatrix, rank_with_modular_prescreen, rref
-from .models import configuration_model, symmetric_action
-from .rat import ONE, Rational
+from .linalg import SparseMatrix, rank, rref
+from .models import symmetric_action
+from .rat import ONE, exact
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +236,39 @@ def weightwise_euler(p: Presentation, w_max: int) -> BigradedSeries:
     return BigradedSeries(coeffs, w_max, "w")
 
 
+def configuration_euler(base: BaseAlgebra, r: int,
+                        w_max: int) -> BigradedSeries:
+    """Weightwise Euler series of F(X, r), with no model built.
+
+    [F(X, r)] = prod_{j<r} ([X] - j) (Totaro 1996, Getzler 1999) gives
+    P_Fr(w) = prod_{j<r} (E_X(w) - j w^{2n}) by Poincare duality, with
+    E_X(w) = sum_b (-1)^{deg b} w^{wt b} over the basis of H^*(X).
+    """
+    if r < 0:
+        raise AlgebraError("the number of points r must be >= 0")
+    top = 2 * base.n
+    e_x: dict[int, int] = {}
+    for d, k in zip(base.degrees, base.weights):
+        if k <= w_max:
+            e_x[k] = e_x.get(k, 0) + (-1) ** d
+    p_fr = BigradedSeries.one(w_max, "w")
+    for j in range(r):
+        factor = dict(e_x)
+        if top <= w_max:
+            factor[top] = factor.get(top, 0) - j
+        p_fr = p_fr * BigradedSeries(factor, w_max, "w")
+    return p_fr
+
+
 def p_r_closed_form(base: BaseAlgebra, r: int, w_max: int) -> BigradedSeries:
     """Closed form for the weightwise Euler series of the r-marked model.
 
     The model is, as a bigraded vector space, the configuration model
     tensor the free algebra on the shifted classes tensor the free
     algebra on alpha_i, eta_i; Euler series multiply, giving
-    P_Fr(w) * P_U(w) * ((1 - w^{2n}) / (1 - w^{2n+2}))^r with P_Fr
-    computed from the engine (one source of truth, and a configuration
-    model test in its own right).
+    P_Fr(w) * P_U(w) * ((1 - w^{2n}) / (1 - w^{2n+2}))^r.
     """
-    if r < 0:
-        raise AlgebraError("p_r_closed_form needs r >= 0")
-    if r == 0:
-        p_fr = BigradedSeries.one(w_max, "w")
-    else:
-        p_fr = weightwise_euler(configuration_model(base, r), w_max)
+    p_fr = configuration_euler(base, r, w_max)
     p_u = poincare_series_U(base, w_max, "w")
     n = base.n
     marks = (_one_minus_power(2 * n, w_max, "w")
@@ -438,36 +455,6 @@ def regular_character(r: int) -> ClassFunction:
 # Invariants and isotypic pieces
 # ---------------------------------------------------------------------------
 
-def _invariant_basis(matrix_sum: SparseMatrix):
-    """Row-space basis (rref rows) of an averaging projector."""
-    res = rref(matrix_sum)
-    return res
-
-
-def _restrict_map(basis_rows, pivots, image_rows):
-    """Coordinates of each image row in an rref basis; exact, verified."""
-    out_rows = []
-    for w in image_rows:
-        coords = {}
-        residual = dict(w)
-        for t, p in enumerate(pivots):
-            c = residual.get(p)
-            if c:
-                coords[t] = c
-                for col, v in basis_rows[t].items():
-                    nv = residual.get(col, Rational(0)) - c * v
-                    if nv:
-                        residual[col] = nv
-                    else:
-                        residual.pop(col, None)
-        if residual:
-            raise AlgebraError(
-                "internal error: image does not lie in the invariant "
-                "subspace")
-        out_rows.append(coords)
-    return out_rows
-
-
 def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
                         character: ClassFunction,
                         max_degree: int) -> CohomologyTable:
@@ -487,15 +474,15 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
         sl = quotient_slice(p, degree, weight)
         total = SparseMatrix(sl.dim, sl.dim)
         for sig in elems:
-            weight_c = Rational(Fraction(dim_char * character(inverse(sig))
-                                         / order))
+            weight_c = exact(Fraction(dim_char * character(inverse(sig))
+                                      / order))
             if not weight_c:
                 continue
             mat = map_matrix(p, actions[sig], degree, weight)
             for i, row in enumerate(mat.rows):
                 acc = total.rows[i]
                 for j, v in row.items():
-                    nv = acc.get(j, Rational(0)) + weight_c * v
+                    nv = acc.get(j, 0) + weight_c * v
                     if nv:
                         acc[j] = nv
                     else:
@@ -510,7 +497,8 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
             if quotient_slice(p, degree, weight).dim == 0:
                 bases[key] = None
             else:
-                bases[key] = _invariant_basis(projector(degree, weight))
+                # rref rows: a basis of the projector's image
+                bases[key] = rref(projector(degree, weight))
         return bases[key]
 
     def restricted_rank(degree: int, weight: int) -> int:
@@ -520,21 +508,17 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
         tgt = basis_at(degree + 1, weight)
         if tgt is None or tgt.rank == 0:
             return 0
-        dmat = differential_matrix(p, degree, weight)
-        image_rows = []
-        for row in src.reduced.rows:
-            w: dict[int, object] = {}
-            for i, c in row.items():
-                for j, v in dmat.rows[i].items():
-                    nv = w.get(j, Rational(0)) + c * v
-                    if nv:
-                        w[j] = nv
-                    else:
-                        w.pop(j, None)
-            image_rows.append(w)
-        coords = _restrict_map(tgt.reduced.rows, tgt.pivots, image_rows)
-        mat = SparseMatrix.from_rows(len(coords), tgt.rank, coords)
-        return rank_with_modular_prescreen(mat)
+        image = src.reduced.matmul(differential_matrix(p, degree, weight))
+        # in the rref basis of the target, coordinates are the entries in
+        # the pivot columns; multiplying back verifies them exactly
+        slot = {c: t for t, c in enumerate(tgt.pivots)}
+        coords = SparseMatrix.from_rows(image.nrows, tgt.rank, (
+            {slot[c]: v for c, v in row.items() if c in slot}
+            for row in image.rows))
+        if coords.matmul(tgt.reduced) != image:
+            raise AlgebraError("internal error: image does not lie in the "
+                               "invariant subspace")
+        return rank(coords)
 
     entries: dict = {}
     for d in range(max_degree + 1):
@@ -595,8 +579,7 @@ def character_euler(p: Presentation, chi: ClassFunction,
                 if not c:
                     continue
                 mat = map_matrix(p, actions[sig], i, k)
-                tr = sum((mat.rows[a].get(a, Rational(0))
-                          for a in range(mat.nrows)), Rational(0))
+                tr = sum(mat.rows[a].get(a, 0) for a in range(mat.nrows))
                 if tr:
                     total += Fraction(c) * Fraction(int(tr.numerator),
                                                     int(tr.denominator)) * sign

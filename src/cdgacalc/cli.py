@@ -361,11 +361,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except VerificationFailure as err:
-        print(f"cdgacalc: verification failed: {err}", file=sys.stderr)
+        print(f"cdgacalc: verification failed: {_one_line(err)}",
+              file=sys.stderr)
         return 1
     except (AlgebraError, OSError) as err:
-        print(f"cdgacalc: error: {err}", file=sys.stderr)
+        print(f"cdgacalc: error: {_one_line(err)}", file=sys.stderr)
         return 2
+
+
+def _one_line(err: Exception) -> str:
+    # messages may quote labels from input files, which can hold newlines
+    return " ".join(str(err).splitlines())
 
 
 if __name__ == "__main__":

@@ -8,6 +8,11 @@ one-sided products relation*monomial span each graded piece of the
 two-sided ideal, so no Groebner machinery is needed: the normal form in
 every (degree, weight) slice is plain exact linear algebra.
 
+A presentation normalizes its coefficients once (``rat.exact``), so
+integer models run in ``int`` arithmetic, and compiles d on generators
+into derivation tables, so d of a monomial is table lookups and Koszul
+sign flips in one Leibniz routine.
+
 The cohomology of the quotient in one slice is
 
     dim H^d = dim Q(d,k) - rank D(d,k) - rank D(d-1,k)
@@ -32,8 +37,8 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import (AlgebraContext, AlgebraError, AlgebraMap, Element,
                       Monomial)
-from .linalg import SparseMatrix, rank_with_modular_prescreen, rref
-from .rat import ONE, Rational
+from .linalg import SparseMatrix, rank, rref
+from .rat import ONE
 
 
 class PresentationError(AlgebraError):
@@ -44,14 +49,17 @@ class Presentation:
     """Free context + homogeneous relations + generator differential."""
 
     __slots__ = ("context", "relations", "differential", "name", "params",
-                 "_cache", "_lock")
+                 "_derivations", "_odd_bits", "_cache", "_lock")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
                  params: Optional[dict] = None):
         self.context = context
-        self.relations = tuple(relations)
-        self.differential = {g: img for g, img in differential.items()
+        # coefficients into their exact form (int where integral)
+        self.relations = tuple(rel.context.element(rel.terms)
+                               for rel in relations)
+        self.differential = {g: img.context.element(img.terms)
+                             for g, img in differential.items()
                              if img is not None and not img.is_zero()}
         self.name = name or "presentation"
         self.params = dict(params or {})
@@ -81,6 +89,9 @@ class Presentation:
                 raise PresentationError(
                     f"d not weight-homogeneous on {spec.label}: image has "
                     f"weight {w}, generator has weight {spec.weight}")
+        self._odd_bits = tuple(1 << i if odd else 0
+                               for i, odd in enumerate(context.gen_parities))
+        self._derivations = self._compile_derivations()
 
     # -- caching ------------------------------------------------------------
 
@@ -95,37 +106,88 @@ class Presentation:
 
     # -- differential -------------------------------------------------------
 
+    def _compile_derivations(self) -> tuple:
+        """``(i, terms)`` per generator with d(g_i) != 0.
+
+        A term c b x^f of d(g_i) becomes (b, nonzero (generator, exponent)
+        pairs of f, c, bit mask of f's odd generators, sign mask).
+        """
+        parities = self.context.gen_parities
+        base_degrees = self.context.base.degrees
+        tables = []
+        for i in sorted(self.differential):
+            below = (1 << i) - 1
+            terms = []
+            for m, c in self.differential[i].terms.items():
+                f_items = tuple((q, x) for q, x in enumerate(m.exps) if x)
+                f_odd = 0
+                # Leibniz sign of d passing the odd generators before g_i,
+                # cancelled when the term's odd base class passes them too
+                sign_mask = 0 if base_degrees[m.base] % 2 else below
+                for q, _ in f_items:
+                    if parities[q]:
+                        # sorting q into place passes the odd generators
+                        # strictly between q and g_i's slot
+                        lo, hi = min(q, i), max(q, i)
+                        f_odd |= 1 << q
+                        sign_mask ^= ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
+                terms.append((m.base, f_items, c, f_odd, sign_mask))
+            tables.append((i, tuple(terms)))
+        return tuple(tables)
+
+    def _leibniz_into(self, acc: dict, mono: Monomial, coeff) -> None:
+        """Accumulate ``coeff * d(mono)`` into ``acc`` (Monomial -> Q).
+
+        For mono = b P g_i^e S the g_i term is
+        (-1)^(|b|+|P|) e b P d(g_i) g_i^(e-1) S.  Sorting a term b' x^f of
+        d(g_i) into place costs (-1)^(|b'||P|) plus one sign per odd
+        generator an odd generator of f passes: the parity of the odd
+        generators of the rest of mono under the term's sign mask.
+        """
+        b, e = mono
+        base = self.context.base
+        b_par = base.degrees[b] & 1
+        odd = sum(bit for bit, x in zip(self._odd_bits, e) if x)
+        for i, terms in self._derivations:
+            ei = e[i]
+            if not ei:
+                continue
+            rest_odd = odd & ~(1 << i)
+            rest = e[:i] + (ei - 1,) + e[i + 1:]
+            scale = coeff * ei
+            for tb, f_items, c, f_odd, sign_mask in terms:
+                if rest_odd & f_odd:
+                    continue
+                prod = base.table.get((b, tb))
+                if not prod:
+                    continue
+                if f_items:
+                    exps = list(rest)
+                    for q, x in f_items:
+                        exps[q] += x
+                    exps = tuple(exps)
+                else:
+                    exps = rest
+                t = scale * c
+                if (b_par + (rest_odd & sign_mask).bit_count()) & 1:
+                    t = -t
+                for k, cb in prod.items():
+                    m = Monomial(k, exps)
+                    v = acc.get(m, 0) + t * cb
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
+
     def differential_of(self, e: Element) -> Element:
         """Leibniz extension of the generator differential (d = 0 on base)."""
-        ctx = self.context
-        if e.context is not ctx:
+        if e.context is not self.context:
             raise AlgebraError("context mismatch: element not in this "
                                "presentation's algebra")
-        gdeg = ctx.gen_degrees
         acc: dict[Monomial, object] = {}
-        ngen = len(ctx.generators)
         for m, c in e.terms.items():
-            sign_par = ctx.base.degrees[m.base] % 2
-            for i in range(ngen):
-                exp = m.exps[i]
-                if exp:
-                    dg = self.differential.get(i)
-                    if dg is not None:
-                        prefix = Monomial(m.base, tuple(
-                            m.exps[j] if j < i else 0 for j in range(ngen)))
-                        suffix = Monomial(ctx.base.unit, tuple(
-                            exp - 1 if j == i else (m.exps[j] if j > i else 0)
-                            for j in range(ngen)))
-                        coeff = Rational(exp) * c
-                        if sign_par:
-                            coeff = -coeff
-                        step: dict[Monomial, object] = {}
-                        for mg, cg in dg.terms.items():
-                            ctx.mul_term_into(step, prefix, coeff, mg, cg)
-                        for m1, c1 in step.items():
-                            ctx.mul_term_into(acc, m1, c1, suffix, ONE)
-                    sign_par ^= (exp * gdeg[i]) & 1
-        return Element(ctx, {m: v for m, v in acc.items() if v})
+            self._leibniz_into(acc, m, c)
+        return Element(self.context, acc)
 
 
 @dataclass(frozen=True)
@@ -259,11 +321,11 @@ def differential_matrix(p: Presentation, degree: int,
         tgt = quotient_slice(p, degree + 1, weight)
         mat = SparseMatrix(src.dim, tgt.dim)
         if tgt.dim:
-            ctx = p.context
             for i, mono in enumerate(src.quotient):
-                dm = p.differential_of(Element(ctx, {mono: ONE}))
-                if dm.terms:
-                    mat.rows[i] = tgt.coords(dm.terms)
+                image: dict[Monomial, object] = {}
+                p._leibniz_into(image, mono, 1)
+                if image:
+                    mat.rows[i] = tgt.coords(image)
         return mat
 
     return p._cached(("diff", degree, weight), build)
@@ -275,7 +337,7 @@ def differential_rank(p: Presentation, degree: int,
         src = quotient_slice(p, degree, weight)
         if src.dim == 0 or quotient_slice(p, degree + 1, weight).dim == 0:
             return 0
-        return rank_with_modular_prescreen(differential_matrix(p, degree, weight))
+        return rank(differential_matrix(p, degree, weight))
 
     return p._cached(("rank", degree, weight), build)
 

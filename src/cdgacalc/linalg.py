@@ -3,35 +3,30 @@
 The whole engine reduces to three primitives on sparse rational matrices:
 reduced row echelon form (for ideal slices and normal forms), kernel bases
 (for brute-force cross-checks), and rank (for cohomology dimensions).
-
-Design notes:
+``rref`` and ``rank`` are two pivot policies of one elimination loop:
 
 * ``rref`` returns *the* reduced row echelon form, which is unique for a
   given row space; every module downstream relies on that for
-  determinism.  Pivot columns are therefore the canonical (leftmost)
-  ones; within a column the pivot row is chosen Markowitz-style (fewest
-  nonzeros) to limit fill-in, which does not affect the result.
-* ``rank`` may pick pivots anywhere (full Markowitz) since only the count
-  matters; that is noticeably better on the wider differential matrices.
-* ``rank_with_modular_prescreen`` first computes the rank modulo a
-  word-size prime.  A mod-p rank equal to ``min(nrows, ncols)`` is
-  already an exact certificate (mod-p rank never exceeds the rational
-  rank); otherwise the exact elimination runs and its value is returned.
+  determinism.  Pivot columns are therefore taken left to right.
+* ``rank`` pivots in the live column with the fewest live rows
+  (Markowitz 1957), popped from a lazy heap, to limit fill-in on the
+  wide differential matrices.  Only the count matters.
 
-All functions are pure: inputs are never mutated.
+Rank is exact sparse elimination over Q (Dumas-Villard, CASC 2002) with
+no shortcut mod p: with small integer entries it costs about as much,
+and half of the differential matrices are rank deficient, where a mod-p
+rank certifies nothing.  Entries are ``int`` when integral (see
+``rat.exact``), so integer matrices with unit pivots stay in ``int``
+arithmetic.  All functions are pure: inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
-from .rat import ONE, Rational
-
-# Mersenne prime 2^61 - 1: fits in a machine word, far beyond any
-# denominator produced by the model builders.
-_PRESCREEN_PRIME = (1 << 61) - 1
+from .rat import ONE, Rational, exact
 
 
 class SparseMatrix:
@@ -48,7 +43,7 @@ class SparseMatrix:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i},{j}) out of bounds "
                                  f"for {nrows}x{ncols} matrix")
-            v = Rational(v)
+            v = exact(v)
             if v:
                 rows[i][j] = v
             else:
@@ -62,7 +57,7 @@ class SparseMatrix:
                   rows: Iterable[dict[int, object]]) -> "SparseMatrix":
         m = cls(nrows, ncols)
         for i, row in enumerate(rows):
-            m.rows[i] = {j: Rational(v) for j, v in row.items() if v}
+            m.rows[i] = {j: exact(v) for j, v in row.items() if v}
         return m
 
     @classmethod
@@ -78,7 +73,7 @@ class SparseMatrix:
         return cls(n, n, ((i, i, 1) for i in range(n)))
 
     def entry(self, i: int, j: int):
-        return self.rows[i].get(j, Rational(0))
+        return self.rows[i].get(j, 0)
 
     def triples(self):
         for i, row in enumerate(self.rows):
@@ -113,8 +108,7 @@ class SparseMatrix:
         return all(not r for r in self.rows)
 
     def to_dense(self):
-        zero = Rational(0)
-        return [[self.rows[i].get(j, zero) for j in range(self.ncols)]
+        return [[self.rows[i].get(j, 0) for j in range(self.ncols)]
                 for i in range(self.nrows)]
 
     def __eq__(self, other):
@@ -126,6 +120,79 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def _eliminate(m: SparseMatrix, canonical: bool):
+    """Gauss-Jordan elimination: (rows, [(pivot column, row id), ...]).
+
+    Pivot rows are scaled to a leading 1 and the pivot is the sparsest
+    row of its column.  ``canonical`` takes columns left to right and
+    keeps pivot rows live, so each pivot column is cleared everywhere
+    (the rref); otherwise pivot rows retire once used.
+    """
+    work = [dict(r) for r in m.rows if r]
+    # column -> live row ids with a nonzero there, kept current
+    col_rows: dict[int, set[int]] = {}
+    for ri, row in enumerate(work):
+        for c in row:
+            col_rows.setdefault(c, set()).add(ri)
+
+    def priority(c: int) -> int:
+        return 0 if canonical else len(col_rows[c])
+
+    heap = [(priority(c), c) for c in col_rows]
+    heapify(heap)
+    pivots: list[tuple[int, int]] = []
+    used: set[int] = set()
+    while heap:
+        key, col = heappop(heap)
+        if col not in col_rows:
+            continue
+        if key != priority(col):
+            heappush(heap, (priority(col), col))
+            continue
+        candidates = [r for r in col_rows[col] if r not in used]
+        if not candidates:
+            continue
+        ri = min(candidates, key=lambda r: (len(work[r]), r))
+        prow = work[ri]
+        if prow[col] != 1:
+            inv = exact(ONE / Rational(prow[col]))
+            for c in prow:
+                prow[c] = exact(prow[c] * inv)
+        if not canonical:
+            for c in prow:
+                s = col_rows[c]
+                s.discard(ri)
+                if not s:
+                    del col_rows[c]
+        for other in list(col_rows.get(col, ())):
+            if other == ri:
+                continue
+            orow = work[other]
+            factor = orow[col]
+            for c, v in prow.items():
+                nv = orow.get(c)
+                if nv is None:
+                    s = col_rows.get(c)
+                    if s is None:
+                        s = col_rows[c] = set()
+                        heappush(heap, (0, c))
+                    s.add(other)
+                    orow[c] = -factor * v
+                    continue
+                nv -= factor * v
+                if nv:
+                    orow[c] = nv
+                else:
+                    del orow[c]
+                    s = col_rows[c]
+                    s.discard(other)
+                    if not s:
+                        del col_rows[c]
+        used.add(ri)
+        pivots.append((col, ri))
+    return work, pivots
+
+
 @dataclass(frozen=True)
 class RrefResult:
     rank: int
@@ -135,48 +202,11 @@ class RrefResult:
 
 def rref(m: SparseMatrix) -> RrefResult:
     """Reduced row echelon form of ``m`` (unique; rows sorted by pivot)."""
-    work = [dict(r) for r in m.rows if r]
-    # column -> set of live row ids, kept current during elimination
-    col_rows: dict[int, set[int]] = {}
-    for ri, row in enumerate(work):
-        for c in row:
-            col_rows.setdefault(c, set()).add(ri)
-    pivots: list[int] = []
-    pivot_rows: list[int] = []
-    pivot_of_row: dict[int, int] = {}
-    for col in sorted(col_rows):
-        candidates = [ri for ri in col_rows.get(col, ()) if ri not in pivot_of_row]
-        if not candidates:
-            continue
-        ri = min(candidates, key=lambda r: (len(work[r]), r))
-        prow = work[ri]
-        inv = ONE / prow[col]
-        if inv != 1:
-            for c in prow:
-                prow[c] *= inv
-        for other in list(col_rows[col]):
-            if other == ri:
-                continue
-            orow = work[other]
-            factor = orow[col]
-            for c, v in prow.items():
-                nv = orow.get(c)
-                nv = -factor * v if nv is None else nv - factor * v
-                if nv:
-                    if c not in orow:
-                        col_rows.setdefault(c, set()).add(other)
-                    orow[c] = nv
-                else:
-                    if c in orow:
-                        del orow[c]
-                        col_rows[c].discard(other)
-        pivots.append(col)
-        pivot_rows.append(ri)
-        pivot_of_row[ri] = col
+    work, pivots = _eliminate(m, canonical=True)
     reduced = SparseMatrix(len(pivots), m.ncols)
-    for out_i, ri in enumerate(pivot_rows):
-        reduced.rows[out_i] = work[ri]
-    return RrefResult(len(pivots), tuple(pivots), reduced)
+    reduced.rows = [{c: exact(v) for c, v in work[ri].items()}
+                    for _, ri in pivots]
+    return RrefResult(len(pivots), tuple(c for c, _ in pivots), reduced)
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict[int, object]]:
@@ -202,116 +232,5 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, object]]:
 
 
 def rank(m: SparseMatrix) -> int:
-    """Exact rank, free Markowitz-style pivoting (no canonical form).
-
-    Each step pivots in the sparsest live column, on that column's
-    sparsest row.  This keeps fill-in low on the wide differential
-    matrices where the canonical left-to-right sweep would clog.
-    """
-    work = [dict(r) for r in m.rows if r]
-    col_rows: dict[int, set[int]] = {}
-    for ri, row in enumerate(work):
-        for c in row:
-            col_rows.setdefault(c, set()).add(ri)
-    rk = 0
-    while col_rows:
-        col = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-        rows_here = col_rows[col]
-        ri = min(rows_here, key=lambda r: (len(work[r]), r))
-        prow = work[ri]
-        inv = ONE / prow[col]
-        for c in prow:
-            s = col_rows[c]
-            s.discard(ri)
-            if not s:
-                del col_rows[c]
-        for other in list(col_rows.get(col, ())):
-            orow = work[other]
-            factor = orow[col] * inv
-            for c, v in prow.items():
-                nv = orow.get(c)
-                nv = -factor * v if nv is None else nv - factor * v
-                if nv:
-                    if c not in orow:
-                        col_rows.setdefault(c, set()).add(other)
-                    orow[c] = nv
-                else:
-                    if c in orow:
-                        del orow[c]
-                        s = col_rows[c]
-                        s.discard(other)
-                        if not s:
-                            del col_rows[c]
-        rk += 1
-    return rk
-
-
-def _modular_rank(m: SparseMatrix, p: int = _PRESCREEN_PRIME) -> int:
-    """Rank of ``m`` over F_p; a lower bound for the rank over Q.
-
-    Rows are scaled to p-integral form first (row scaling preserves rank),
-    so the bound is valid for arbitrary rational entries.
-    """
-    work = []
-    for row in m.rows:
-        if not row:
-            continue
-        lcm = 1
-        for v in row.values():
-            d = int(v.denominator)
-            lcm = lcm // gcd(lcm, d) * d
-        red = {}
-        for c, v in row.items():
-            x = (int(v.numerator) * (lcm // int(v.denominator))) % p
-            if x:
-                red[c] = x
-        if red:
-            work.append(red)
-    col_rows: dict[int, set[int]] = {}
-    for ri, row in enumerate(work):
-        for c in row:
-            col_rows.setdefault(c, set()).add(ri)
-    rk = 0
-    while col_rows:
-        col = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-        ri = min(col_rows[col], key=lambda r: (len(work[r]), r))
-        prow = work[ri]
-        inv = pow(prow[col], p - 2, p)
-        for c in prow:
-            s = col_rows[c]
-            s.discard(ri)
-            if not s:
-                del col_rows[c]
-        for other in list(col_rows.get(col, ())):
-            orow = work[other]
-            factor = (orow[col] * inv) % p
-            for c, v in prow.items():
-                nv = (orow.get(c, 0) - factor * v) % p
-                if nv:
-                    if c not in orow:
-                        col_rows.setdefault(c, set()).add(other)
-                    orow[c] = nv
-                else:
-                    if c in orow:
-                        del orow[c]
-                        s = col_rows[c]
-                        s.discard(other)
-                        if not s:
-                            del col_rows[c]
-        rk += 1
-    return rk
-
-
-def rank_with_modular_prescreen(m: SparseMatrix) -> int:
-    """Exact rank; a full-rank mod-p prescreen short-circuits elimination.
-
-    The mod-p rank never exceeds the rational rank, so when it reaches
-    ``min(nrows, ncols)`` it certifies the answer by itself.  Every other
-    case is settled by exact arithmetic.
-    """
-    bound = min(m.nrows, m.ncols)
-    if bound == 0:
-        return 0
-    if _modular_rank(m) == bound:
-        return bound
-    return rank(m)
+    """Exact rank, by the free Markowitz-style pivot policy."""
+    return len(_eliminate(m, canonical=False)[1])

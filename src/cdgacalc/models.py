@@ -39,7 +39,7 @@ from .algebra import (AlgebraContext, AlgebraError, AlgebraMap, BaseAlgebra,
                       load_base_algebra, tensor_many, tensor_power)
 from .engine import Presentation, quotient_slice
 from .linalg import SparseMatrix, rref
-from .rat import ONE, Rational, rat_from_str, rat_to_str
+from .rat import ONE, exact, rat_from_str, rat_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def degree_two_class(base: BaseAlgebra, coords: Sequence) -> dict:
             f"{len(coords)} coordinates")
     out = {}
     for idx, c in zip(deg2, coords):
-        c = Rational(c)
+        c = exact(c)
         if c:
             out[idx] = c
     return out
@@ -160,10 +160,14 @@ def parse_ample_class(base: BaseAlgebra, text: str) -> dict:
     Ampleness is never enforced; any rational coordinates are accepted.
     """
     s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        parts = [rat_from_str(tok) for tok in s[1:-1].split(":")]
-        return degree_two_class(base, parts)
-    return degree_two_class(base, [rat_from_str(s)])
+    bracketed = s.startswith("[") and s.endswith("]")
+    tokens = s[1:-1].split(":") if bracketed else [s]
+    try:
+        parts = [rat_from_str(tok) for tok in tokens]
+    except ValueError as err:
+        raise AlgebraError(f"cannot parse degree-2 class {text!r}: {err}; "
+                           "expected 'p', 'p/q' or '[p:q]'") from None
+    return degree_two_class(base, parts)
 
 
 def class_label(base: BaseAlgebra, coeffs: dict) -> str:
@@ -182,7 +186,7 @@ def _base_mul(base: BaseAlgebra, u: dict, v: dict) -> dict:
     for i, ci in u.items():
         for j, cj in v.items():
             for k, c in base.product(i, j).items():
-                val = out.get(k, Rational(0)) + ci * cj * c
+                val = out.get(k, 0) + ci * cj * c
                 if val:
                     out[k] = val
                 else:
@@ -233,19 +237,23 @@ def _diagonal_triples(base: BaseAlgebra) -> list[tuple[int, int, object]]:
         sign = -ONE if base.degrees[j] % 2 else ONE
         for idx, c in duals[j].items():
             triples.append((j, idx, sign * c))
-    _verify_diagonal(base, triples)
+    _verify_diagonal(base, _diagonal_element(base, triples))
     return triples
 
 
-def _verify_diagonal(base: BaseAlgebra, triples) -> None:
+def _diagonal_element(base: BaseAlgebra, triples) -> Element:
     square = tensor_many([base, base], name=f"{base.name}^⊗2",
                          validate=False)
-    ctx = AlgebraContext(square, [])
     terms = {}
     for p, q, c in triples:
         k = square.encode((p, q))
-        terms[k] = terms.get(k, Rational(0)) + c
-    delta = ctx.base_element(terms)
+        terms[k] = terms.get(k, 0) + c
+    return AlgebraContext(square, []).base_element(terms)
+
+
+def _verify_diagonal(base: BaseAlgebra, delta: Element) -> None:
+    ctx = delta.context
+    square = ctx.base
     for idx in base.positive_degree_indices():
         left = ctx.base_element({square.encode((idx, base.unit)): ONE})
         right = ctx.base_element({square.encode((base.unit, idx)): ONE})
@@ -255,7 +263,7 @@ def _verify_diagonal(base: BaseAlgebra, triples) -> None:
                 f"(x⊗1 - 1⊗x)·Δ != 0 for x = {base.labels[idx]}")
     top_sq = square.encode((base.fundamental, base.fundamental))
     self_int = (delta * delta).terms
-    coeff = Rational(0)
+    coeff = 0
     for m, c in self_int.items():
         if m.base == top_sq:
             coeff = c
@@ -268,15 +276,7 @@ def _verify_diagonal(base: BaseAlgebra, triples) -> None:
 
 def diagonal_class(base: BaseAlgebra) -> Element:
     """The diagonal class as an element of base (x) base (no generators)."""
-    triples = _diagonal_triples(base)
-    square = tensor_many([base, base], name=f"{base.name}^⊗2",
-                         validate=False)
-    ctx = AlgebraContext(square, [])
-    terms = {}
-    for p, q, c in triples:
-        k = square.encode((p, q))
-        terms[k] = terms.get(k, Rational(0)) + c
-    return ctx.base_element(terms)
+    return _diagonal_element(base, _diagonal_triples(base))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def _configuration_differential(ctx: AlgebraContext, tensor: TensorAlgebra,
                 combo[a - 1] = p_idx
                 combo[b - 1] = q_idx
                 enc = tensor.encode(tuple(combo))
-                terms[enc] = terms.get(enc, Rational(0)) + c
+                terms[enc] = terms.get(enc, 0) + c
             diff[layout.g_index(a, b)] = ctx.base_element(terms)
     return diff
 
@@ -499,13 +499,13 @@ def cotangent_chern(spec: SpaceSpec,
         n = spec.n
         cot = []
         for i in range(n + 1):
-            coeff = Rational((-1) ** i * comb(n + 1, i))
+            coeff = (-1) ** i * comb(n + 1, i)
             cot.append({i: coeff} if coeff else {})
         default_c1 = {1: ONE}
     elif isinstance(spec, Surface):
         chi = 2 - 2 * spec.genus
         cot = [{base.unit: ONE},
-               {base.fundamental: Rational(-chi)} if chi else {}]
+               {base.fundamental: -chi} if chi else {}]
         default_c1 = {base.fundamental: ONE}
     elif isinstance(spec, Product):
         left = cotangent_chern(spec.left)
@@ -521,14 +521,14 @@ def cotangent_chern(spec: SpaceSpec,
                 for u, cu in left.cotangent[i].items():
                     for v, cv in right.cotangent[j].items():
                         enc = base.encode((u, v))
-                        acc[enc] = acc.get(enc, Rational(0)) + cu * cv
+                        acc[enc] = acc.get(enc, 0) + cu * cv
             cot.append({kk: c for kk, c in acc.items() if c})
         default_c1 = {}
         for u, cu in left.c1_line.items():
             default_c1[base.encode((u, base.factors[1].unit))] = cu
         for v, cv in right.c1_line.items():
             enc = base.encode((base.factors[0].unit, v))
-            default_c1[enc] = default_c1.get(enc, Rational(0)) + cv
+            default_c1[enc] = default_c1.get(enc, 0) + cv
     else:
         raise AlgebraError(
             "cotangent data for custom spaces must be supplied explicitly")
@@ -555,17 +555,17 @@ def euler_class_twist(chern: ChernData, d: int):
         power = _base_mul(base, power, chern.c1_line)
         powers.append(power)
     for i in range(n + 1):
-        scale = Rational(d) ** (n - i)
+        scale = d ** (n - i)
         if not scale:
             continue
         term = _base_mul(base, chern.cotangent[i], powers[n - i])
         for k, c in term.items():
-            val = e.get(k, Rational(0)) + scale * c
+            val = e.get(k, 0) + scale * c
             if val:
                 e[k] = val
             else:
                 e.pop(k, None)
-    m = e.get(base.fundamental, Rational(0))
+    m = e.get(base.fundamental, 0)
     return e, m
 
 
@@ -584,8 +584,7 @@ def twisted_section_model(base: BaseAlgebra, chern: ChernData, d: int,
     tensor, layout, ctx = _marked_context(base, r)
     relations = _configuration_relations(ctx, tensor, layout)
     e, m = euler_class_twist(chern, d)
-    scaled_c1 = {k: Rational(d) * v for k, v in chern.c1_line.items()
-                 if Rational(d) * v}
+    scaled_c1 = {k: d * v for k, v in chern.c1_line.items() if d * v}
     diff = _marked_differential(ctx, tensor, layout, e, scaled_c1)
     return Presentation(
         ctx, relations, diff,

@@ -1,11 +1,12 @@
 """Exact rational scalars.
 
 Everything in this package is computed over Q, with no rounding anywhere.
-The scalar type is ``gmpy2.mpq`` when gmpy2 is importable (much faster on
-the larger eliminations) and ``fractions.Fraction`` otherwise.  Both keep
-numerator/denominator coprime with a positive denominator after every
-operation, and they hash identically, so the rest of the code treats the
-two interchangeably.
+A scalar is a Python ``int`` when it is integral and a ``Rational`` only
+when it is not, because the built-in models have integer coefficients and
+``int`` arithmetic is far cheaper.  :func:`exact` puts a value into that
+form at the model boundary and on elimination output; mixed arithmetic in
+between stays exact.  ``Rational`` is ``gmpy2.mpq`` when gmpy2 is
+importable and ``fractions.Fraction`` otherwise; both hash like ``int``.
 """
 
 from __future__ import annotations
@@ -19,17 +20,24 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     Rational = Fraction
 
-ZERO = Rational(0)
-ONE = Rational(1)
+ONE = 1
+
+
+def exact(value):
+    """``value`` as an ``int`` when it is integral, else as a ``Rational``."""
+    if type(value) is int:
+        return value
+    q = Rational(value)
+    return int(q) if q.denominator == 1 else q
 
 
 def rat(numerator, denominator=1):
-    """Build an exact rational from integers (or another rational)."""
-    return Rational(numerator, denominator)
+    """Build an exact scalar from integers (or another rational)."""
+    return exact(Rational(numerator, denominator))
 
 
 def rat_from_str(text: str):
-    """Parse ``"p"`` or ``"p/q"`` into an exact rational.
+    """Parse ``"p"`` or ``"p/q"`` into an exact scalar.
 
     Raises ``ValueError`` on malformed input or zero denominator.
     """
@@ -39,8 +47,8 @@ def rat_from_str(text: str):
         d = int(den)
         if d == 0:
             raise ValueError(f"zero denominator in rational {text!r}")
-        return Rational(int(num), d)
-    return Rational(int(s))
+        return exact(Rational(int(num), d))
+    return int(s)
 
 
 def rat_to_str(value) -> str:

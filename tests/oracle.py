@@ -11,7 +11,8 @@ where F_d is the free slice, I_d the span of relation*monomial products,
 comp_d the matrix of d: F_d -> F_{d+1}/I_{d+1} (images reduced against an
 echelon basis of I_{d+1}), and D_{d-1} the free differential.  The
 Leibniz rule is also re-derived here by multiplying out the factor list
-one element at a time rather than via the engine's prefix/suffix split.
+one element at a time rather than via the engine's compiled derivation
+tables.
 """
 
 from fractions import Fraction

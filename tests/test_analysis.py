@@ -3,6 +3,7 @@ import pytest
 from cdgacalc.algebra import AlgebraError, BaseAlgebra
 from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                character_euler, check_subgroup_closed,
+                               configuration_euler,
                                cycle_type, generated_subgroup,
                                invariant_cohomology, isotypic_cohomology,
                                p_r_closed_form, poincare_series_U,
@@ -87,6 +88,15 @@ def test_weightwise_euler_closed_form_r_up_to_three():
         for r in (1, 2, 3):
             lhs = weightwise_euler(section_model(base, c, r), 10)
             assert lhs == p_r_closed_form(base, r, 10), (space, r)
+
+
+def test_configuration_euler_matches_engine():
+    # the product formula builds no model, so this checks the engine
+    for space, r in (("P1", 2), ("P1", 4), ("P2", 3), ("S1", 2), ("S1", 3),
+                     ("S2", 2), ("P1xP1", 2)):
+        base = build_base(parse_space(space))
+        engine = weightwise_euler(configuration_model(base, r), 14)
+        assert configuration_euler(base, r, 14) == engine, (space, r)
 
 
 def test_p_r_closed_form_r0_is_pu():

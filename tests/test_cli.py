@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgacalc.cli import main
 
@@ -174,10 +181,158 @@ def test_table1_exits_zero_when_all_match(capsys):
     assert "all 44 entries match" in out
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def _subprocess_env():
+    """The environment with this checkout's ``src`` first on the path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "cdgacalc.cli", "series", "--space", "P1",
          "--kind", "pu-degree", "--max", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("1 + t")
+
+
+# -- input contract: malformed input exits 2 with one line, no traceback -----
+
+P1_DOC = {
+    "name": "p1", "n": 1,
+    "basis": [{"label": "1", "degree": 0}, {"label": "h", "degree": 2}],
+    "unit": "1", "fundamental": "h",
+    "products": [{"left": "h", "right": "h", "value": []}],
+}
+
+
+def _without_degree(doc):
+    doc["basis"][1].pop("degree")
+    return doc
+
+
+def _with_degree(value):
+    def edit(doc):
+        doc["basis"][1]["degree"] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, c", [
+    (_without_degree, None),
+    (_with_degree(1.5), None),
+    (_with_degree("two"), None),
+    (lambda doc: [doc], None),
+    (None, "abc"),
+    (None, "1/0"),
+])
+def test_malformed_input_exits_2_without_traceback(tmp_path, edit, c):
+    space, extra = "P1", [f"--c={c}"]
+    if edit is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(edit(json.loads(json.dumps(P1_DOC)))))
+        space, extra = f"custom:{path}", []
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdgacalc.cli", "cohomology", "--space", space,
+         "--r", "1", "--max-degree", "2", *extra],
+        capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("cdgacalc: error:")
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of an in-process run; a traceback escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_rejected(code, err):
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("cdgacalc: error:")
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=8)
+NON_INTEGERS = JSON.filter(lambda v: isinstance(v, bool)
+                           or not isinstance(v, int))
+REQUIRED = ["name", "n", "basis", "unit", "fundamental"]
+
+
+@st.composite
+def malformed_documents(draw):
+    doc = json.loads(json.dumps(P1_DOC))
+    kind = draw(st.sampled_from(["not_object", "drop_field", "drop_degree",
+                                 "bad_degree", "bad_weight", "bad_n"]))
+    if kind == "not_object":
+        return draw(JSON.filter(lambda v: not isinstance(v, dict)))
+    if kind == "drop_field":
+        del doc[draw(st.sampled_from(REQUIRED))]
+    elif kind == "drop_degree":
+        del doc["basis"][draw(st.integers(0, 1))]["degree"]
+    elif kind == "bad_degree":
+        doc["basis"][draw(st.integers(0, 1))]["degree"] = draw(NON_INTEGERS)
+    elif kind == "bad_weight":
+        doc["basis"][draw(st.integers(0, 1))]["weight"] = draw(NON_INTEGERS)
+    else:
+        doc["n"] = draw(NON_INTEGERS)
+    return doc
+
+
+def _series_of_document(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return _run_quietly(["series", "--space", f"custom:{path}",
+                             "--kind", "pu-weight", "--max", "2"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_documents())
+def test_fuzz_malformed_custom_json_exits_2(doc):
+    _assert_rejected(*_series_of_document(json.dumps(doc)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=40))
+def test_fuzz_arbitrary_custom_file_never_tracebacks(text):
+    code, err = _series_of_document(text)
+    if code != 0:
+        _assert_rejected(code, err)
+
+
+def _euler_with_class(c):
+    return _run_quietly(["euler", "--space", "P1", "--r", "1", f"--c={c}",
+                         "--w-max", "2"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    # a letter is never part of a rational
+    st.tuples(st.text(max_size=8),
+              st.characters(whitelist_categories=("Lu", "Ll")),
+              st.text(max_size=8)).map("".join),
+    st.integers().map(lambda p: f"{p}/0"),
+    st.integers().map(lambda p: f"[{p}/0]")))
+def test_fuzz_malformed_c_exits_2(c):
+    _assert_rejected(*_euler_with_class(c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(max_size=12))
+def test_fuzz_arbitrary_c_never_tracebacks(c):
+    code, err = _euler_with_class(c)
+    if code != 0:
+        _assert_rejected(code, err)

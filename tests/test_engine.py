@@ -5,12 +5,13 @@ from cdgacalc.algebra import (AlgebraContext, Element, GeneratorSpec,
 from cdgacalc.engine import (Presentation, PresentationError, cohomology,
                              differential_matrix, differential_rank,
                              ideal_slice, quotient_slice, verify_d_squared)
-from cdgacalc.linalg import rref
-from cdgacalc.models import build_base, parse_ample_class, parse_space, \
-    section_model, configuration_model
-from cdgacalc.rat import ONE
+from cdgacalc.linalg import rank, rref
+from cdgacalc.models import build_base, cotangent_chern, parse_ample_class, \
+    parse_space, section_model, configuration_model, twisted_section_model
+from cdgacalc.rat import ONE, Rational
 
-from oracle import dense_cohomology_dims
+from oracle import dense_cohomology_dims, free_differential
+from test_acceptance import random_presentation
 
 
 def c2_p1(diagonal="good"):
@@ -224,3 +225,61 @@ def test_configuration_r1_is_base_cohomology():
     assert not p.relations
     tab = cohomology(p, 5)
     assert tab.dims() == [base.betti(i) for i in range(6)]
+
+
+def _section(space, r, c="1"):
+    base = build_base(parse_space(space))
+    return section_model(base, parse_ample_class(base, c), r)
+
+
+def test_compiled_leibniz_matches_factorwise_oracle():
+    # the models behind table1 and the CLI's --model C / AL, then the
+    # random presentations, whose d(g) carry products and powers of
+    # generators
+    models = [(_section("P1", 2), 6), (_section("S1", 2), 5),
+              (_section("P1xP1", 2, "[2:3]"), 5),
+              (twisted_section_model(build_base(parse_space("P2")),
+                                     cotangent_chern(parse_space("P2")),
+                                     2, 2), 6),
+              (configuration_model(build_base(parse_space("P1")), 3), 6)]
+    models += [random_presentation(seed) for seed in range(24)]
+    checked = 0
+    for p, max_degree in models:
+        ctx = p.context
+        for d in range(max_degree + 1):
+            for mono in quotient_slice(p, d).quotient:
+                got = p.differential_of(Element(ctx, {mono: ONE}))
+                assert got == free_differential(p, mono), (
+                    p.name, ctx.monomial_label(mono))
+                checked += 1
+    assert checked > 1000
+
+
+def _values(rows):
+    return [v for row in rows for v in row.values()]
+
+
+def test_scalars_stay_int_on_integer_models_and_never_float():
+    integer = _section("P1xP1", 2, "[1:1]")
+    rational = _section("P1xP1", 2, "[2/3:1]")
+    for p in (integer, rational):
+        ctx = p.context
+        for d in range(7):
+            for k in sorted({ctx.monomial_weight(m)
+                             for m in ctx.monomials_of(d)}):
+                ideal = ideal_slice(p, d, k)
+                sl = quotient_slice(p, d, k)
+                dmat = differential_matrix(p, d, k)
+                reduced = rref(ideal).reduced
+                rewrite = list(sl.rewrite.values())
+                values = (_values(ideal.rows) + _values(rewrite)
+                          + _values(dmat.rows) + _values(reduced.rows))
+                kinds = {type(v) for v in values}
+                assert float not in kinds
+                assert kinds <= {int, Rational}
+                if p is integer:
+                    assert kinds <= {int}, (d, k, kinds)
+                # exact form: an integral value is never a Rational
+                assert all(type(v) is int for v in _values(reduced.rows)
+                           if v == int(v))
+                assert type(rank(dmat)) is int

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
-from cdgacalc.linalg import (SparseMatrix, rref, kernel_basis, rank,
-                             rank_with_modular_prescreen)
+from hypothesis import given, settings, strategies as st
+
+from cdgacalc.linalg import SparseMatrix, rref, kernel_basis, rank
 from cdgacalc.rat import Rational
 
 
@@ -55,9 +57,8 @@ def test_kernel_one_relation():
 
 
 def test_rank_identity_and_ones():
-    assert rank_with_modular_prescreen(SparseMatrix.identity(4)) == 4
+    assert rank(SparseMatrix.identity(4)) == 4
     ones = dense([[1, 1, 1]] * 3)
-    assert rank_with_modular_prescreen(ones) == 1
     assert rank(ones) == 1
 
 
@@ -77,7 +78,7 @@ def test_rank_of_sparse_factor_product():
             rng.randint(-3, 3))
     prod = a.matmul(b)
     assert prod.nrows == 20 and prod.ncols == 20
-    assert rank_with_modular_prescreen(prod) == 10
+    assert rank(prod) == 10
 
 
 def random_matrix(rng, nrows, ncols, density=0.3):
@@ -133,7 +134,7 @@ def test_rank_properties_randomized():
         res = rref(m)
         assert res.rank == rank(m.transpose())
         assert res.rank + len(kernel_basis(m)) == m.ncols
-        assert res.rank == rank_with_modular_prescreen(m)
+        assert res.rank == rank(m)
         # idempotence: rref of the reduced matrix is the reduced matrix
         again = rref(res.reduced)
         assert again.reduced == res.reduced
@@ -144,3 +145,55 @@ def test_rank_properties_randomized():
                 s = sum((row[j] * vec[j] for j in row if j in vec),
                         Rational(0))
                 assert s == 0
+
+
+# -- property tests of the shared elimination kernel -------------------------
+
+INTS = st.integers(-5, 5)
+FRACTIONS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+SCALARS = {"int": INTS, "rational": FRACTIONS,
+           "mixed": st.one_of(INTS, FRACTIONS)}
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse int, rational or mixed matrices, often rank deficient.
+
+    Zero rows and columns come from the sparsity; rank deficiency from
+    building the matrix as a product through a narrow inner dimension.
+    """
+    scalars = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+
+    def sparse(n, m):
+        return [[draw(scalars) if draw(st.booleans()) else 0
+                 for _ in range(m)] for _ in range(n)]
+
+    if draw(st.booleans()):
+        dense_rows = sparse(nrows, ncols)
+    else:
+        inner = draw(st.integers(0, 3))
+        a, b = sparse(nrows, inner), sparse(inner, ncols)
+        dense_rows = [[sum((a[i][k] * b[k][j] for k in range(inner)), 0)
+                       for j in range(ncols)] for i in range(nrows)]
+    return SparseMatrix(nrows, ncols,
+                        ((i, j, v) for i, row in enumerate(dense_rows)
+                         for j, v in enumerate(row) if v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_rank_equals_dense_textbook_rank(m):
+    pivots, _ = dense_rref(m.to_dense(), m.ncols)
+    assert rank(m) == len(pivots) == rref(m).rank
+    assert rank(m.transpose()) == len(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_elimination_keeps_scalars_exact(m):
+    # inputs and outputs are int where integral, Rational otherwise
+    for row in m.rows + rref(m).reduced.rows:
+        for v in row.values():
+            assert type(v) is (int if v == int(v) else Rational)
+    assert type(rank(m)) is int
