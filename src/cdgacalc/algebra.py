@@ -17,6 +17,7 @@ every other module for determinism.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from dataclasses import dataclass
@@ -111,7 +112,14 @@ class BaseAlgebra:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
-        """Check every algebra law; raise naming the first violated one."""
+        """Check every algebra law; raise naming the first violated one.
+
+        Every law is checked on every pair and triple of basis elements
+        and reports its lexicographically smallest violation.  The cost
+        is proportional to the nonzero products and the paths through
+        them, not to dim^3: pairs and triples whose products are all zero
+        satisfy commutativity and associativity and are skipped.
+        """
         deg, wt, lab = self.degrees, self.weights, self.labels
         if not (0 <= self.unit < self.dim):
             raise AlgebraError("unit label: not a basis element")
@@ -141,34 +149,61 @@ class BaseAlgebra:
                     raise AlgebraError(
                         f"weight additivity: {lab[i]}*{lab[j]} hits "
                         f"{lab[k]} of weight {wt[k]} != {wt[i]}+{wt[j]}")
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                sign = -ONE if (deg[i] % 2 and deg[j] % 2) else ONE
-                forward = self.product(i, j)
-                back = {k: sign * c for k, c in self.product(j, i).items()}
-                if forward != back:
-                    raise AlgebraError(
-                        f"graded commutativity: {lab[i]}*{lab[j]} != "
-                        f"(-1)^(|{lab[i]}||{lab[j]}|) {lab[j]}*{lab[i]}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.product(i, j)
-                for k in range(self.dim):
-                    left: dict[int, object] = {}
-                    for m, c in ij.items():
-                        for t, c2 in self.product(m, k).items():
-                            left[t] = left.get(t, 0) + c * c2
-                    right: dict[int, object] = {}
-                    for m, c in self.product(j, k).items():
-                        for t, c2 in self.product(i, m).items():
-                            right[t] = right.get(t, 0) + c * c2
-                    left = {t: c for t, c in left.items() if c}
-                    right = {t: c for t, c in right.items() if c}
-                    if left != right:
-                        raise AlgebraError(
-                            f"associativity: ({lab[i]}*{lab[j]})*{lab[k]} "
-                            f"!= {lab[i]}*({lab[j]}*{lab[k]})")
+        for i, j in sorted({(min(i, j), max(i, j)) for i, j in self.table}):
+            sign = -ONE if (deg[i] % 2 and deg[j] % 2) else ONE
+            forward = self.product(i, j)
+            back = {k: sign * c for k, c in self.product(j, i).items()}
+            if forward != back:
+                raise AlgebraError(
+                    f"graded commutativity: {lab[i]}*{lab[j]} != "
+                    f"(-1)^(|{lab[i]}||{lab[j]}|) {lab[j]}*{lab[i]}")
+        self._validate_associativity()
         self._validate_pairing()
+
+    def _validate_associativity(self) -> None:
+        """(i*j)*k == i*(j*k) for every triple, visiting only nonzero paths.
+
+        For each middle element j both sides are summed per (i, k, t)
+        through row and column indexes of the table, so only triples with
+        a nonzero product on some side are touched.  Triples containing
+        the unit follow from the unit law, which ``validate`` checks first.
+        """
+        lab, unit = self.labels, self.unit
+        rows: dict[int, list] = {}  # m -> [(k, items of m*k)], k != unit
+        cols: dict[int, list] = {}  # m -> [(i, items of i*m)], i != unit
+        for (i, j), prod in self.table.items():
+            items = tuple(prod.items())
+            if j != unit:
+                rows.setdefault(i, []).append((j, items))
+            if i != unit:
+                cols.setdefault(j, []).append((i, items))
+        worst = None
+        for j in sorted((rows.keys() | cols.keys()) - {unit}):
+            left: dict[tuple[int, int, int], object] = {}
+            for i, ij in cols.get(j, ()):
+                for m, c in ij:
+                    for k, mk in rows.get(m, ()):
+                        for t, c2 in mk:
+                            key = (i, k, t)
+                            left[key] = left.get(key, 0) + c * c2
+            right: dict[tuple[int, int, int], object] = {}
+            for k, jk in rows.get(j, ()):
+                for m, c in jk:
+                    for i, im in cols.get(m, ()):
+                        for t, c2 in im:
+                            key = (i, k, t)
+                            right[key] = right.get(key, 0) + c * c2
+            if left == right:
+                continue
+            for i, k, t in left.keys() | right.keys():
+                if left.get((i, k, t), 0) != right.get((i, k, t), 0) \
+                        and (worst is None or (i, j, k) < worst):
+                    worst = (i, j, k)
+        if worst is not None:
+            i, j, k = worst
+            raise AlgebraError(
+                f"associativity: ({lab[i]}*{lab[j]})*{lab[k]} "
+                f"!= {lab[i]}*({lab[j]}*{lab[k]})")
 
     def _validate_pairing(self) -> None:
         top = self.fundamental
@@ -202,6 +237,12 @@ class TensorAlgebra(BaseAlgebra):
     into a flat index); structure constants carry the Koszul signs of the
     interleaving.  ``pullback`` implements the algebra map induced by
     projecting onto one factor.
+
+    The table is built from the factors' nonzero products only, so
+    construction costs the product of the factors' nonzero counts, not
+    dim^2, and validation costs what ``BaseAlgebra.validate`` says: the
+    nonzero products and paths of the tensor table, with every law still
+    checked on the tensor product itself.
     """
 
     __slots__ = ("factors", "_strides")
@@ -225,12 +266,15 @@ class TensorAlgebra(BaseAlgebra):
                    for c in combos]
         weights = [sum(f.weights[c[i]] for i, f in enumerate(factors))
                    for c in combos]
+        # (u, v) is nonzero only if every slot pair is nonzero in its factor
         table: dict[tuple[int, int], dict[int, object]] = {}
-        for u in combos:
-            for v in combos:
-                prod = self._slotwise_product(u, v)
-                if prod:
-                    table[(self._enc(u), self._enc(v))] = prod
+        for slots in itertools.product(*(f.table for f in factors)):
+            u, v = zip(*slots)
+            prod = self._slotwise_product(u, v)
+            if prod:
+                table[(self._enc(u), self._enc(v))] = prod
+        # keys in (u, v) order, the order additivity errors are found in
+        table = dict(sorted(table.items()))
         unit = self._enc(tuple(f.unit for f in factors))
         fund = self._enc(tuple(f.fundamental for f in factors))
         super().__init__(
@@ -252,23 +296,20 @@ class TensorAlgebra(BaseAlgebra):
 
     def _slotwise_product(self, u, v) -> dict[int, object]:
         # Koszul sign: each v_i moves left past u_j for all j > i.
-        sign_exp = 0
-        for i in range(len(u)):
-            vp = self.factors[i].degrees[v[i]] % 2
-            if vp:
-                sign_exp += sum(self.factors[j].degrees[u[j]] % 2
-                                for j in range(i + 1, len(u)))
-        coeff = -ONE if sign_exp % 2 else ONE
-        acc: list[tuple[tuple[int, ...], object]] = [((), coeff)]
-        for i, f in enumerate(self.factors):
-            prod = f.product(u[i], v[i])
+        sign_exp = odd_after = 0
+        for f, a, b in reversed(tuple(zip(self.factors, u, v))):
+            if f.degrees[b] % 2:
+                sign_exp += odd_after
+            odd_after += f.degrees[a] % 2
+        acc: list[tuple[int, object]] = [(0, -ONE if sign_exp % 2 else ONE)]
+        for f, a, b, stride in zip(self.factors, u, v, self._strides):
+            prod = f.table.get((a, b))
             if not prod:
                 return {}
-            acc = [(partial + (k,), c * c2)
-                   for partial, c in acc for k, c2 in prod.items()]
+            acc = [(k + stride * k2, c * c2)
+                   for k, c in acc for k2, c2 in prod.items()]
         out: dict[int, object] = {}
-        for combo, c in acc:
-            k = self._enc(combo)
+        for k, c in acc:
             out[k] = out.get(k, 0) + c
         return {k: c for k, c in out.items() if c}
 

@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except VerificationFailure as err:
@@ -367,6 +368,19 @@ def main(argv=None) -> int:
     except (AlgebraError, OSError) as err:
         print(f"cdgacalc: error: {_one_line(err)}", file=sys.stderr)
         return 2
+
+
+def _attach_dash_values(argv) -> list[str]:
+    """Write ``--c -1/2`` as ``--c=-1/2``.
+
+    argparse takes a separate value that starts with '-' and is not a
+    plain number, such as -1/2, for an unknown option.
+    """
+    out = list(argv)
+    for i in range(len(out) - 1, 0, -1):
+        if out[i - 1] == "--c" and out[i][:1] == "-" and out[i][:2] != "--":
+            out[i - 1:i + 1] = [f"--c={out[i]}"]
+    return out
 
 
 def _one_line(err: Exception) -> str:

@@ -13,11 +13,16 @@ echelon basis of I_{d+1}), and D_{d-1} the free differential.  The
 Leibniz rule is also re-derived here by multiplying out the factor list
 one element at a time rather than via the engine's compiled derivation
 tables.
+
+``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
+all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
+replaced with sparse ones; tests compare the two.
 """
 
 from fractions import Fraction
 
-from cdgacalc.algebra import Element, Monomial
+from cdgacalc.algebra import AlgebraError, Element, Monomial
+from cdgacalc.rat import ONE
 
 
 def free_differential(p, mono):
@@ -125,3 +130,101 @@ def dense_cohomology_dims(p, max_degree):
         stacked = (diff_rows(d - 1) if d > 0 else []) + ideal_rows(d)
         dims[d] = len(free[d]) - rank_comp - rank_of(stacked)
     return dims
+
+
+def dense_validate(self):
+    """Every algebra law over all dim^2 pairs and dim^3 triples."""
+    deg, wt, lab = self.degrees, self.weights, self.labels
+    if not (0 <= self.unit < self.dim):
+        raise AlgebraError("unit label: not a basis element")
+    if not (0 <= self.fundamental < self.dim):
+        raise AlgebraError("fundamental label: not a basis element")
+    if deg[self.unit] != 0:
+        raise AlgebraError(f"unit degree: {lab[self.unit]} has degree "
+                           f"{deg[self.unit]}, expected 0")
+    if deg[self.fundamental] != 2 * self.n:
+        raise AlgebraError(
+            f"fundamental class degree: {lab[self.fundamental]} has "
+            f"degree {deg[self.fundamental]}, expected {2 * self.n}")
+    if any(d < 0 for d in deg) or any(w < 0 for w in wt):
+        raise AlgebraError("degree positivity: negative degree or weight")
+    for i in range(self.dim):
+        if self.product(self.unit, i) != {i: ONE} \
+                or self.product(i, self.unit) != {i: ONE}:
+            raise AlgebraError(f"unit law: 1*{lab[i]} or {lab[i]}*1 "
+                               f"is not {lab[i]}")
+    for (i, j), prod in self.table.items():
+        for k in prod:
+            if deg[k] != deg[i] + deg[j]:
+                raise AlgebraError(
+                    f"degree additivity: {lab[i]}*{lab[j]} hits "
+                    f"{lab[k]} of degree {deg[k]} != {deg[i]}+{deg[j]}")
+            if wt[k] != wt[i] + wt[j]:
+                raise AlgebraError(
+                    f"weight additivity: {lab[i]}*{lab[j]} hits "
+                    f"{lab[k]} of weight {wt[k]} != {wt[i]}+{wt[j]}")
+    for i in range(self.dim):
+        for j in range(i, self.dim):
+            sign = -ONE if (deg[i] % 2 and deg[j] % 2) else ONE
+            forward = self.product(i, j)
+            back = {k: sign * c for k, c in self.product(j, i).items()}
+            if forward != back:
+                raise AlgebraError(
+                    f"graded commutativity: {lab[i]}*{lab[j]} != "
+                    f"(-1)^(|{lab[i]}||{lab[j]}|) {lab[j]}*{lab[i]}")
+    for i in range(self.dim):
+        for j in range(self.dim):
+            ij = self.product(i, j)
+            for k in range(self.dim):
+                left: dict[int, object] = {}
+                for m, c in ij.items():
+                    for t, c2 in self.product(m, k).items():
+                        left[t] = left.get(t, 0) + c * c2
+                right: dict[int, object] = {}
+                for m, c in self.product(j, k).items():
+                    for t, c2 in self.product(i, m).items():
+                        right[t] = right.get(t, 0) + c * c2
+                left = {t: c for t, c in left.items() if c}
+                right = {t: c for t, c in right.items() if c}
+                if left != right:
+                    raise AlgebraError(
+                        f"associativity: ({lab[i]}*{lab[j]})*{lab[k]} "
+                        f"!= {lab[i]}*({lab[j]}*{lab[k]})")
+    self._validate_pairing()
+
+
+def _slotwise_product(self, u, v):
+    # Koszul sign: each v_i moves left past u_j for all j > i.
+    sign_exp = 0
+    for i in range(len(u)):
+        vp = self.factors[i].degrees[v[i]] % 2
+        if vp:
+            sign_exp += sum(self.factors[j].degrees[u[j]] % 2
+                            for j in range(i + 1, len(u)))
+    coeff = -ONE if sign_exp % 2 else ONE
+    acc = [((), coeff)]
+    for i, f in enumerate(self.factors):
+        prod = f.product(u[i], v[i])
+        if not prod:
+            return {}
+        acc = [(partial + (k,), c * c2)
+               for partial, c in acc for k, c2 in prod.items()]
+    out = {}
+    for combo, c in acc:
+        k = self.encode(combo)
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def dense_tensor_table(tensor):
+    """The structure constants of a TensorAlgebra, over all basis pairs."""
+    combos = [()]
+    for f in tensor.factors:
+        combos = [c + (i,) for c in combos for i in range(f.dim)]
+    table = {}
+    for u in combos:
+        for v in combos:
+            prod = _slotwise_product(tensor, u, v)
+            if prod:
+                table[(tensor.encode(u), tensor.encode(v))] = prod
+    return table

@@ -6,8 +6,10 @@ import pytest
 from cdgacalc.algebra import (AlgebraError, AlgebraContext, AlgebraMap,
                               BaseAlgebra, GeneratorSpec, Monomial,
                               base_algebra_from_dict, load_base_algebra,
-                              tensor_power)
+                              tensor_many, tensor_power)
+from cdgacalc.models import build_base, parse_space
 from cdgacalc.rat import ONE, Rational
+from oracle import dense_tensor_table, dense_validate
 
 
 def p1_algebra():
@@ -313,3 +315,126 @@ def test_loader_rejects_true_nonassociativity():
     }
     with pytest.raises(AlgebraError, match="graded commutativity|associativity"):
         base_algebra_from_dict(doc)
+
+
+def test_loader_rejects_associativity_alone():
+    # unital, graded commutative (all degrees even, mirrors implied) and
+    # with a nondegenerate pairing, but (a*a)*b = p*b = top while
+    # a*(a*b) = a*q = 0
+    doc = {
+        "name": "nonassoc", "n": 3,
+        "basis": [{"label": "1", "degree": 0},
+                  {"label": "a", "degree": 2}, {"label": "b", "degree": 2},
+                  {"label": "p", "degree": 4}, {"label": "q", "degree": 4},
+                  {"label": "top", "degree": 6}],
+        "unit": "1", "fundamental": "top",
+        "products": [
+            ["a", "a", [["p", "1"]]], ["a", "b", [["q", "1"]]],
+            ["b", "b", []],
+            ["a", "p", [["top", "1"]]], ["b", "p", [["top", "1"]]],
+            ["b", "q", [["top", "1"]]], ["a", "q", []],
+        ],
+    }
+    with pytest.raises(AlgebraError) as err:
+        base_algebra_from_dict(doc)
+    assert str(err.value) == "associativity: (a*a)*b != a*(a*b)"
+
+
+def p1_cubed_two_term_algebra():
+    # H*(P1^3) with degree-4 basis s = xy + yz, t = xz, u = yz, so that
+    # x*y = s - u has two terms
+    lab = ["1", "x", "y", "z", "s", "t", "u", "top"]
+    table = {(0, i): {i: 1} for i in range(8)}
+    table.update({(i, 0): {i: 1} for i in range(1, 8)})
+    for i, j, value in ((1, 2, {4: 1, 6: -1}), (1, 3, {5: 1}), (2, 3, {6: 1}),
+                        (1, 4, {7: 1}), (1, 6, {7: 1}), (2, 5, {7: 1}),
+                        (3, 4, {7: 1})):
+        table[(i, j)] = table[(j, i)] = value
+    return BaseAlgebra("P1^3'", 3, lab, [0, 2, 2, 2, 4, 4, 4, 6], 0, 7, table)
+
+
+def test_tensor_table_equals_all_pairs_enumeration():
+    p1xp1 = build_base(parse_space("P1xP1"))
+    s1 = genus1_algebra()
+    for tensor in (tensor_power(p2_algebra(), 3), tensor_power(s1, 3),
+                   tensor_many([p1xp1, s1]),
+                   tensor_power(p1_cubed_two_term_algebra(), 2)):
+        assert tensor.table == dense_tensor_table(tensor), tensor.name
+    # the table keeps the pair loop's order, which additivity errors follow
+    p2_cubed = tensor_power(p2_algebra(), 3)
+    assert list(p2_cubed.table) == list(dense_tensor_table(p2_cubed))
+
+
+def klein_algebra():
+    # Q[f, g]/(f^2 - 1, g^2 - 1), all in degree 0: products of non-unit
+    # elements hit the unit, so associativity paths pass through it
+    table = {}
+    for i in range(4):
+        for j in range(4):
+            table[(i, j)] = {i ^ j: 1}
+    return BaseAlgebra("K", 0, ["1", "f", "g", "fg"], [0, 0, 0, 0], 0, 3,
+                       table)
+
+
+def _outcome(check, alg):
+    try:
+        check(alg)
+    except AlgebraError as err:
+        return str(err)
+    return None
+
+
+def _perturbed(alg, rng, mode):
+    """A copy of ``alg`` with one to three products edited.
+
+    ``unit``: products with the unit stay; ``symmetric``: the mirrored
+    product gets the Koszul-signed edit too; ``raw``: any product may
+    change, to any basis element.
+    """
+    table = {key: dict(prod) for key, prod in alg.table.items()}
+    deg, wt = alg.degrees, alg.weights
+    pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)
+             if mode == "raw" or (alg.unit not in (i, j) and
+                                  alg.basis_of_degree(deg[i] + deg[j],
+                                                      wt[i] + wt[j]))]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.choice(pairs)
+        targets = alg.basis_of_degree(deg[i] + deg[j], wt[i] + wt[j])
+        if mode == "raw" and (not targets or rng.random() < 0.2):
+            targets = range(alg.dim)
+        prod = table.get((i, j), {})
+        if rng.random() < 0.6:
+            prod[rng.choice(targets)] = rng.choice(
+                [-2, -1, 1, 2, Rational(1, 2)])
+        elif prod:
+            del prod[rng.choice(sorted(prod))]
+        table[(i, j)] = prod
+        if mode == "symmetric":
+            sign = -1 if deg[i] % 2 and deg[j] % 2 else 1
+            table[(j, i)] = {k: sign * c for k, c in prod.items()}
+    return BaseAlgebra(alg.name, alg.n, alg.labels, alg.degrees, alg.unit,
+                       alg.fundamental, table, weights=alg.weights,
+                       validate=False)
+
+
+def test_sparse_validate_matches_dense_reference():
+    rng = random.Random(2024)
+    algebras = [build_base(parse_space(s))
+                for s in ("P2", "S1", "P1xP1", "S2", "P1xP2")]
+    algebras += [tensor_power(build_base(parse_space("S1")), 2),
+                 tensor_power(build_base(parse_space("P2")), 2),
+                 klein_algebra()]
+    laws = {}
+    for alg in algebras:
+        assert _outcome(BaseAlgebra.validate, alg) is None
+        for trial in range(240):
+            bad = _perturbed(alg, rng, ("unit", "symmetric", "raw")[trial % 3])
+            expected = _outcome(dense_validate, bad)
+            assert _outcome(BaseAlgebra.validate, bad) == expected, alg.name
+            law = expected.split(":")[0] if expected else "ok"
+            laws[law] = laws.get(law, 0) + 1
+    # the comparison reaches every branch that edits can break
+    for law in ("ok", "unit law", "degree additivity",
+                "graded commutativity", "associativity",
+                "Poincaré pairing nondegeneracy"):
+        assert laws.get(law, 0) >= 5, laws

@@ -114,6 +114,14 @@ def test_verify_command(capsys):
     assert "ok: d^2 = 0" in out
 
 
+def test_negative_c_as_separate_token(capsys):
+    argv = ["cohomology", "--space", "P3", "--r", "2", "--max-degree", "3"]
+    joined = run_cli(capsys, *argv, "--c=-1/2")
+    separate = run_cli(capsys, *argv, "--c", "-1/2")
+    assert joined[0] == 0 and joined[1]
+    assert separate[:2] == joined[:2]
+
+
 def test_bad_space_exits_2(capsys):
     code, out, err = run_cli(capsys, "cohomology", "--space", "nope",
                              "--r", "2", "--max-degree", "4")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cdgacalc.algebra import AlgebraError
+from cdgacalc.analysis import p_r_closed_form, weightwise_euler
 from cdgacalc.engine import cohomology, differential_matrix, map_matrix, \
     quotient_slice, verify_d_squared
 from cdgacalc.models import (ProjectiveSpace, Surface, Product, build_base,
@@ -249,3 +250,12 @@ def test_custom_space_pipeline(tmp_path):
     base = build_base(parse_space(f"custom:{path}"))
     assert cohomology(configuration_model(base, 2), 5).dims() == \
         [1, 0, 1, 0, 0, 0]
+
+
+def test_section_model_s2_three_points():
+    # a dim(B)^3 = 216 tensor power, built and validated from its nonzero
+    # products only
+    s2 = build_base(parse_space("S2"))
+    p = section_model(s2, parse_ample_class(s2, "1"), 3)
+    assert verify_d_squared(p, 2).ok
+    assert weightwise_euler(p, 5) == p_r_closed_form(s2, 3, 5)
