@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -373,12 +372,11 @@ class AlgebraContext:
     """``base (x) Sym_gr(generators)``: the ambient free algebra.
 
     Immutable after construction; monomial enumeration is cached per
-    (degree, weight) behind a lock so contexts can be shared across
-    threads.
+    (degree, weight).
     """
 
     __slots__ = ("base", "generators", "gen_degrees", "gen_weights",
-                 "gen_parities", "_label_index", "_mono_cache", "_lock")
+                 "gen_parities", "_label_index", "_mono_cache")
 
     def __init__(self, base: BaseAlgebra, generators: Sequence[GeneratorSpec]):
         self.base = base
@@ -390,7 +388,6 @@ class AlgebraContext:
         if len(self._label_index) != len(self.generators):
             raise AlgebraError("duplicate generator labels")
         self._mono_cache: dict = {}
-        self._lock = threading.Lock()
 
     # -- basic constructors ----------------------------------------------
 
@@ -500,8 +497,7 @@ class AlgebraContext:
         if degree < 0:
             raise AlgebraError("monomials_of: degree must be >= 0")
         key = (degree, weight)
-        with self._lock:
-            cached = self._mono_cache.get(key)
+        cached = self._mono_cache.get(key)
         if cached is not None:
             return cached
         ngen = len(self.generators)
@@ -528,8 +524,7 @@ class AlgebraContext:
 
         descend(0, degree, weight)
         result = tuple(sorted(out, key=self.monomial_key))
-        with self._lock:
-            self._mono_cache[key] = result
+        self._mono_cache[key] = result
         return result
 
     def __repr__(self):
@@ -608,14 +603,6 @@ class Element:
         if len(wts) > 1:
             raise AlgebraError(f"inhomogeneous element (weights {sorted(wts)})")
         return wts.pop()
-
-    def is_homogeneous(self) -> bool:
-        try:
-            self.degree()
-            self.weight()
-            return True
-        except AlgebraError:
-            return False
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.context is other.context
@@ -727,13 +714,6 @@ class AlgebraMap:
                     raise AlgebraError(
                         f"homomorphism property fails on base pair "
                         f"({base.labels[i]}, {base.labels[j]})")
-
-
-def apply_homomorphism(gen_images: dict[int, Element],
-                       base_images: Optional[dict[int, Element]],
-                       e: Element) -> Element:
-    """One-shot multiplicative extension of a generator-defined map."""
-    return AlgebraMap(e.context, gen_images, base_images).apply(e)
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,6 @@ class BigradedSeries:
     def one(cls, truncation: int, variable: str = "w") -> "BigradedSeries":
         return cls({0: 1}, truncation, variable)
 
-    @classmethod
-    def from_list(cls, values: Sequence[int], truncation: int,
-                  variable: str = "w") -> "BigradedSeries":
-        return cls(dict(enumerate(values[:truncation + 1])), truncation,
-                   variable)
-
     def coefficient(self, k: int) -> int:
         return self.coeffs.get(k, 0)
 
@@ -539,9 +533,8 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
 def invariant_cohomology(p: Presentation, subgroup: Sequence[Perm],
                          max_degree: int) -> CohomologyTable:
     """Cohomology of the subcomplex of subgroup invariants."""
-    elems = check_subgroup_closed(subgroup)
-    r = len(elems[0])
-    return isotypic_cohomology(p, elems, trivial_character(r), max_degree)
+    r = len(subgroup[0])
+    return isotypic_cohomology(p, subgroup, trivial_character(r), max_degree)
 
 
 def character_euler(p: Presentation, chi: ClassFunction,
@@ -562,9 +555,6 @@ def character_euler(p: Presentation, chi: ClassFunction,
         raise AlgebraError(f"class function is on S_{chi.r}, model has r={r}")
     perms = all_permutations(r)
     actions = {sig: symmetric_action(p, sig) for sig in perms}
-    factorial = 1
-    for i in range(2, r + 1):
-        factorial *= i
     coeffs: dict[int, int] = {}
     for k in range(w_max + 1):
         total = Fraction(0)
@@ -583,7 +573,7 @@ def character_euler(p: Presentation, chi: ClassFunction,
                 if tr:
                     total += Fraction(c) * Fraction(int(tr.numerator),
                                                     int(tr.denominator)) * sign
-        total = total / factorial
+        total = total / math.factorial(r)
         if total:
             if total.denominator != 1:
                 raise AlgebraError(

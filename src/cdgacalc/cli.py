@@ -12,16 +12,14 @@ Subcommands:
 * ``verify``: d^2 = 0 and d(ideal)-in-ideal report for a model.
 
 Every command validates its inputs before computing, emits deterministic
-output (byte-identical across runs and thread counts), and supports
-``--format table|json|csv``.  Thread count comes from ``--threads`` or
-the ``CDGACALC_THREADS`` environment variable.
+output (byte-identical across runs), and supports
+``--format table|json|csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -46,18 +44,6 @@ TABLE1_JOBS = [
     ("P1xP1", 2, "[1:1]", (1, 1, 4, 6, 5, 16, 14, 12, 28, 18, 15)),
     ("P2", 3, "1", (1, 1, 3, 4, 1, 9, 12, 7, 15, 21, 22)),
 ]
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("CDGACALC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise AlgebraError(f"CDGACALC_THREADS={env!r} is not an integer")
-    return 1
 
 
 def _build_model(args):
@@ -159,8 +145,7 @@ class VerificationFailure(RuntimeError):
 def cmd_cohomology(args) -> int:
     model = _build_model(args)
     _auto_verify(model, args.max_degree)
-    table = cohomology(model, args.max_degree, by_weight=True,
-                       threads=_threads(args))
+    table = cohomology(model, args.max_degree, by_weight=True)
     _print_cohomology(table, args)
     return 0
 
@@ -230,13 +215,12 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    threads = _threads(args)
     results = []
     for space, r, c_str, expected in TABLE1_JOBS:
         base = build_base(parse_space(space))
         model = section_model(base, parse_ample_class(base, c_str), r)
         _auto_verify(model, 10)
-        table = cohomology(model, 10, by_weight=True, threads=threads)
+        table = cohomology(model, 10, by_weight=True)
         results.append((space, r, c_str, expected, table.dims()))
     mismatches = []
     for space, r, c_str, expected, got in results:
@@ -295,8 +279,6 @@ def _add_common(sub, with_r=True, with_c=True):
                      help="A: section model (default); C: configuration "
                           "model; AL: twisted section model (needs --d)")
     sub.add_argument("--d", type=int, help="twist exponent for --model AL")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads (default: CDGACALC_THREADS or 1)")
     sub.add_argument("--format", choices=["table", "json", "csv"],
                      default="table")
 
@@ -343,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_invariants)
 
     s = subs.add_parser("table1", help="reproduce the reference table")
-    s.add_argument("--threads", type=int)
     s.add_argument("--format", choices=["table", "json"], default="table")
     s.set_defaults(func=cmd_table1)
 

@@ -23,15 +23,12 @@ interact.  Passing ``weight=None`` everywhere computes with whole-degree
 slices instead (used to check that the weight splitting is genuine).
 
 All computations are cached per presentation and keyed by (degree,
-weight); the cache is lock-guarded so slices may be filled concurrently.
-Results are deterministic regardless of scheduling because the reduced
-row echelon form and the monomial order are canonical.
+weight).  Results are deterministic because the reduced row echelon form
+and the monomial order are canonical.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -49,7 +46,7 @@ class Presentation:
     """Free context + homogeneous relations + generator differential."""
 
     __slots__ = ("context", "relations", "differential", "name", "params",
-                 "_derivations", "_odd_bits", "_cache", "_lock")
+                 "_relation_grades", "_derivations", "_odd_bits", "_cache")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -64,15 +61,16 @@ class Presentation:
         self.name = name or "presentation"
         self.params = dict(params or {})
         self._cache: dict = {}
-        self._lock = threading.Lock()
+        grades = []
         for rel in self.relations:
             if rel.is_zero():
                 raise PresentationError("zero relation")
             try:
-                rel.degree(), rel.weight()
+                grades.append((rel.degree(), rel.weight()))
             except AlgebraError:
                 raise PresentationError(
                     f"relation not homogeneous: {rel!r}") from None
+        self._relation_grades = tuple(grades)
         for g, img in self.differential.items():
             spec = context.generators[g]
             try:
@@ -96,13 +94,10 @@ class Presentation:
     # -- caching ------------------------------------------------------------
 
     def _cached(self, key, builder: Callable):
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        value = builder()
-        with self._lock:
-            return self._cache.setdefault(key, value)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = builder()
+        return hit
 
     # -- differential -------------------------------------------------------
 
@@ -262,8 +257,7 @@ def ideal_slice(p: Presentation, degree: int,
         cols = ctx.monomials_of(degree, weight)
         colmap = {m: i for i, m in enumerate(cols)}
         rows: list[dict[int, object]] = []
-        for rel in p.relations:
-            rd, rw = rel.degree(), rel.weight()
+        for rel, (rd, rw) in zip(p.relations, p._relation_grades):
             md = degree - rd
             if md < 0:
                 continue
@@ -401,8 +395,8 @@ def _slice_weights(p: Presentation, degree: int) -> list[int]:
     return sorted({ctx.monomial_weight(m) for m in ctx.monomials_of(degree)})
 
 
-def cohomology(p: Presentation, max_degree: int, by_weight: bool = True,
-               threads: int = 1) -> CohomologyTable:
+def cohomology(p: Presentation, max_degree: int,
+               by_weight: bool = True) -> CohomologyTable:
     """Bigraded cohomology dimensions of the quotient CDGA up to max_degree.
 
     With ``by_weight`` the computation runs one weight at a time (the
@@ -411,28 +405,15 @@ def cohomology(p: Presentation, max_degree: int, by_weight: bool = True,
     """
     if max_degree < 0:
         raise AlgebraError("cohomology: max_degree must be >= 0")
-    keys: list[tuple[int, Optional[int]]] = []
+    entries: dict = {}
     for d in range(max_degree + 1):
-        if by_weight:
-            keys.extend((d, k) for k in _slice_weights(p, d))
-        else:
-            keys.append((d, None))
-
-    def task(key):
-        d, k = key
-        q = quotient_slice(p, d, k).dim
-        if q == 0:
-            return key, 0
-        r_out = differential_rank(p, d, k)
-        r_in = differential_rank(p, d - 1, k) if d > 0 else 0
-        return key, q - r_out - r_in
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(task, keys))
-    else:
-        results = dict(map(task, keys))
-    entries = {key: results[key] for key in keys if results[key]}
+        for k in _slice_weights(p, d) if by_weight else [None]:
+            q = quotient_slice(p, d, k).dim
+            if q == 0:
+                continue
+            r_out = differential_rank(p, d, k)
+            r_in = differential_rank(p, d - 1, k) if d > 0 else 0
+            entries[(d, k)] = q - r_out - r_in
     model = {"name": p.name, **p.params}
     return CohomologyTable(entries, max_degree, by_weight, model)
 

@@ -229,6 +229,17 @@ def test_subgroup_closure_helpers():
     assert cycle_type((1, 2, 0)) == (3,)
 
 
+def test_invariant_and_isotypic_reject_non_subgroups():
+    p1 = build_base(parse_space("P1"))
+    m = section_model(p1, parse_ample_class(p1, "1"), 3)
+    for bad, msg in (([(1, 2, 0)], "not closed"),
+                     ([(0, 1, 2), (0, 1, 2)], "duplicate")):
+        with pytest.raises(AlgebraError, match=msg):
+            invariant_cohomology(m, bad, 2)
+        with pytest.raises(AlgebraError, match=msg):
+            isotypic_cohomology(m, bad, sign_character(3), 2)
+
+
 def test_class_function_validation():
     with pytest.raises(AlgebraError, match="partition"):
         ClassFunction(2, {(3,): 1})

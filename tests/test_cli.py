@@ -48,12 +48,12 @@ def test_cohomology_csv_output(capsys):
     assert lines[1] == "0,0,1"
 
 
-def test_output_deterministic_across_runs_and_threads(capsys):
+def test_output_deterministic_across_runs(capsys):
     outputs = []
-    for threads in ("1", "1", "3"):
+    for _ in range(3):
         code, out, _ = run_cli(capsys, "cohomology", "--space", "P1xP1",
                                "--r", "2", "--c", "[1:1]", "--max-degree", "5",
-                               "--format", "json", "--threads", threads)
+                               "--format", "json")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
@@ -163,15 +163,27 @@ def test_custom_space_matches_builtin(tmp_path, capsys):
     assert out_custom == out_builtin
 
 
-def test_env_thread_override(monkeypatch, capsys):
-    monkeypatch.setenv("CDGACALC_THREADS", "2")
-    code, out, _ = run_cli(capsys, "cohomology", "--space", "P1", "--r", "1",
-                           "--max-degree", "3", "--format", "json")
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--space", "P1", "--r", "1", "--max-degree", "3",
+     "--threads", "2"],
+    ["table1", "--threads", "1"],
+])
+def test_threads_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert captured.err.startswith("usage: cdgacalc")
+    assert "unrecognized arguments: --threads" in captured.err
+
+
+def test_thread_environment_variable_is_not_read(monkeypatch, capsys):
+    argv = ("cohomology", "--space", "P1", "--r", "2", "--max-degree", "4")
+    monkeypatch.delenv("CDGACALC_THREADS", raising=False)
+    plain = run_cli(capsys, *argv)
     monkeypatch.setenv("CDGACALC_THREADS", "zap")
-    code, _, err = run_cli(capsys, "cohomology", "--space", "P1", "--r", "1",
-                           "--max-degree", "3")
-    assert code == 2 and "CDGACALC_THREADS" in err
+    assert run_cli(capsys, *argv) == plain
+    assert plain[0] == 0 and not plain[2]
 
 
 def test_cohomology_skew_product_example(capsys):

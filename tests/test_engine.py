@@ -181,13 +181,24 @@ def test_presentation_rejects_weight_inhomogeneous_differential():
         Presentation(ctx, [], {0: ctx.base_element({1: ONE})})
 
 
-def test_thread_count_does_not_change_result():
+def test_slice_caches_keep_their_key_shapes():
+    # bench/child.py harvest_keys reads both caches by these key shapes
     base = build_base(parse_space("P2"))
-    tabs = []
-    for threads in (1, 3):
-        m = section_model(base, parse_ample_class(base, "1"), 2)
-        tabs.append(cohomology(m, 7, threads=threads))
-    assert tabs[0].entries == tabs[1].entries
+    p = section_model(base, parse_ample_class(base, "1"), 2)
+    cohomology(p, 4)
+    assert verify_d_squared(p, 4).ok
+    assert p._cache and p.context._mono_cache
+    for key in p._cache:
+        assert isinstance(key, tuple) and len(key) == 3
+        layer, degree, weight = key
+        assert layer in {"ideal", "slice", "diff", "rank"}
+        assert isinstance(degree, int) and isinstance(weight, int)
+    assert {key[0] for key in p._cache} == {"ideal", "slice", "diff", "rank"}
+    for key in p.context._mono_cache:
+        assert isinstance(key, tuple) and len(key) == 2
+        degree, weight = key
+        assert isinstance(degree, int)
+        assert weight is None or isinstance(weight, int)
 
 
 def test_dense_oracle_agrees_on_hand_models():
