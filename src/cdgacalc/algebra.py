@@ -631,9 +631,16 @@ class AlgebraMap:
     ordered product of the images of its factors.  Images must be
     homogeneous of the same (degree, weight) as their source; the
     homomorphism property on the base can be verified on demand.
+
+    When every base class maps to a multiple of one base class and the
+    generators map bijectively to multiples of generators (a signed
+    permutation, such as a symmetric-group action), the map is compiled
+    at construction: the image of b x^e is then c b' x^(pi e), its sign
+    the inversions among the permuted odd generators, with no products
+    formed.  Other maps multiply the images of the factors.
     """
 
-    __slots__ = ("context", "base_images", "gen_images")
+    __slots__ = ("context", "base_images", "gen_images", "_table")
 
     def __init__(self, context: AlgebraContext,
                  gen_images: dict[int, Element],
@@ -665,6 +672,33 @@ class AlgebraMap:
                     raise AlgebraError(
                         f"non-homogeneous image for base element "
                         f"{context.base.labels[b]}")
+        self._table = self._compile()
+
+    def _compile(self):
+        """``(base_to, source, odd_targets, scales)`` or None.
+
+        ``base_to[b]`` is (b', c) with phi(b) = c b'; generator g maps to
+        c x_t with g = ``source[t]``; ``odd_targets`` lists (g, t) for the
+        odd generators in order; ``scales`` holds (g, c) where c != 1.
+        """
+        ctx = self.context
+        dim, ngen = ctx.base.dim, len(ctx.generators)
+        images = ([self.apply_base(b).terms for b in range(dim)]
+                  + [self.apply_gen(g).terms for g in range(ngen)])
+        if any(len(terms) != 1 for terms in images):
+            return None
+        terms = [next(iter(t.items())) for t in images]
+        base_to, gens = terms[:dim], terms[dim:]
+        target = [m.exps.index(1) if m.base == ctx.base.unit
+                  and sum(m.exps) == 1 else -1 for m, _ in gens]
+        if any(any(m.exps) for m, _ in base_to) \
+                or sorted(target) != list(range(ngen)):
+            return None
+        return (tuple((m.base, c) for m, c in base_to),
+                tuple(sorted(range(ngen), key=target.__getitem__)),
+                tuple((g, target[g]) for g in range(ngen)
+                      if ctx.gen_parities[g]),
+                tuple((g, c) for g, (_, c) in enumerate(gens) if c != 1))
 
     def apply_base(self, idx: int) -> Element:
         if self.base_images is None:
@@ -680,25 +714,47 @@ class AlgebraMap:
             return self.context.gen_element(g)
         return img
 
+    def image(self, mono: Monomial) -> dict:
+        """phi of one monomial, as Monomial -> Q (a new dict)."""
+        if self._table is None:
+            img = self.apply_base(mono.base)
+            for g, exp in enumerate(mono.exps):
+                for _ in range(exp):
+                    if img.is_zero():
+                        return {}
+                    img = img * self.apply_gen(g)
+            return dict(img.terms)
+        base_to, source, odd_targets, scales = self._table
+        b, c = base_to[mono.base]
+        e = mono.exps
+        # inversions among the images of the odd generators, in order
+        seen = inversions = 0
+        for g, t in odd_targets:
+            x = e[g]
+            if x:
+                if x > 1:
+                    return {}
+                inversions += (seen >> t).bit_count()
+                seen |= 1 << t
+        for g, s in scales:
+            if e[g]:
+                c = c * s ** e[g]
+        if inversions & 1:
+            c = -c
+        return {Monomial(b, tuple(map(e.__getitem__, source))): c}
+
     def apply(self, e: Element) -> Element:
         if e.context is not self.context:
             raise AlgebraError("context mismatch: element not in this algebra")
-        ctx = self.context
-        out = ctx.zero()
+        acc: dict[Monomial, object] = {}
         for m, c in e.terms.items():
-            img = self.apply_base(m.base).scale(c)
-            for g, exp in enumerate(m.exps):
-                if not exp:
-                    continue
-                gimg = self.apply_gen(g)
-                for _ in range(exp):
-                    img = img * gimg
-                    if img.is_zero():
-                        break
-                if img.is_zero():
-                    break
-            out = out + img
-        return out
+            for m2, c2 in self.image(m).items():
+                v = acc.get(m2, 0) + c * c2
+                if v:
+                    acc[m2] = v
+                else:
+                    acc.pop(m2, None)
+        return Element(self.context, acc)
 
     def verify_multiplicative(self) -> None:
         """Check phi(b_i b_j) == phi(b_i) phi(b_j) on all base pairs."""

@@ -34,7 +34,7 @@ from .engine import (CohomologyTable, Presentation, cohomology,
                      _slice_weights)
 from .linalg import SparseMatrix, rank, rref
 from .models import symmetric_action
-from .rat import ONE, exact
+from .rat import ONE, Rational, exact
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +458,20 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     commutes with d (the action is d-equivariant, verified when each
     action map is built), so d restricts to the isotypic subcomplex.
     For the trivial character this is the subcomplex of invariants.
+    Only the projector's rref is used, which a nonzero scalar does not
+    change, so the 1/|G| is left out.
     """
     elems = check_subgroup_closed(subgroup)
     actions = {sig: symmetric_action(p, sig) for sig in elems}
     order = len(elems)
     dim_char = character(tuple(range(len(elems[0]))))
+    weights = [(sig, w) for sig in elems
+               if (w := exact(dim_char * character(inverse(sig))))]
 
     def projector(degree: int, weight: int) -> SparseMatrix:
         sl = quotient_slice(p, degree, weight)
         total = SparseMatrix(sl.dim, sl.dim)
-        for sig in elems:
-            weight_c = exact(Fraction(dim_char * character(inverse(sig))
-                                      / order))
-            if not weight_c:
-                continue
+        for sig, weight_c in weights:
             mat = map_matrix(p, actions[sig], degree, weight)
             for i, row in enumerate(mat.rows):
                 acc = total.rows[i]
@@ -555,31 +555,26 @@ def character_euler(p: Presentation, chi: ClassFunction,
         raise AlgebraError(f"class function is on S_{chi.r}, model has r={r}")
     perms = all_permutations(r)
     actions = {sig: symmetric_action(p, sig) for sig in perms}
+    weights = [(sig, c) for sig in perms if (c := exact(chi(sig)))]
     coeffs: dict[int, int] = {}
     for k in range(w_max + 1):
-        total = Fraction(0)
+        total = 0
         for i in range(k + 1):
             if not p.context.monomials_of(i, k):
                 continue
             if quotient_slice(p, i, k).dim == 0:
                 continue
-            sign = 1 if i % 2 == 0 else -1
-            for sig in perms:
-                c = chi(sig)
-                if not c:
-                    continue
+            for sig, c in weights:
                 mat = map_matrix(p, actions[sig], i, k)
                 tr = sum(mat.rows[a].get(a, 0) for a in range(mat.nrows))
-                if tr:
-                    total += Fraction(c) * Fraction(int(tr.numerator),
-                                                    int(tr.denominator)) * sign
-        total = total / math.factorial(r)
+                total += c * tr if i % 2 == 0 else -c * tr
+        total = exact(Rational(total) / math.factorial(r))
         if total:
-            if total.denominator != 1:
+            if type(total) is not int:
                 raise AlgebraError(
                     f"non-integral character Euler coefficient {total} at "
                     f"w^{k}; the class function is not a virtual character")
-            coeffs[k] = int(total)
+            coeffs[k] = total
     return BigradedSeries(coeffs, w_max, "w")
 
 

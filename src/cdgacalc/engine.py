@@ -339,12 +339,13 @@ def differential_rank(p: Presentation, degree: int,
 def map_matrix(p: Presentation, phi: AlgebraMap, degree: int,
                weight: Optional[int] = None) -> SparseMatrix:
     """Matrix of a degree/weight-preserving algebra map on one slice."""
+    if phi.context is not p.context:
+        raise AlgebraError("context mismatch: map not on this "
+                           "presentation's algebra")
     src = quotient_slice(p, degree, weight)
     mat = SparseMatrix(src.dim, src.dim)
-    ctx = p.context
     for i, mono in enumerate(src.quotient):
-        img = phi.apply(Element(ctx, {mono: ONE}))
-        mat.rows[i] = src.coords(img.terms)
+        mat.rows[i] = src.coords(phi.image(mono))
     return mat
 
 

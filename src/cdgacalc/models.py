@@ -613,11 +613,17 @@ def symmetric_action(p: Presentation, sigma: Sequence[int]) -> AlgebraMap:
     G_{sigma(a) sigma(b)} (normalized), alpha and eta indices follow
     sigma, the s[b] generators stay fixed.  The returned map is checked
     to be multiplicative, to commute with d, and to preserve the
-    relations; any failure raises.
+    relations; any failure raises.  Each permutation's map is built and
+    verified once per presentation and cached there.
     """
     layout = _layout(p)
+    sig = _check_permutation(sigma, layout.r)
+    return p._cached(("action", sig), lambda: _build_action(p, layout, sig))
+
+
+def _build_action(p: Presentation, layout: ModelLayout,
+                  sig: tuple[int, ...]) -> AlgebraMap:
     r = layout.r
-    sig = _check_permutation(sigma, r)
     ctx = p.context
     tensor = ctx.base
     if not isinstance(tensor, TensorAlgebra):

@@ -149,6 +149,24 @@ def test_apply_homomorphism_identity_and_scaling():
     assert scal.apply(m) == m.scale(2)
 
 
+def test_apply_multiplies_images_that_are_not_monomial_permutations():
+    ctx = AlgebraContext(p1_algebra(), [
+        GeneratorSpec("a", 2, 2), GeneratorSpec("b", 2, 2),
+        GeneratorSpec("u", 1, 1), GeneratorSpec("v", 1, 1),
+    ])
+    a, b, u, v = (ctx.gen_element(x) for x in "abuv")
+    mixed = AlgebraMap(ctx, {0: a + b})         # a two-term image
+    assert mixed._table is None
+    assert mixed.apply(a * b) == a * b + b * b
+    merged = AlgebraMap(ctx, {0: b, 2: v})      # not injective
+    assert merged._table is None
+    assert merged.apply(a * b) == b * b
+    assert merged.apply(u * v).is_zero()
+    swap = AlgebraMap(ctx, {2: v, 3: u.scale(3)})
+    assert swap._table is not None
+    assert swap.apply(u * v) == (u * v).scale(-3)
+
+
 def test_apply_homomorphism_swap_sign():
     t = tensor_power(genus1_algebra(), 2)
     ctx = AlgebraContext(t, [])

@@ -107,6 +107,27 @@ def test_invariants_command(capsys):
     assert dims == [0, 0, 1, 2, 1]
 
 
+def test_invariants_sign_json_stdout(capsys):
+    code, out, err = run_cli(capsys, "invariants", "--space", "P2", "--r",
+                             "3", "--c=-8/5", "--max-degree", "7",
+                             "--subgroup", "full", "--character", "sign",
+                             "--format", "json")
+    assert code == 0 and not err
+    expected = {
+        "command": "invariants",
+        "computed_range": {"by_weight": True, "max_degree": 7},
+        "model": {"c": "-8/5x", "character": "sign", "model": "A",
+                  "name": "A3(P2, c=-8/5x)", "r": "3", "space": "P2",
+                  "subgroup_order": "6"},
+        "result": {"dims": [0, 0, 0, 0, 0, 0, 1, 1],
+                   "entries": [[6, 8, 1], [7, 10, 1]]},
+        "schema": 1,
+        "weights_convention": "generator weights: G,alpha 2n; eta 2n+2; "
+                              "shifted class of degree-i base class i+2",
+    }
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--space", "P1", "--r", "2",
                            "--max-degree", "6")

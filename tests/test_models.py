@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from cdgacalc import models
 from cdgacalc.algebra import AlgebraError
-from cdgacalc.analysis import p_r_closed_form, weightwise_euler
+from cdgacalc.analysis import (all_permutations, invariant_cohomology,
+                               isotypic_cohomology, p_r_closed_form,
+                               sign_character, weightwise_euler)
 from cdgacalc.engine import cohomology, differential_matrix, map_matrix, \
     quotient_slice, verify_d_squared
 from cdgacalc.models import (ProjectiveSpace, Surface, Product, build_base,
@@ -236,6 +239,66 @@ def test_symmetric_action_three_points():
     # G12 -> G_{sigma(1)sigma(2)} = G23
     assert cycle.apply(g12) == m.context.gen_element(
         m.context.gen_index("G23"))
+
+
+def _explicit_image(phi, mono):
+    """phi(b) * prod_g phi(g)^e, multiplied out factor by factor."""
+    img = phi.apply_base(mono.base)
+    for g, e in enumerate(mono.exps):
+        for _ in range(e):
+            img = img * phi.apply_gen(g)
+    return img.terms
+
+
+@pytest.mark.parametrize("space, r, c, max_degree", [
+    ("S1", 2, "1", 6),       # odd G_12, alpha_i and odd base classes
+    ("S1", 3, "-1/2", 4),
+    ("P2", 3, "1", 8),
+    ("P1xP1", 2, "[1:1]", 8),
+    ("S1", 3, None, 6),      # configuration model
+])
+def test_compiled_action_equals_explicit_product(space, r, c, max_degree):
+    base = build_base(parse_space(space))
+    p = (configuration_model(base, r) if c is None
+         else section_model(base, parse_ample_class(base, c), r))
+    ctx = p.context
+    flips = 0
+    for sig in all_permutations(r):
+        phi = symmetric_action(p, sig)
+        assert phi._table is not None  # the compiled route is under test
+        for d in range(max_degree + 1):
+            for mono in ctx.monomials_of(d):
+                image = phi.image(mono)
+                assert image == _explicit_image(phi, mono), (sig, mono)
+                flips += -1 in image.values()
+    assert flips  # some images change sign
+
+
+def test_symmetric_action_verified_once_per_presentation(monkeypatch):
+    calls = []
+    verify = models._verify_action
+    monkeypatch.setattr(models, "_verify_action",
+                        lambda p, phi: calls.append(phi) or verify(p, phi))
+    p2 = build_base(parse_space("P2"))
+    m = section_model(p2, parse_ample_class(p2, "1"), 3)
+    group = all_permutations(3)
+    invariant_cohomology(m, group, 3)
+    isotypic_cohomology(m, group, sign_character(3), 3)
+    assert len(calls) == len(set(map(id, calls))) == 6
+    assert symmetric_action(m, [1, 2, 0]) is symmetric_action(m, (1, 2, 0))
+    assert len(calls) == 6
+    other = section_model(p2, parse_ample_class(p2, "1"), 3)
+    symmetric_action(other, (1, 2, 0))
+    assert len(calls) == 7
+
+
+def test_map_matrix_rejects_map_on_another_context():
+    p1 = build_base(parse_space("P1"))
+    m = section_model(p1, parse_ample_class(p1, "1"), 2)
+    other = section_model(p1, parse_ample_class(p1, "1"), 2)
+    swap = symmetric_action(other, (1, 0))
+    with pytest.raises(AlgebraError, match="context mismatch"):
+        map_matrix(m, swap, 2)
 
 
 def test_custom_space_pipeline(tmp_path):
