@@ -40,9 +40,9 @@ class BaseAlgebra:
     The basis is ordered; products are stored as sparse structure
     constants ``basis_i * basis_j = sum_k c^k_{ij} basis_k``.  Weights
     default to degrees (the pure case).  Instances are immutable after
-    construction and validated against all algebra laws unless
-    ``validate=False`` (used internally for algebras correct by
-    construction whose checks were already paid for elsewhere).
+    construction.  The constructor is where a table enters the library
+    (the presets and the JSON loader both call it), so it always
+    validates the table against every algebra law.
     """
 
     __slots__ = ("name", "n", "labels", "degrees", "weights", "unit",
@@ -51,8 +51,14 @@ class BaseAlgebra:
 
     def __init__(self, name: str, n: int, labels: Sequence[str],
                  degrees: Sequence[int], unit: int, fundamental: int,
-                 table: dict, weights: Optional[Sequence[int]] = None,
-                 validate: bool = True):
+                 table: dict, weights: Optional[Sequence[int]] = None):
+        self._fill(name, n, labels, degrees, unit, fundamental, table,
+                   weights)
+        self.validate()
+
+    def _fill(self, name, n, labels, degrees, unit, fundamental, table,
+              weights) -> None:
+        """Set every field from the arguments; no algebra law is checked."""
         self.name = name
         self.n = n
         self.labels = tuple(labels)
@@ -80,8 +86,6 @@ class BaseAlgebra:
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._label_index) != self.dim:
             raise AlgebraError("duplicate basis labels")
-        if validate:
-            self.validate()
 
     # -- lookups ---------------------------------------------------------
 
@@ -239,15 +243,13 @@ class TensorAlgebra(BaseAlgebra):
 
     The table is built from the factors' nonzero products only, so
     construction costs the product of the factors' nonzero counts, not
-    dim^2, and validation costs what ``BaseAlgebra.validate`` says: the
-    nonzero products and paths of the tensor table, with every law still
-    checked on the tensor product itself.
+    dim^2.  It is not validated: a tensor product of valid factors
+    satisfies every law by construction, which the test suite checks.
     """
 
     __slots__ = ("factors", "_strides")
 
-    def __init__(self, factors: Sequence[BaseAlgebra], name=None,
-                 validate=True):
+    def __init__(self, factors: Sequence[BaseAlgebra], name=None):
         factors = tuple(factors)
         dims = [f.dim for f in factors]
         strides = [1] * len(factors)
@@ -276,10 +278,9 @@ class TensorAlgebra(BaseAlgebra):
         table = dict(sorted(table.items()))
         unit = self._enc(tuple(f.unit for f in factors))
         fund = self._enc(tuple(f.fundamental for f in factors))
-        super().__init__(
-            name or "⊗".join(f.name for f in factors),
-            sum(f.n for f in factors), labels, degrees, unit, fund, table,
-            weights=weights, validate=validate)
+        self._fill(name or "⊗".join(f.name for f in factors),
+                   sum(f.n for f in factors), labels, degrees, unit, fund,
+                   table, weights)
 
     def _enc(self, combo: tuple[int, ...]) -> int:
         return sum(c * s for c, s in zip(combo, self._strides))
@@ -323,19 +324,18 @@ class TensorAlgebra(BaseAlgebra):
         return {k: c for k, c in out.items() if c}
 
 
-def tensor_many(factors: Sequence[BaseAlgebra], name: Optional[str] = None,
-                validate: bool = True) -> TensorAlgebra:
+def tensor_many(factors: Sequence[BaseAlgebra],
+                name: Optional[str] = None) -> TensorAlgebra:
     if not factors:
         raise AlgebraError("tensor product needs at least one factor")
-    return TensorAlgebra(factors, name=name, validate=validate)
+    return TensorAlgebra(factors, name=name)
 
 
-def tensor_power(base: BaseAlgebra, r: int, validate: bool = True) -> TensorAlgebra:
+def tensor_power(base: BaseAlgebra, r: int) -> TensorAlgebra:
     """r-fold tensor power with Koszul signs (Kunneth model of X^r)."""
     if r < 1:
         raise AlgebraError("tensor power needs r >= 1")
-    return tensor_many([base] * r, name=f"{base.name}^⊗{r}",
-                       validate=validate)
+    return tensor_many([base] * r, name=f"{base.name}^⊗{r}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +523,7 @@ class AlgebraContext:
             exps[i] = 0
 
         descend(0, degree, weight)
+        del descend  # the closure refers to itself: free it now, not in gc
         result = tuple(sorted(out, key=self.monomial_key))
         self._mono_cache[key] = result
         return result
@@ -629,8 +630,9 @@ class AlgebraMap:
 
     Extends multiplicatively with Koszul signs: a monomial maps to the
     ordered product of the images of its factors.  Images must be
-    homogeneous of the same (degree, weight) as their source; the
-    homomorphism property on the base can be verified on demand.
+    homogeneous of the same (degree, weight) as their source, which is
+    checked at construction; multiplicativity on the base is the
+    caller's to guarantee.
 
     When every base class maps to a multiple of one base class and the
     generators map bijectively to multiples of generators (a signed
@@ -756,21 +758,6 @@ class AlgebraMap:
                     acc.pop(m2, None)
         return Element(self.context, acc)
 
-    def verify_multiplicative(self) -> None:
-        """Check phi(b_i b_j) == phi(b_i) phi(b_j) on all base pairs."""
-        ctx = self.context
-        base = ctx.base
-        for i in range(base.dim):
-            fi = self.apply_base(i)
-            for j in range(base.dim):
-                lhs = ctx.base_element(dict(base.product(i, j)))
-                lhs = self.apply(lhs)
-                rhs = fi * self.apply_base(j)
-                if lhs != rhs:
-                    raise AlgebraError(
-                        f"homomorphism property fails on base pair "
-                        f"({base.labels[i]}, {base.labels[j]})")
-
 
 # ---------------------------------------------------------------------------
 # Textual base-algebra format
@@ -801,7 +788,7 @@ def base_algebra_from_dict(data) -> BaseAlgebra:
         raise AlgebraError(f"malformed algebra document: {err}") from None
     name, n, labels, degrees, weights, unit, fund, table = fields
     return BaseAlgebra(name, n, labels, degrees, unit, fund, table,
-                       weights=weights, validate=True)
+                       weights=weights)
 
 
 def _integer(value, what: str) -> int:

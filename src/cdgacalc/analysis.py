@@ -455,11 +455,11 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     """Cohomology of the image of the character-averaging projector.
 
     The projector (char(1)/|G|) sum_sigma char(sigma^{-1}) M_sigma
-    commutes with d (the action is d-equivariant, verified when each
-    action map is built), so d restricts to the isotypic subcomplex.
-    For the trivial character this is the subcomplex of invariants.
-    Only the projector's rref is used, which a nonzero scalar does not
-    change, so the 1/|G| is left out.
+    commutes with d (each action does, by construction), so d restricts
+    to the isotypic subcomplex; each slice checks that exactly.  For the
+    trivial character this is the subcomplex of invariants.  Only the
+    projector's rref is used, which a nonzero scalar does not change, so
+    the 1/|G| is left out.
     """
     elems = check_subgroup_closed(subgroup)
     actions = {sig: symmetric_action(p, sig) for sig in elems}

@@ -50,9 +50,7 @@ def _build_model(args):
     spec = parse_space(args.space)
     base = build_base(spec)
     kind = getattr(args, "model", "A") or "A"
-    r = args.r
-    if r is None:
-        raise AlgebraError("--r is required for this command")
+    r = _marked_points(args)
     if kind == "C":
         return configuration_model(base, r)
     if kind == "AL":
@@ -66,6 +64,14 @@ def _build_model(args):
         return twisted_section_model(base, chern, args.d, r)
     c = parse_ample_class(base, args.c or "1")
     return section_model(base, c, r)
+
+
+def _marked_points(args) -> int:
+    if args.r is None:
+        raise AlgebraError("--r is required for this command")
+    if args.r < 1:
+        raise AlgebraError(f"--r must be >= 1, got {args.r}")
+    return args.r
 
 
 def _emit_json(payload: dict) -> None:
@@ -192,14 +198,18 @@ def _parse_subgroup(text: str, r: int):
             raise AlgebraError(
                 f"subgroup word {word!r} must list the images of 1..{r} "
                 f"as {r} digits, e.g. '21' for the swap")
-        gens.append(tuple(int(ch) - 1 for ch in word))
+        images = tuple(int(ch) - 1 for ch in word)
+        if sorted(images) != list(range(r)):
+            raise AlgebraError(
+                f"subgroup word {word!r} is not a permutation of 1..{r}")
+        gens.append(images)
     return generated_subgroup(gens, r)
 
 
 def cmd_invariants(args) -> int:
+    subgroup = _parse_subgroup(args.subgroup, _marked_points(args))
     model = _build_model(args)
     _auto_verify(model, args.max_degree)
-    subgroup = _parse_subgroup(args.subgroup, args.r)
     if args.character == "sign":
         table = isotypic_cohomology(model, subgroup, sign_character(args.r),
                                     args.max_degree)

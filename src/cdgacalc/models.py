@@ -24,8 +24,8 @@ Model families over a base X with H^2-class c:
 The diagonal class is Delta = sum_j (-1)^{|b_j|} b_j (x) b_j^dual; the
 sign convention is pinned operationally by (x (x) 1 - 1 (x) x) Delta = 0
 for every basis x together with the self-intersection identity (the
-coefficient of [X] (x) [X] in Delta^2 equals chi(X)).  Both are verified
-at construction.
+coefficient of [X] (x) [X] in Delta^2 equals chi(X)).  Both follow from
+Poincare duality on a valid base and are checked by the test suite.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 from .algebra import (AlgebraContext, AlgebraError, AlgebraMap, BaseAlgebra,
                       Element, GeneratorSpec, TensorAlgebra,
                       load_base_algebra, tensor_many, tensor_power)
-from .engine import Presentation, quotient_slice
+from .engine import Presentation
 from .linalg import SparseMatrix, rref
 from .rat import ONE, exact, rat_from_str, rat_to_str
 
@@ -237,46 +237,17 @@ def _diagonal_triples(base: BaseAlgebra) -> list[tuple[int, int, object]]:
         sign = -ONE if base.degrees[j] % 2 else ONE
         for idx, c in duals[j].items():
             triples.append((j, idx, sign * c))
-    _verify_diagonal(base, _diagonal_element(base, triples))
     return triples
-
-
-def _diagonal_element(base: BaseAlgebra, triples) -> Element:
-    square = tensor_many([base, base], name=f"{base.name}^⊗2",
-                         validate=False)
-    terms = {}
-    for p, q, c in triples:
-        k = square.encode((p, q))
-        terms[k] = terms.get(k, 0) + c
-    return AlgebraContext(square, []).base_element(terms)
-
-
-def _verify_diagonal(base: BaseAlgebra, delta: Element) -> None:
-    ctx = delta.context
-    square = ctx.base
-    for idx in base.positive_degree_indices():
-        left = ctx.base_element({square.encode((idx, base.unit)): ONE})
-        right = ctx.base_element({square.encode((base.unit, idx)): ONE})
-        if not ((left - right) * delta).is_zero():
-            raise AlgebraError(
-                f"diagonal class verification failed: "
-                f"(x⊗1 - 1⊗x)·Δ != 0 for x = {base.labels[idx]}")
-    top_sq = square.encode((base.fundamental, base.fundamental))
-    self_int = (delta * delta).terms
-    coeff = 0
-    for m, c in self_int.items():
-        if m.base == top_sq:
-            coeff = c
-    if coeff != base.euler_characteristic():
-        raise AlgebraError(
-            f"diagonal class verification failed: Δ·Δ has "
-            f"[X]⊗[X]-coefficient {coeff}, expected Euler characteristic "
-            f"{base.euler_characteristic()}")
 
 
 def diagonal_class(base: BaseAlgebra) -> Element:
     """The diagonal class as an element of base (x) base (no generators)."""
-    return _diagonal_element(base, _diagonal_triples(base))
+    square = tensor_many([base, base], name=f"{base.name}^⊗2")
+    terms = {}
+    for p, q, c in _diagonal_triples(base):
+        k = square.encode((p, q))
+        terms[k] = terms.get(k, 0) + c
+    return AlgebraContext(square, []).base_element(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -606,15 +577,15 @@ def _check_permutation(sigma: Sequence[int], r: int) -> tuple[int, ...]:
 
 
 def symmetric_action(p: Presentation, sigma: Sequence[int]) -> AlgebraMap:
-    """Action of a permutation on a model presentation, verified.
+    """Action of a permutation on a model presentation.
 
     ``sigma`` is 0-indexed: point i moves to slot sigma[i].  The base map
     permutes tensor factors with Koszul signs, G_ab goes to
     G_{sigma(a) sigma(b)} (normalized), alpha and eta indices follow
-    sigma, the s[b] generators stay fixed.  The returned map is checked
-    to be multiplicative, to commute with d, and to preserve the
-    relations; any failure raises.  Each permutation's map is built and
-    verified once per presentation and cached there.
+    sigma, the s[b] generators stay fixed.  By construction the map is
+    multiplicative, commutes with d and preserves the relations, which
+    the test suite checks.  Each permutation's map is built once per
+    presentation and cached there.
     """
     layout = _layout(p)
     sig = _check_permutation(sigma, layout.r)
@@ -658,25 +629,4 @@ def _build_action(p: Presentation, layout: ModelLayout,
                 layout.alpha_index(sig[i - 1] + 1))
             gen_images[layout.eta_index(i)] = ctx.gen_element(
                 layout.eta_index(sig[i - 1] + 1))
-    phi = AlgebraMap(ctx, gen_images, base_images)
-    _verify_action(p, phi)
-    return phi
-
-
-def _verify_action(p: Presentation, phi: AlgebraMap) -> None:
-    phi.verify_multiplicative()
-    ctx = p.context
-    for g in range(len(ctx.generators)):
-        lhs = phi.apply(p.differential_of(ctx.gen_element(g)))
-        rhs = p.differential_of(phi.apply(ctx.gen_element(g)))
-        if lhs != rhs:
-            raise AlgebraError(
-                f"action verification failure: does not commute with d on "
-                f"{ctx.generators[g].label}")
-    for rel in p.relations:
-        img = phi.apply(rel)
-        sl = quotient_slice(p, rel.degree(), rel.weight())
-        if sl.reduce(img.terms):
-            raise AlgebraError(
-                "action verification failure: relation not preserved: "
-                f"{rel!r}")
+    return AlgebraMap(ctx, gen_images, base_images)

@@ -17,11 +17,18 @@ tables.
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
 replaced with sparse ones; tests compare the two.
+
+``check_multiplicative``, ``check_d_and_relations`` and
+``check_diagonal_identities`` state the laws that the symmetric-group
+actions and the diagonal class satisfy by construction, which the
+library does not re-check at runtime: images are multiplied out factor
+by factor, d is the Leibniz expansion below, and ideal membership is
+dense elimination in one (degree, weight) slice.
 """
 
 from fractions import Fraction
 
-from cdgacalc.algebra import AlgebraError, Element, Monomial
+from cdgacalc.algebra import AlgebraContext, AlgebraError, Element, Monomial
 from cdgacalc.rat import ONE
 
 
@@ -95,6 +102,22 @@ def rank_of(rows):
     return ech.rank
 
 
+def ideal_products(p, degree, weight=None):
+    """The nonzero products relation*monomial in one slice, as term dicts."""
+    ctx = p.context
+    out = []
+    for rel in p.relations:
+        rd, rk = rel.degree(), rel.weight()
+        if degree < rd or (weight is not None and weight < rk):
+            continue
+        lower = None if weight is None else weight - rk
+        for mono in ctx.monomials_of(degree - rd, lower):
+            prod = rel * Element(ctx, {mono: Fraction(1)})
+            if prod.terms:
+                out.append(prod.terms)
+    return out
+
+
 def dense_cohomology_dims(p, max_degree):
     """dict degree -> dim H^degree of the quotient CDGA, densely."""
     ctx = p.context
@@ -102,16 +125,8 @@ def dense_cohomology_dims(p, max_degree):
     index = {d: {m: i for i, m in enumerate(free[d])} for d in free}
 
     def ideal_rows(d):
-        rows = []
-        for rel in p.relations:
-            rd = rel.degree()
-            if d < rd:
-                continue
-            for mono in free[d - rd]:
-                prod = rel * Element(ctx, {mono: Fraction(1)})
-                if prod.terms:
-                    rows.append(densify(prod.terms, index[d], len(free[d])))
-        return rows
+        return [densify(terms, index[d], len(free[d]))
+                for terms in ideal_products(p, d)]
 
     def diff_rows(d):
         rows = []
@@ -228,3 +243,103 @@ def dense_tensor_table(tensor):
             if prod:
                 table[(tensor.encode(u), tensor.encode(v))] = prod
     return table
+
+
+def explicit_image(phi, mono):
+    """phi(b x^e) = phi(b) prod_g phi(g)^e, multiplied out factor by factor."""
+    img = phi.apply_base(mono.base)
+    for g, e in enumerate(mono.exps):
+        for _ in range(e):
+            img = img * phi.apply_gen(g)
+    return img
+
+
+def map_element(phi, elem):
+    total = elem.context.zero()
+    for mono, c in elem.terms.items():
+        total = total + explicit_image(phi, mono).scale(c)
+    return total
+
+
+def differential(p, elem):
+    total = elem.context.zero()
+    for mono, c in elem.terms.items():
+        total = total + free_differential(p, mono).scale(c)
+    return total
+
+
+def check_multiplicative(phi):
+    """Assert phi(b_i b_j) == phi(b_i) phi(b_j) on every pair of base classes.
+
+    The images must lie in the base; they are multiplied there, in a
+    context without generators.
+    """
+    base = phi.context.base
+    flat = AlgebraContext(base, [])
+    images = []
+    for i in range(base.dim):
+        terms = phi.apply_base(i).terms
+        assert not any(any(m.exps) for m in terms), \
+            f"{base.labels[i]} maps out of the base"
+        images.append(flat.base_element({m.base: c for m, c in terms.items()}))
+    for i in range(base.dim):
+        for j in range(base.dim):
+            image = flat.zero()
+            for k, c in base.product(i, j).items():
+                image = image + images[k].scale(c)
+            assert image == images[i] * images[j], \
+                f"not multiplicative on ({base.labels[i]}, {base.labels[j]})"
+
+
+def check_d_and_relations(p, maps):
+    """Assert each map commutes with d and preserves the relations.
+
+    d is compared on every generator, and every relation must map into
+    the ideal the relations generate.  With ``check_multiplicative`` this
+    makes each map an endomorphism of the presentation's CDGA.
+    """
+    ctx = p.context
+    ideals = {}  # (degree, weight) -> (column index, Echelon of the ideal)
+
+    def in_ideal(elem):
+        if elem.is_zero():
+            return True
+        key = (elem.degree(), elem.weight())
+        if key not in ideals:
+            index = {m: i for i, m in enumerate(ctx.monomials_of(*key))}
+            echelon = Echelon()
+            for terms in ideal_products(p, *key):
+                echelon.insert(densify(terms, index, len(index)))
+            ideals[key] = index, echelon
+        index, echelon = ideals[key]
+        return not any(echelon.reduce(densify(elem.terms, index, len(index))))
+
+    for phi in maps:
+        for g, spec in enumerate(ctx.generators):
+            dg = p.differential.get(g, ctx.zero())
+            assert map_element(phi, dg) == differential(
+                p, map_element(phi, ctx.gen_element(g))), \
+                f"does not commute with d on {spec.label}"
+        for rel in p.relations:
+            assert in_ideal(map_element(phi, rel)), \
+                f"relation not preserved: {rel!r}"
+
+
+def check_diagonal_identities(base, delta):
+    """Assert the two identities that pin the sign convention of Delta.
+
+    ``delta`` lives in base (x) base: (x (x) 1 - 1 (x) x) Delta = 0 for
+    every positive-degree basis class x, and the coefficient of
+    [X] (x) [X] in Delta^2 is the Euler characteristic of X.
+    """
+    ctx = delta.context
+    square = ctx.base
+    for x in base.positive_degree_indices():
+        left = ctx.base_element({square.encode((x, base.unit)): ONE})
+        right = ctx.base_element({square.encode((base.unit, x)): ONE})
+        assert ((left - right) * delta).is_zero(), \
+            f"(x⊗1 - 1⊗x)·Δ != 0 for x = {base.labels[x]}"
+    top = Monomial(square.encode((base.fundamental, base.fundamental)), ())
+    coeff = (delta * delta).terms.get(top, 0)
+    chi = base.euler_characteristic()
+    assert coeff == chi, f"Δ·Δ has [X]⊗[X]-coefficient {coeff}, not {chi}"

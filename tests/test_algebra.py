@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -7,9 +8,10 @@ from cdgacalc.algebra import (AlgebraError, AlgebraContext, AlgebraMap,
                               BaseAlgebra, GeneratorSpec, Monomial,
                               base_algebra_from_dict, load_base_algebra,
                               tensor_many, tensor_power)
-from cdgacalc.models import build_base, parse_space
+from cdgacalc.models import (build_base, parse_ample_class, parse_space,
+                             section_model)
 from cdgacalc.rat import ONE, Rational
-from oracle import dense_tensor_table, dense_validate
+from oracle import check_multiplicative, dense_tensor_table, dense_validate
 
 
 def p1_algebra():
@@ -113,6 +115,21 @@ def test_monomials_partition_by_weight():
         assert total == len(all_monos)
 
 
+def test_monomials_of_leaves_no_reference_cycles():
+    s1 = build_base(parse_space("S1"))
+    ctx = section_model(s1, parse_ample_class(s1, "1"), 2).context
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for d in range(8):
+            ctx.monomials_of(d)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_tensor_power_rank_one_copies_base():
     base = p1_algebra()
     t = tensor_power(base, 1)
@@ -178,7 +195,7 @@ def test_apply_homomorphism_swap_sign():
                         and t.factors[1].degrees[v] % 2) else ONE
         base_images[idx] = ctx.base_element({t.encode((v, u)): sign})
     swap = AlgebraMap(ctx, {}, base_images)
-    swap.verify_multiplicative()
+    check_multiplicative(swap)
     a_both = ctx.base_element({t.encode((1, 1)): ONE})  # a1 (x) a1
     assert swap.apply(a_both) == -a_both
 
@@ -430,9 +447,10 @@ def _perturbed(alg, rng, mode):
         if mode == "symmetric":
             sign = -1 if deg[i] % 2 and deg[j] % 2 else 1
             table[(j, i)] = {k: sign * c for k, c in prod.items()}
-    return BaseAlgebra(alg.name, alg.n, alg.labels, alg.degrees, alg.unit,
-                       alg.fundamental, table, weights=alg.weights,
-                       validate=False)
+    bad = BaseAlgebra.__new__(BaseAlgebra)  # the constructor would reject it
+    bad._fill(alg.name, alg.n, alg.labels, alg.degrees, alg.unit,
+              alg.fundamental, table, alg.weights)
+    return bad
 
 
 def test_sparse_validate_matches_dense_reference():

@@ -9,6 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdgacalc import cli
 from cdgacalc.cli import main
 
 
@@ -166,22 +167,53 @@ def test_invalid_custom_file_exits_2(tmp_path, capsys):
     assert "pairing" in err
 
 
-def test_custom_space_matches_builtin(tmp_path, capsys):
-    doc = {
-        "name": "clone", "n": 1,
-        "basis": [{"label": "1", "degree": 0}, {"label": "h", "degree": 2}],
-        "unit": "1", "fundamental": "h",
-        "products": [{"left": "h", "right": "h", "value": []}],
-    }
-    path = tmp_path / "p1.json"
+P1_CLONE = {
+    "name": "clone", "n": 1,
+    "basis": [{"label": "1", "degree": 0}, {"label": "h", "degree": 2}],
+    "unit": "1", "fundamental": "h",
+    "products": [{"left": "h", "right": "h", "value": []}],
+}
+
+# odd classes a1, b1: the sign action on the model meets Koszul signs
+S1_CLONE = {
+    "name": "clone", "n": 1,
+    "basis": [{"label": "1", "degree": 0}, {"label": "a1", "degree": 1},
+              {"label": "b1", "degree": 1}, {"label": "X", "degree": 2}],
+    "unit": "1", "fundamental": "X",
+    "products": [{"left": "a1", "right": "b1", "value": [["X", "1"]]},
+                 {"left": "a1", "right": "a1", "value": []},
+                 {"left": "b1", "right": "b1", "value": []}],
+}
+
+
+@pytest.mark.parametrize("doc, space, argv", [
+    (P1_CLONE, "P1", ["cohomology", "--r", "2", "--c", "1",
+                      "--max-degree", "5", "--format", "csv"]),
+    (S1_CLONE, "S1", ["invariants", "--r", "2", "--character", "sign",
+                      "--max-degree", "5", "--by-weight"]),
+], ids=["P1", "S1"])
+def test_custom_space_matches_builtin(tmp_path, capsys, doc, space, argv):
+    path = tmp_path / "clone.json"
     path.write_text(json.dumps(doc))
-    _, out_custom, _ = run_cli(capsys, "cohomology", "--space",
-                               f"custom:{path}", "--r", "2", "--c", "1",
-                               "--max-degree", "5", "--format", "csv")
-    _, out_builtin, _ = run_cli(capsys, "cohomology", "--space", "P1",
-                                "--r", "2", "--c", "1", "--max-degree", "5",
-                                "--format", "csv")
-    assert out_custom == out_builtin
+    code, out_custom, _ = run_cli(capsys, *argv, "--space", f"custom:{path}")
+    assert code == 0
+    _, out_builtin, _ = run_cli(capsys, *argv, "--space", space)
+
+    def without_model(out):
+        return [ln for ln in out.splitlines() if not ln.startswith("model:")]
+    assert without_model(out_custom) == without_model(out_builtin)
+
+
+def test_invariants_rejects_bad_subgroup_before_computing(monkeypatch,
+                                                          capsys):
+    def verify(*args):
+        raise AssertionError("the model was verified before --subgroup")
+    monkeypatch.setattr(cli, "verify_d_squared", verify)
+    code, out, err = run_cli(capsys, "invariants", "--space", "S1", "--r",
+                             "3", "--max-degree", "7", "--subgroup", "112")
+    assert code == 2 and not out
+    assert err.splitlines() == [
+        "cdgacalc: error: subgroup word '112' is not a permutation of 1..3"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cdgacalc import models
-from cdgacalc.algebra import AlgebraError
+from cdgacalc.algebra import AlgebraError, TensorAlgebra
 from cdgacalc.analysis import (all_permutations, invariant_cohomology,
                                isotypic_cohomology, p_r_closed_form,
                                sign_character, weightwise_euler)
@@ -15,6 +15,8 @@ from cdgacalc.models import (ProjectiveSpace, Surface, Product, build_base,
                              parse_ample_class, parse_space, section_model,
                              symmetric_action, twisted_section_model)
 from cdgacalc.rat import ONE
+from oracle import (check_d_and_relations, check_diagonal_identities,
+                    check_multiplicative, dense_tensor_table, explicit_image)
 
 
 def test_build_base_presets():
@@ -241,15 +243,6 @@ def test_symmetric_action_three_points():
         m.context.gen_index("G23"))
 
 
-def _explicit_image(phi, mono):
-    """phi(b) * prod_g phi(g)^e, multiplied out factor by factor."""
-    img = phi.apply_base(mono.base)
-    for g, e in enumerate(mono.exps):
-        for _ in range(e):
-            img = img * phi.apply_gen(g)
-    return img.terms
-
-
 @pytest.mark.parametrize("space, r, c, max_degree", [
     ("S1", 2, "1", 6),       # odd G_12, alpha_i and odd base classes
     ("S1", 3, "-1/2", 4),
@@ -269,27 +262,82 @@ def test_compiled_action_equals_explicit_product(space, r, c, max_degree):
         for d in range(max_degree + 1):
             for mono in ctx.monomials_of(d):
                 image = phi.image(mono)
-                assert image == _explicit_image(phi, mono), (sig, mono)
+                assert image == explicit_image(phi, mono).terms, (sig, mono)
                 flips += -1 in image.values()
     assert flips  # some images change sign
 
 
-def test_symmetric_action_verified_once_per_presentation(monkeypatch):
+def test_symmetric_action_built_once_per_presentation(monkeypatch):
     calls = []
-    verify = models._verify_action
-    monkeypatch.setattr(models, "_verify_action",
-                        lambda p, phi: calls.append(phi) or verify(p, phi))
+    build = models._build_action
+    monkeypatch.setattr(models, "_build_action",
+                        lambda p, layout, sig: calls.append(sig)
+                        or build(p, layout, sig))
     p2 = build_base(parse_space("P2"))
     m = section_model(p2, parse_ample_class(p2, "1"), 3)
     group = all_permutations(3)
     invariant_cohomology(m, group, 3)
     isotypic_cohomology(m, group, sign_character(3), 3)
-    assert len(calls) == len(set(map(id, calls))) == 6
+    assert sorted(calls) == group
     assert symmetric_action(m, [1, 2, 0]) is symmetric_action(m, (1, 2, 0))
     assert len(calls) == 6
     other = section_model(p2, parse_ample_class(p2, "1"), 3)
     symmetric_action(other, (1, 2, 0))
     assert len(calls) == 7
+
+
+# H*(S^1 x S^3): odd classes in two degrees, and no H^2
+ODD_CUSTOM = {
+    "name": "S1xS3", "n": 2,
+    "basis": [{"label": "1", "degree": 0}, {"label": "u", "degree": 1},
+              {"label": "v", "degree": 3}, {"label": "uv", "degree": 4}],
+    "unit": "1", "fundamental": "uv",
+    "products": [["u", "v", [["uv", "1"]]], ["u", "u", []], ["v", "v", []]],
+}
+
+
+def _law_families(space, r, tmp_path):
+    if space == "custom":
+        path = tmp_path / "s1xs3.json"
+        path.write_text(json.dumps(ODD_CUSTOM))
+        base = build_base(parse_space(f"custom:{path}"))
+        return base, [configuration_model(base, r), section_model(base, {}, r)]
+    spec = parse_space(space)
+    base = build_base(spec)
+    c = parse_ample_class(base, "[1:1]" if space == "P1xP1" else "1")
+    return base, [configuration_model(base, r), section_model(base, c, r),
+                  twisted_section_model(base, cotangent_chern(spec), 2, r)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("space", ["P1", "P2", "S1", "S2", "P1xP1", "custom"])
+def test_laws_that_hold_by_construction(space, r, tmp_path):
+    # tensor powers, the diagonal class and the S_r actions are not
+    # re-checked when a model is built; their laws are checked here
+    base, families = _law_families(space, r, tmp_path)
+    delta = diagonal_class(base)
+    tensors = [delta.context.base] + [p.context.base for p in families]
+    if isinstance(base, TensorAlgebra):
+        tensors.append(base)
+    for tensor in tensors:
+        tensor.validate()
+        assert tensor.table == dense_tensor_table(tensor), tensor.name
+    check_diagonal_identities(base, delta)
+    actions = [[symmetric_action(p, sig) for sig in all_permutations(r)]
+               for p in families]
+    for p, maps in zip(families, actions):
+        check_d_and_relations(p, maps)
+    # every family acts on the same tensor power by the same base map, so
+    # multiplicativity is checked on the configuration model's maps
+    for phi in actions[0]:
+        check_multiplicative(phi)
+    for maps in actions[1:]:
+        assert list(map(_base_map, maps)) == list(map(_base_map, actions[0]))
+
+
+def _base_map(phi):
+    return [{m.base: c for m, c in phi.apply_base(i).terms.items()}
+            for i in range(phi.context.base.dim)]
 
 
 def test_map_matrix_rejects_map_on_another_context():
