@@ -237,9 +237,11 @@ class TensorAlgebra(BaseAlgebra):
     """Tensor product of base algebras, with factor bookkeeping.
 
     Basis elements are tuples of factor basis elements (encoded row-major
-    into a flat index); structure constants carry the Koszul signs of the
-    interleaving.  ``pullback`` implements the algebra map induced by
-    projecting onto one factor.
+    into a flat index), labelled by the factor labels joined with "⊗"; a
+    factor label that itself holds "⊗" is wrapped in parentheses.
+    Structure constants carry the Koszul signs of the interleaving.
+    ``pullback`` implements the algebra map induced by projecting onto one
+    factor.
 
     The table is built from the factors' nonzero products only, so
     construction costs the product of the factors' nonzero counts, not
@@ -261,7 +263,10 @@ class TensorAlgebra(BaseAlgebra):
         combos = [()]
         for f in factors:
             combos = [c + (i,) for c in combos for i in range(f.dim)]
-        labels = ["⊗".join(f.labels[c[i]] for i, f in enumerate(factors))
+        # a factor label holding "⊗" is bracketed, so labels stay distinct
+        factor_labels = [tuple(f"({lab})" if "⊗" in lab else lab
+                               for lab in f.labels) for f in factors]
+        labels = ["⊗".join(lab[c[i]] for i, lab in enumerate(factor_labels))
                   for c in combos]
         degrees = [sum(f.degrees[c[i]] for i, f in enumerate(factors))
                    for c in combos]

@@ -221,10 +221,8 @@ def weightwise_euler(p: Presentation, w_max: int) -> BigradedSeries:
     for k in range(w_max + 1):
         acc = 0
         for i in range(k + 1):
-            if p.context.monomials_of(i, k):
-                dim = quotient_slice(p, i, k).dim
-                if dim:
-                    acc += dim if i % 2 == 0 else -dim
+            dim = quotient_slice(p, i, k).dim
+            acc += dim if i % 2 == 0 else -dim
         if acc:
             coeffs[k] = acc
     return BigradedSeries(coeffs, w_max, "w")
@@ -560,8 +558,6 @@ def character_euler(p: Presentation, chi: ClassFunction,
     for k in range(w_max + 1):
         total = 0
         for i in range(k + 1):
-            if not p.context.monomials_of(i, k):
-                continue
             if quotient_slice(p, i, k).dim == 0:
                 continue
             for sig, c in weights:

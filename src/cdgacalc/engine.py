@@ -8,6 +8,17 @@ one-sided products relation*monomial span each graded piece of the
 two-sided ideal, so no Groebner machinery is needed: the normal form in
 every (degree, weight) slice is plain exact linear algebra.
 
+Only a presentation's *core* is eliminated: the sub-presentation over
+the generators up to the last one that occurs in some relation (built
+on first use; the presentation itself when no generator follows).  The
+generators after it form a relation-free suffix, and multiplying by a
+monomial u in them adds no sign, so every ideal slice is block-diagonal
+in u and each block is a core ideal slice of lower (degree, weight).  A
+quotient slice is therefore assembled from cached core slices times u,
+with the same canonical basis and projector as eliminating the whole
+free slice; the free slices of a model with a suffix are never
+enumerated.
+
 A presentation normalizes its coefficients once (``rat.exact``), so
 integer models run in ``int`` arithmetic, and compiles d on generators
 into derivation tables, so d of a monomial is table lookups and Koszul
@@ -46,7 +57,8 @@ class Presentation:
     """Free context + homogeneous relations + generator differential."""
 
     __slots__ = ("context", "relations", "differential", "name", "params",
-                 "_relation_grades", "_derivations", "_odd_bits", "_cache")
+                 "_relation_grades", "_derivations", "_odd_bits", "_cache",
+                 "_core", "_suffix")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -61,6 +73,8 @@ class Presentation:
         self.name = name or "presentation"
         self.params = dict(params or {})
         self._cache: dict = {}
+        self._core: Optional[Presentation] = None
+        self._suffix: dict = {}
         grades = []
         for rel in self.relations:
             if rel.is_zero():
@@ -97,6 +111,53 @@ class Presentation:
         hit = self._cache.get(key)
         if hit is None:
             hit = self._cache[key] = builder()
+        return hit
+
+    # -- relation-carrying core --------------------------------------------
+
+    @property
+    def core(self) -> "Presentation":
+        """The sub-presentation over the generators up to the last one
+        that occurs in some relation.
+
+        It has the same base and relations (exponent vectors truncated)
+        and no differential.  The remaining generators are a relation-free
+        suffix, so a monomial u in them multiplies a core slice without
+        sign and every slice of this presentation is a sum of core slices
+        times such u.  Built on first use; with an empty suffix it is this
+        presentation itself.
+        """
+        if self._core is None:
+            ngen = 1 + max((i for rel in self.relations for m in rel.terms
+                            for i, x in enumerate(m.exps) if x), default=-1)
+            if ngen == len(self.context.generators):
+                self._core = self
+            else:
+                ctx = AlgebraContext(self.context.base,
+                                     self.context.generators[:ngen])
+                rels = [Element(ctx, {Monomial(m.base, m.exps[:ngen]): c
+                                      for m, c in rel.terms.items()})
+                        for rel in self.relations]
+                self._core = Presentation(ctx, rels, {},
+                                          name=f"core of {self.name}")
+        return self._core
+
+    def _suffix_monomials(self, degree: int) -> dict[int, list]:
+        """Exponent vectors of the monomials of the given degree in the
+        generators after the core, grouped by weight."""
+        hit = self._suffix.get(degree)
+        if hit is None:
+            gens = self.context.generators[len(self.core.context.generators):]
+            partial = [((), 0, 0)]  # exponents, degree, weight
+            for g in gens:
+                top = 1 if g.odd else degree // g.degree
+                partial = [(e + (x,), d + x * g.degree, w + x * g.weight)
+                           for e, d, w in partial for x in range(top + 1)
+                           if d + x * g.degree <= degree]
+            hit = self._suffix[degree] = {}
+            for e, d, w in partial:
+                if d == degree:
+                    hit.setdefault(w, []).append(e)
         return hit
 
     # -- differential -------------------------------------------------------
@@ -190,15 +251,13 @@ class SliceBasis:
     """Monomial basis of one (degree, weight) slice of the quotient.
 
     ``quotient`` lists the free monomials surviving as a basis (the
-    non-pivot columns of the rref of the ideal slice); ``rewrite`` is the
-    normal-form projector sending each pivot monomial to its expansion in
-    surviving monomials.
+    non-pivot columns of the rref of the ideal slice), in canonical
+    order; ``rewrite`` is the normal-form projector sending each pivot
+    monomial to its expansion in surviving monomials.
     """
 
     degree: int
     weight: Optional[int]
-    free_monomials: tuple[Monomial, ...]
-    pivots: tuple[int, ...]
     quotient: tuple[Monomial, ...]
     rewrite: dict
     index: dict = field(repr=False)
@@ -282,11 +341,20 @@ def ideal_slice(p: Presentation, degree: int,
 
 def quotient_slice(p: Presentation, degree: int,
                    weight: Optional[int] = None) -> SliceBasis:
-    """Deterministic basis + projector for one slice of the quotient."""
+    """Deterministic basis + projector for one slice of the quotient.
 
-    def build():
-        ctx = p.context
-        free = ctx.monomials_of(degree, weight)
+    The core's slices come from the rref of their ideal slice.  Any other
+    presentation's slice is the union over monomials u in its
+    relation-free suffix of the core's slice at (degree - |u|,
+    weight - wt u) times u: the ideal slice is block-diagonal in u with
+    those blocks, and the canonical order restricted to one block is the
+    core's, so basis and projector are the ones the rref of the whole
+    ideal slice would give.
+    """
+    core = p.core
+
+    def eliminate():
+        free = p.context.monomials_of(degree, weight)
         res = rref(ideal_slice(p, degree, weight))
         pivot_set = set(res.pivots)
         quotient = tuple(m for i, m in enumerate(free) if i not in pivot_set)
@@ -296,10 +364,32 @@ def quotient_slice(p: Presentation, degree: int,
             rewrite[free[pcol]] = {free[c]: -v for c, v in row.items()
                                    if c != pcol}
         index = {m: i for i, m in enumerate(quotient)}
-        return SliceBasis(degree, weight, free, res.pivots, quotient,
-                          rewrite, index)
+        return SliceBasis(degree, weight, quotient, rewrite, index)
 
-    return p._cached(("slice", degree, weight), build)
+    def factor():
+        quotient: list[Monomial] = []
+        rewrite: dict[Monomial, dict[Monomial, object]] = {}
+        for du in range(degree + 1):
+            for wu, suffix in p._suffix_monomials(du).items():
+                if weight is not None and wu > weight:
+                    continue
+                block = quotient_slice(core, degree - du,
+                                       None if weight is None else weight - wu)
+                for u in suffix:
+                    quotient.extend(Monomial(b, e + u)
+                                    for b, e in block.quotient)
+                    for (b, e), row in block.rewrite.items():
+                        rewrite[Monomial(b, e + u)] = {
+                            Monomial(b2, e2 + u): c
+                            for (b2, e2), c in row.items()}
+        # monomial_key, given that the degree is fixed
+        base_degrees = p.context.base.degrees
+        quotient.sort(key=lambda m: (-base_degrees[m.base], m.exps, m.base))
+        index = {m: i for i, m in enumerate(quotient)}
+        return SliceBasis(degree, weight, tuple(quotient), rewrite, index)
+
+    return p._cached(("slice", degree, weight),
+                     eliminate if core is p else factor)
 
 
 def differential_matrix(p: Presentation, degree: int,
@@ -392,8 +482,17 @@ class CohomologyTable:
 
 
 def _slice_weights(p: Presentation, degree: int) -> list[int]:
-    ctx = p.context
-    return sorted({ctx.monomial_weight(m) for m in ctx.monomials_of(degree)})
+    """Weights of the nonempty free slices in one degree."""
+    core = p.core
+    weights = set()
+    for du in range(degree + 1):
+        suffix = p._suffix_monomials(du)
+        if suffix:
+            core_weights = {core.context.monomial_weight(m)
+                            for m in core.context.monomials_of(degree - du)}
+            for wu in suffix:
+                weights.update(k + wu for k in core_weights)
+    return sorted(weights)
 
 
 def cohomology(p: Presentation, max_degree: int,

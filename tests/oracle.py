@@ -1,8 +1,8 @@
 """Dense brute-force cohomology, independent of the sparse slice path.
 
-Everything here works with dense Fraction row vectors over whole-degree
-free slices and plain Gaussian elimination: no SparseMatrix, no rref
-pivots, no quotient bases, no normal-form projectors.  The dimension of
+Everything here works with dense Fraction row vectors over whole free
+slices and plain Gaussian elimination: no SparseMatrix, and none of the
+engine's rref, quotient bases or normal-form projectors.  The dimension of
 H^d of the quotient complex is computed as
 
     dim H^d = |F_d| - rank(comp_d) - rank(D_{d-1} rows + I_d rows)
@@ -13,6 +13,10 @@ echelon basis of I_{d+1}), and D_{d-1} the free differential.  The
 Leibniz rule is also re-derived here by multiplying out the factor list
 one element at a time rather than via the engine's compiled derivation
 tables.
+
+``unfactored_slice`` eliminates one whole free slice densely, against
+which the engine's slices, factored through the relation-carrying core,
+are compared.
 
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
@@ -145,6 +149,30 @@ def dense_cohomology_dims(p, max_degree):
         stacked = (diff_rows(d - 1) if d > 0 else []) + ideal_rows(d)
         dims[d] = len(free[d]) - rank_comp - rank_of(stacked)
     return dims
+
+
+def unfactored_slice(p, degree, weight=None):
+    """Basis and normal forms of one quotient slice, from the whole slice.
+
+    The ideal products fill one dense matrix over the free slice in
+    canonical column order.  The surviving monomials are its non-pivot
+    columns; the normal form of a monomial is its unit vector reduced
+    against the echelon basis, which leaves it zero at every pivot.
+    Returns the surviving monomials and a dict monomial -> normal form.
+    """
+    free = list(p.context.monomials_of(degree, weight))
+    index = {m: i for i, m in enumerate(free)}
+    ech = Echelon()
+    for terms in ideal_products(p, degree, weight):
+        ech.insert(densify(terms, index, len(free)))
+    quotient = tuple(m for i, m in enumerate(free) if i not in ech.rows)
+    normal = {}
+    for i, m in enumerate(free):
+        unit = [Fraction(0)] * len(free)
+        unit[i] = Fraction(1)
+        vec = ech.reduce(unit)
+        normal[m] = {free[j]: v for j, v in enumerate(vec) if v}
+    return quotient, normal
 
 
 def dense_validate(self):

@@ -474,3 +474,11 @@ def test_sparse_validate_matches_dense_reference():
                 "graded commutativity", "associativity",
                 "Poincaré pairing nondegeneracy"):
         assert laws.get(law, 0) >= 5, laws
+
+
+def test_tensor_labels_bracket_factor_labels_holding_the_tensor_sign():
+    square = build_base(parse_space("P1xP1"))
+    assert square.labels == ("1⊗1", "1⊗x", "x⊗1", "x⊗x")
+    fourth = tensor_power(square, 2)
+    assert len(set(fourth.labels)) == fourth.dim == 16
+    assert fourth.labels[fourth.encode((1, 2))] == "(1⊗x)⊗(x⊗1)"

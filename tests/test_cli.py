@@ -204,6 +204,28 @@ def test_custom_space_matches_builtin(tmp_path, capsys, doc, space, argv):
     assert without_model(out_custom) == without_model(out_builtin)
 
 
+# H*(P^2) with "x⊗x" as the label of x^2: in the tensor square the pairs
+# (x, x⊗x) and (x⊗x, x) must keep distinct labels
+TENSOR_LABEL_P2 = {
+    "name": "clone", "n": 2,
+    "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2},
+              {"label": "x⊗x", "degree": 4}],
+    "unit": "1", "fundamental": "x⊗x",
+    "products": [["x", "x", [["x⊗x", "1"]]]],
+}
+
+
+def test_custom_labels_holding_the_tensor_sign(tmp_path, capsys):
+    path = tmp_path / "clone.json"
+    path.write_text(json.dumps(TENSOR_LABEL_P2, ensure_ascii=False),
+                    encoding="utf-8")
+    argv = ["cohomology", "--r", "2", "--max-degree", "6"]
+    code, out_custom, err = run_cli(capsys, *argv, "--space", f"custom:{path}")
+    assert code == 0 and not err
+    _, out_builtin, _ = run_cli(capsys, *argv, "--space", "P2")
+    assert out_custom.splitlines()[1:] == out_builtin.splitlines()[1:]
+
+
 def test_invariants_rejects_bad_subgroup_before_computing(monkeypatch,
                                                           capsys):
     def verify(*args):
@@ -270,6 +292,16 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("1 + t")
+
+
+def test_package_entrypoint_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdgacalc", "series", "--space", "P1",
+         "--kind", "pu-weight", "--max", "4"],
+        capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("model: space=P1, kind=pu-weight\n"
+                           "1 - w^2 - w^4\n")
 
 
 # -- input contract: malformed input exits 2 with one line, no traceback -----

@@ -10,7 +10,7 @@ from cdgacalc.models import build_base, cotangent_chern, parse_ample_class, \
     parse_space, section_model, configuration_model, twisted_section_model
 from cdgacalc.rat import ONE, Rational
 
-from oracle import dense_cohomology_dims, free_differential
+from oracle import dense_cohomology_dims, free_differential, unfactored_slice
 from test_acceptance import random_presentation
 
 
@@ -55,8 +55,9 @@ def test_quotient_slice_dims():
     # projector kills each ideal row
     mat = ideal_slice(p, 3)
     sl = quotient_slice(p, 3)
+    cols = p.context.monomials_of(3)
     for row in mat.rows:
-        terms = {sl.free_monomials[j]: v for j, v in row.items()}
+        terms = {cols[j]: v for j, v in row.items()}
         assert sl.reduce(terms) == {}
 
 
@@ -182,23 +183,30 @@ def test_presentation_rejects_weight_inhomogeneous_differential():
 
 
 def test_slice_caches_keep_their_key_shapes():
-    # bench/child.py harvest_keys reads both caches by these key shapes
+    # bench/child.py harvest_keys reads these caches by their key shapes;
+    # the model caches its factored slices, the core its ideal slices
     base = build_base(parse_space("P2"))
     p = section_model(base, parse_ample_class(base, "1"), 2)
     cohomology(p, 4)
     assert verify_d_squared(p, 4).ok
-    assert p._cache and p.context._mono_cache
-    for key in p._cache:
-        assert isinstance(key, tuple) and len(key) == 3
-        layer, degree, weight = key
-        assert layer in {"ideal", "slice", "diff", "rank"}
-        assert isinstance(degree, int) and isinstance(weight, int)
-    assert {key[0] for key in p._cache} == {"ideal", "slice", "diff", "rank"}
-    for key in p.context._mono_cache:
-        assert isinstance(key, tuple) and len(key) == 2
-        degree, weight = key
-        assert isinstance(degree, int)
-        assert weight is None or isinstance(weight, int)
+    core = p.core
+    assert core is not p
+    # only the core enumerates its free slices
+    assert core.context._mono_cache and not p.context._mono_cache
+    for pres, layers in ((p, {"slice", "diff", "rank"}),
+                         (core, {"ideal", "slice"})):
+        assert pres._cache
+        for key in pres._cache:
+            assert isinstance(key, tuple) and len(key) == 3
+            layer, degree, weight = key
+            assert layer in layers
+            assert isinstance(degree, int) and isinstance(weight, int)
+        assert {key[0] for key in pres._cache} == layers
+        for key in pres.context._mono_cache:
+            assert isinstance(key, tuple) and len(key) == 2
+            degree, weight = key
+            assert isinstance(degree, int)
+            assert weight is None or isinstance(weight, int)
 
 
 def test_dense_oracle_agrees_on_hand_models():
@@ -294,3 +302,102 @@ def test_scalars_stay_int_on_integer_models_and_never_float():
                 assert all(type(v) is int for v in _values(reduced.rows)
                            if v == int(v))
                 assert type(rank(dmat)) is int
+
+
+def _families(space, r):
+    spec = parse_space(space)
+    base = build_base(spec)
+    c = parse_ample_class(base, "[1:1]" if space == "P1xP1" else "1")
+    return [configuration_model(base, r), section_model(base, c, r),
+            twisted_section_model(base, cotangent_chern(spec), 2, r)]
+
+
+def _assert_slices_match_unfactored(p, max_degree):
+    """Every slice to max_degree equals the dense whole-slice elimination."""
+    ctx = p.context
+    checked = 0
+    for d in range(max_degree + 1):
+        weights = sorted({ctx.monomial_weight(m) for m in ctx.monomials_of(d)})
+        for k in weights + [None]:
+            quotient, normal = unfactored_slice(p, d, k)
+            sl = quotient_slice(p, d, k)
+            assert sl.quotient == quotient, (p.name, d, k)
+            for m, form in normal.items():
+                assert sl.reduce({m: ONE}) == form, (
+                    p.name, d, k, ctx.monomial_label(m))
+            checked += 1
+    return checked
+
+
+def _slice_budget(p, largest=90, top=6):
+    """Highest degree <= top whose free slices hold <= largest monomials."""
+    ctx = p.context
+    for d in range(top + 1):
+        if any(len(ctx.monomials_of(d, ctx.monomial_weight(m))) > largest
+               for m in ctx.monomials_of(d)):
+            return d - 1
+    return top
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("space", ["P1", "P2", "S1", "S2", "P1xP1"])
+def test_factored_slices_match_unfactored(space, r):
+    families = _families(space, r)
+    for p in families:
+        max_degree = _slice_budget(p)
+        assert max_degree >= 1
+        assert _assert_slices_match_unfactored(p, max_degree) > 0
+    # the section models carry a relation-free suffix; C has none
+    conf, section, twisted = families
+    assert conf.core is conf
+    for p in (section, twisted):
+        assert len(p.core.context.generators) == r * (r - 1) // 2
+        assert p.core.core is p.core
+
+
+def test_factored_slices_match_unfactored_on_random_presentations():
+    factored = 0
+    for seed in range(24):
+        p, max_degree = random_presentation(seed)
+        _assert_slices_match_unfactored(p, max_degree)
+        factored += p.core is not p
+    assert factored >= 5
+
+
+def test_relation_free_generator_before_a_relation_generator():
+    # a relation-free generator ahead of the relation's one stays in the
+    # core; with nothing after it the core is the model itself
+    base = build_base(parse_space("P1"))
+    t = tensor_power(base, 2)
+    specs = {"a": GeneratorSpec("a", 1, 2), "b": GeneratorSpec("b", 2, 2),
+             "G12": GeneratorSpec("G12", 1, 2)}
+    for gens in (["a", "G12"], ["a", "G12", "b"]):
+        ctx = AlgebraContext(t, [specs[g] for g in gens])
+        x1 = ctx.base_element({t.encode((1, 0)): ONE})
+        x2 = ctx.base_element({t.encode((0, 1)): ONE})
+        g12 = ctx.gen_element("G12")
+        p = Presentation(ctx, [(x1 - x2) * g12], {
+            ctx.gen_index("G12"): x1 + x2, ctx.gen_index("a"): x1 - x2})
+        assert [g.label for g in p.core.context.generators] == ["a", "G12"]
+        assert (p.core is p) == (gens == ["a", "G12"])
+        assert verify_d_squared(p, 5).ok
+        _assert_slices_match_unfactored(p, 5)
+        dense = dense_cohomology_dims(p, 5)
+        assert cohomology(p, 5).dims() == [dense[d] for d in range(6)]
+
+
+def test_presentation_without_relations_has_an_empty_core():
+    base = build_base(parse_space("S1"))
+    ctx = AlgebraContext(base, [GeneratorSpec("a", 1, 2),
+                                GeneratorSpec("b", 2, 3)])
+    p = Presentation(ctx, [], {0: ctx.base_element({base.fundamental: ONE})},
+                     name="free")
+    assert p.core is not p and p.core.context.generators == ()
+    assert not p.core.relations and not p.core.differential
+    _assert_slices_match_unfactored(p, 5)
+    for d in range(6):
+        for k in range(3 * d + 1):
+            assert quotient_slice(p, d, k).quotient \
+                == ctx.monomials_of(d, k)
+    dense = dense_cohomology_dims(p, 5)
+    assert cohomology(p, 5).dims() == [dense[d] for d in range(6)]
