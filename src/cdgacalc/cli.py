@@ -194,11 +194,14 @@ def _parse_subgroup(text: str, r: int):
     gens = []
     for word in s.split(","):
         word = word.strip()
-        if len(word) != r or not word.isdigit():
+        # '.' separates images that need more than one digit (r >= 10)
+        parts = word.split(".") if "." in word else list(word)
+        if len(parts) != r or not all(x.isdecimal() for x in parts):
             raise AlgebraError(
                 f"subgroup word {word!r} must list the images of 1..{r} "
-                f"as {r} digits, e.g. '21' for the swap")
-        images = tuple(int(ch) - 1 for ch in word)
+                f"as {r} digits or as {r} numbers separated by '.', e.g. "
+                f"'21' or '2.1' for the swap")
+        images = tuple(int(x) - 1 for x in parts)
         if sorted(images) != list(range(r)):
             raise AlgebraError(
                 f"subgroup word {word!r} is not a permutation of 1..{r}")
@@ -328,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-degree", type=int, required=True)
     s.add_argument("--subgroup", default="full",
                    help="'full', 'trivial', or comma-separated one-line "
-                        "words such as '21' or '231,213'")
+                        "words such as '21' or '231,213'; for r >= 10 "
+                        "separate the images by '.', as in '2.1.3.4.5.6."
+                        "7.8.9.10'")
     s.add_argument("--character", choices=["trivial", "sign"],
                    default="trivial")
     s.add_argument("--by-weight", action="store_true")

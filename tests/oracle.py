@@ -18,6 +18,12 @@ tables.
 which the engine's slices, factored through the relation-carrying core,
 are compared.
 
+``slice_d_squared`` is the slice-by-slice d^2 check that
+``verify_d_squared``'s generator certificate replaced, and
+``unreduced_cohomology`` is the per-slice dimension formula run on a
+model as built rather than on its reduced model; both use the engine's
+slices of that model.
+
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
 replaced with sparse ones; tests compare the two.
@@ -33,6 +39,9 @@ dense elimination in one (degree, weight) slice.
 from fractions import Fraction
 
 from cdgacalc.algebra import AlgebraContext, AlgebraError, Element, Monomial
+from cdgacalc.engine import (VerificationReport, differential_matrix,
+                             quotient_slice)
+from cdgacalc.linalg import rank
 from cdgacalc.rat import ONE
 
 
@@ -173,6 +182,65 @@ def unfactored_slice(p, degree, weight=None):
         vec = ech.reduce(unit)
         normal[m] = {free[j]: v for j, v in enumerate(vec) if v}
     return quotient, normal
+
+
+def _free_weights(p, degree):
+    ctx = p.context
+    return sorted({ctx.monomial_weight(m) for m in ctx.monomials_of(degree)})
+
+
+def slice_d_squared(p, max_degree):
+    """d(relation) in the ideal, then D(d+1, k) D(d, k) = 0 on every
+    nonempty quotient slice of degree <= max_degree, as a
+    VerificationReport; ``slices_checked`` counts relations and slices."""
+    checked = 0
+    ctx = p.context
+    for rel in p.relations:
+        drel = p.differential_of(rel)
+        checked += 1
+        if drel.is_zero():
+            continue
+        d, w = drel.degree(), drel.weight()
+        residual = quotient_slice(p, d, w).reduce(drel.terms)
+        if residual:
+            return VerificationReport(
+                False, checked, "relation", d, w, repr(rel),
+                "d(relation) not in ideal: " + repr(Element(ctx, residual)))
+    for d in range(max_degree + 1):
+        for k in _free_weights(p, d):
+            src = quotient_slice(p, d, k)
+            if src.dim == 0:
+                continue
+            checked += 1
+            prod = differential_matrix(p, d, k).matmul(
+                differential_matrix(p, d + 1, k))
+            if not prod.is_zero():
+                bad = next(i for i, row in enumerate(prod.rows) if row)
+                mid = quotient_slice(p, d + 2, k)
+                residual = Element(ctx, {
+                    mid.quotient[j]: c for j, c in prod.rows[bad].items()})
+                return VerificationReport(
+                    False, checked, "d_squared", d, k,
+                    ctx.monomial_label(src.quotient[bad]),
+                    f"d(d(m)) = {residual!r}")
+    return VerificationReport(True, checked)
+
+
+def unreduced_cohomology(p, max_degree):
+    """{(degree, weight): dim H} from the slices of ``p`` itself:
+    dim Q(d, k) - rank D(d, k) - rank D(d - 1, k), zeros left out."""
+    dims = {}
+    for d in range(max_degree + 1):
+        for k in _free_weights(p, d):
+            q = quotient_slice(p, d, k).dim
+            if not q:
+                continue
+            value = q - rank(differential_matrix(p, d, k))
+            if d > 0:
+                value -= rank(differential_matrix(p, d - 1, k))
+            if value:
+                dims[(d, k)] = value
+    return dims
 
 
 def dense_validate(self):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdgacalc import cli
+from cdgacalc.algebra import AlgebraError
 from cdgacalc.cli import main
 
 
@@ -238,6 +239,19 @@ def test_invariants_rejects_bad_subgroup_before_computing(monkeypatch,
         "cdgacalc: error: subgroup word '112' is not a permutation of 1..3"]
 
 
+def test_subgroup_words_with_dot_separated_images():
+    swap10 = (1, 0) + tuple(range(2, 10))
+    assert cli._parse_subgroup("2.1.3.4.5.6.7.8.9.10", 10) \
+        == [tuple(range(10)), swap10]
+    # digit words are read as before; for r <= 9 both spellings agree
+    assert cli._parse_subgroup("231", 3) == cli._parse_subgroup("2.3.1", 3)
+    assert len(cli._parse_subgroup("231,213", 3)) == 6
+    for word, r in (("2.1.3", 10), ("2134567891", 10), ("2..1", 3),
+                    ("2.1.x", 3), ("²1", 2), ("1.1", 2)):
+        with pytest.raises(AlgebraError):
+            cli._parse_subgroup(word, r)
+
+
 @pytest.mark.parametrize("argv", [
     ["cohomology", "--space", "P1", "--r", "1", "--max-degree", "3",
      "--threads", "2"],
@@ -302,6 +316,16 @@ def test_package_entrypoint_subprocess():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("model: space=P1, kind=pu-weight\n"
                            "1 - w^2 - w^4\n")
+
+
+def test_verify_negative_max_degree_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdgacalc", "verify", "--space", "P2", "--r",
+         "2", "--max-degree", "-2"],
+        capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.splitlines() == [
+        "cdgacalc: error: verify: max_degree must be >= 0"]
 
 
 # -- input contract: malformed input exits 2 with one line, no traceback -----

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
-from cdgacalc.algebra import (AlgebraContext, Element, GeneratorSpec,
-                              tensor_power)
+from cdgacalc import cli
+from cdgacalc.algebra import (AlgebraContext, AlgebraError, Element,
+                              GeneratorSpec, tensor_power)
+from cdgacalc.analysis import weightwise_euler
 from cdgacalc.engine import (Presentation, PresentationError, cohomology,
                              differential_matrix, differential_rank,
                              ideal_slice, quotient_slice, verify_d_squared)
@@ -10,7 +14,8 @@ from cdgacalc.models import build_base, cotangent_chern, parse_ample_class, \
     parse_space, section_model, configuration_model, twisted_section_model
 from cdgacalc.rat import ONE, Rational
 
-from oracle import dense_cohomology_dims, free_differential, unfactored_slice
+from oracle import (dense_cohomology_dims, free_differential, slice_d_squared,
+                    unfactored_slice, unreduced_cohomology)
 from test_acceptance import random_presentation
 
 
@@ -184,16 +189,19 @@ def test_presentation_rejects_weight_inhomogeneous_differential():
 
 def test_slice_caches_keep_their_key_shapes():
     # bench/child.py harvest_keys reads these caches by their key shapes;
-    # the model caches its factored slices, the core its ideal slices
+    # cohomology runs on the reduced model, which caches its factored
+    # slices, and the core it shares with the model caches its ideal slices
     base = build_base(parse_space("P2"))
     p = section_model(base, parse_ample_class(base, "1"), 2)
     cohomology(p, 4)
     assert verify_d_squared(p, 4).ok
-    core = p.core
-    assert core is not p
+    core, reduced = p.core, p.reduced
+    assert core is not p and reduced is not p
+    assert reduced.core is core
     # only the core enumerates its free slices
-    assert core.context._mono_cache and not p.context._mono_cache
-    for pres, layers in ((p, {"slice", "diff", "rank"}),
+    assert core.context._mono_cache
+    assert not p.context._mono_cache and not reduced.context._mono_cache
+    for pres, layers in ((reduced, {"slice", "diff", "rank"}),
                          (core, {"ideal", "slice"})):
         assert pres._cache
         for key in pres._cache:
@@ -401,3 +409,192 @@ def test_presentation_without_relations_has_an_empty_core():
                 == ctx.monomials_of(d, k)
     dense = dense_cohomology_dims(p, 5)
     assert cohomology(p, 5).dims() == [dense[d] for d in range(6)]
+
+
+# -- the d^2 certificate against the slice-by-slice check ----------------
+
+def _with_differential(p, label, edit, tag):
+    """``p`` with d(label) replaced by ``edit(d(label))``."""
+    ctx = p.context
+    diff = dict(p.differential)
+    g = ctx.gen_index(label)
+    diff[g] = edit(diff[g])
+    return Presentation(ctx, p.relations, diff, name=f"{p.name} {tag}",
+                        params=p.params)
+
+
+def _first_term_negated(elem):
+    terms = dict(elem.terms)
+    first = min(terms, key=elem.context.monomial_key)
+    terms[first] = -terms[first]
+    return Element(elem.context, terms)
+
+
+def _first_term_dropped(elem):
+    terms = dict(elem.terms)
+    del terms[min(terms, key=elem.context.monomial_key)]
+    return Element(elem.context, terms)
+
+
+def _pulled_back_at_point_two(elem):
+    # d(alpha1) = pi_1^*[X] moved to pi_2^*[X]: d(d(eta1)) = -c [X]_2 != 0
+    ctx = elem.context
+    tensor = ctx.base
+    (m, c), = elem.terms.items()
+    combo = list(tensor.decode(m.base))
+    combo[0], combo[1] = combo[1], combo[0]
+    return ctx.base_element({tensor.encode(tuple(combo)): c})
+
+
+def _mutated_builtin_models():
+    out = []
+    for space, r in (("P1", 2), ("S1", 2), ("P2", 3)):
+        p = _section(space, r)
+        out += [_with_differential(p, f"eta{r}", _first_term_negated,
+                                   "flipped sign in d(eta)"),
+                _with_differential(p, "G12", _first_term_dropped,
+                                   "term dropped from Delta"),
+                _with_differential(p, "alpha1", _pulled_back_at_point_two,
+                                   "d(alpha1) at point 2")]
+    return out
+
+
+def _mutated_random(seed):
+    """The random presentation with d of one generator given an extra
+    monomial through a generator of nonzero d, or None."""
+    p, _ = random_presentation(seed)
+    ctx = p.context
+    for g, spec in enumerate(ctx.generators):
+        for m in ctx.monomials_of(spec.degree + 1, spec.weight):
+            if not m.exps[g] and any(m.exps[h] for h in p.differential):
+                diff = dict(p.differential)
+                diff[g] = diff.get(g, ctx.zero()) + Element(ctx, {m: ONE})
+                return Presentation(ctx, p.relations, diff,
+                                    name=f"{p.name} with d({spec.label}) "
+                                         f"changed")
+    return None
+
+
+def test_certificate_rejects_exactly_what_the_slice_check_rejects():
+    cases = [random_presentation(seed)[0] for seed in range(24)]
+    cases += [m for seed in range(24) if (m := _mutated_random(seed))]
+    cases += _mutated_builtin_models()
+    verdicts = Counter()
+    for p in cases:
+        # above the largest generator degree plus one, the slice check
+        # sees d^2 on every generator
+        top = max(g.degree for g in p.context.generators) + 2
+        cert = verify_d_squared(p, top)
+        ref = slice_d_squared(p, top)
+        assert (cert.ok, cert.failure_kind) == (ref.ok, ref.failure_kind), \
+            (p.name, cert.message(), ref.message())
+        if cert.ok:
+            assert cert.slices_checked == ref.slices_checked, p.name
+        else:
+            assert "\n" not in cert.message()
+        verdicts[cert.failure_kind] += 1
+    assert verdicts[None] >= 24
+    assert verdicts["relation"] >= 3 and verdicts["d_squared"] >= 3
+
+
+def test_certificate_counts_the_slices_the_slice_check_visits():
+    models = [_section("S1", 2), _section("P1xP1", 2, "[1:1]"),
+              configuration_model(build_base(parse_space("S1")), 3),
+              twisted_section_model(build_base(parse_space("P2")),
+                                    cotangent_chern(parse_space("P2")), 2, 3)]
+    for p in models:
+        for max_degree in (0, 3, 7):
+            assert verify_d_squared(p, max_degree).slices_checked \
+                == slice_d_squared(p, max_degree).slices_checked, p.name
+
+
+def test_certificate_names_the_generator_and_verify_exits_1(monkeypatch,
+                                                            capsys):
+    bad = _with_differential(_section("P1", 2), "alpha1",
+                             _pulled_back_at_point_two, "bad")
+    rep = verify_d_squared(bad, 3)
+    assert not rep.ok and rep.failure_kind == "d_squared"
+    assert (rep.witness, rep.degree, rep.weight) == ("eta1", 2, 4)
+    monkeypatch.setattr(cli, "_build_model", lambda args: bad)
+    code = cli.main(["verify", "--space", "P1", "--r", "2",
+                     "--max-degree", "3"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(out) == 2
+    assert out[1].startswith("FAIL[d_squared] at degree 2, weight 4: "
+                             "witness eta1; d(d(eta1)) = ")
+
+
+def test_verify_rejects_a_negative_max_degree():
+    with pytest.raises(AlgebraError, match="max_degree"):
+        verify_d_squared(c2_p1(), -1)
+
+
+# -- the reduced model -----------------------------------------------------
+
+REDUCTION_DEGREES = {"P1": 7, "P2": 7, "S1": 5, "S2": 4, "P1xP1": 6}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("space", ["P1", "P2", "S1", "S2", "P1xP1"])
+def test_reduced_cohomology_equals_the_model_as_built(space, r):
+    spec = parse_space(space)
+    base = build_base(spec)
+    classes = ("[1:1]", "[7/3:1]") if space == "P1xP1" else ("1", "7/3")
+    models = ([configuration_model(base, r)]
+              + [section_model(base, parse_ample_class(base, c), r)
+                 for c in classes]
+              + [twisted_section_model(base, cotangent_chern(spec), 2, r)])
+    pair = {"eta1", f"s[{base.labels[base.fundamental]}]"}
+    max_degree = REDUCTION_DEGREES[space] - (r == 3)
+    for p in models:
+        euler = weightwise_euler(p, max_degree)
+        assert p._reduced is None  # the Euler check never reduces
+        red = p.reduced
+        lost = ({g.label for g in p.context.generators}
+                - {g.label for g in red.context.generators})
+        if p.params["model"] == "C":
+            assert red is p
+        else:
+            assert lost == pair and red.core is p.core
+        table = cohomology(p, max_degree)
+        assert table.model == {"name": p.name, **p.params}
+        assert table.entries == unreduced_cohomology(p, max_degree), p.name
+        for k in range(max_degree + 1):
+            assert euler.coefficient(k) == sum(
+                (-1) ** i * table.dim(i, k) for i in range(k + 1)), (p.name, k)
+
+
+def _free_presentation(space, specs, images):
+    """Relation-free presentation over the base ``space``, whose
+    degree-2 class is x; ``images(g, x)`` gives d by generator label,
+    from the generator elements ``g`` by label."""
+    base = build_base(parse_space(space))
+    ctx = AlgebraContext(base, [GeneratorSpec(*s) for s in specs])
+    g = {s[0]: ctx.gen_element(s[0]) for s in specs}
+    x = ctx.base_element({base.index_of("x"): ONE})
+    diff = {ctx.gen_index(label): img
+            for label, img in images(g, x).items()}
+    return Presentation(ctx, [], diff, name=f"free over {space}")
+
+
+def test_reduction_signs_powers_and_greedy_cancellation():
+    # odd y with an odd generator after it: y b = -b y, so y -> -x a must
+    # give d(w) = (y + x a) b -> 0, not -2 x a b
+    odd = _free_presentation(
+        "P1", [("a", 1, 1), ("y", 3, 3), ("b", 1, 1), ("e", 2, 3),
+               ("w", 3, 4)],
+        lambda g, x: {"e": g["y"] + x * g["a"],
+                      "w": g["y"] * g["b"] + x * g["a"] * g["b"]})
+    # even y: y -> -x; d(z) = y^2 + x y -> 0; d(t) = e y - z -> -z, so
+    # (t, z) becomes a second contractible pair
+    even = _free_presentation(
+        "P2", [("e", 1, 2), ("y", 2, 2), ("z", 3, 4), ("t", 2, 4)],
+        lambda g, x: {"e": g["y"] + x, "z": g["y"] * g["y"] + x * g["y"],
+                      "t": g["e"] * g["y"] - g["z"]})
+    for p, kept in ((odd, ["a", "b", "w"]), (even, [])):
+        assert verify_d_squared(p, 6).ok
+        red = p.reduced
+        assert [g.label for g in red.context.generators] == kept
+        assert not red.differential
+        dense = dense_cohomology_dims(p, 6)
+        assert cohomology(p, 6).dims() == [dense[d] for d in range(7)]
