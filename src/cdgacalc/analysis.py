@@ -380,6 +380,8 @@ def generated_subgroup(generators: Iterable[Perm], r: int) -> list[Perm]:
 
 def check_subgroup_closed(subgroup: Sequence[Perm]) -> list[Perm]:
     elems = [tuple(s) for s in subgroup]
+    if not elems:
+        raise AlgebraError("subgroup is empty")
     seen = set(elems)
     if len(seen) != len(elems):
         raise AlgebraError("subgroup contains duplicate permutations")
@@ -452,34 +454,66 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
                         max_degree: int) -> CohomologyTable:
     """Cohomology of the image of the character-averaging projector.
 
-    The projector (char(1)/|G|) sum_sigma char(sigma^{-1}) M_sigma
-    commutes with d (each action does, by construction), so d restricts
-    to the isotypic subcomplex; each slice checks that exactly.  For the
-    trivial character this is the subcomplex of invariants.  Only the
-    projector's rref is used, which a nonzero scalar does not change, so
-    the 1/|G| is left out.
+    The projector P = (char(1)/|G|) sum_sigma char(sigma^{-1}) sigma is
+    central in Q[G], so it commutes with d (each action does, by
+    construction) and d restricts to the isotypic subcomplex; each slice
+    checks that exactly.  For the trivial character this is the
+    subcomplex of invariants.  Only the rref of P's image is used, which
+    a nonzero scalar does not change, so the 1/|G| is left out.
+
+    Each action sends a monomial to one signed monomial, so the image is
+    spanned by orbit sums of free monomials: P(sigma m) for the members
+    sigma m of each orbit meeting the slice's basis, summed before one
+    reduction.  For a linear character, P sigma = char(sigma) P, so one
+    row per orbit, P(m), spans the same image; an orbit whose stabiliser
+    acts by the other sign gives none.
     """
+    if max_degree < 0:
+        raise AlgebraError("isotypic_cohomology: max_degree must be >= 0")
     elems = check_subgroup_closed(subgroup)
+    identity = tuple(range(len(elems[0])))
+    if character.r != len(identity):
+        raise AlgebraError(f"class function is on S_{character.r}, "
+                           f"subgroup permutes {len(identity)} points")
     actions = {sig: symmetric_action(p, sig) for sig in elems}
     order = len(elems)
-    dim_char = character(tuple(range(len(elems[0]))))
-    weights = [(sig, w) for sig in elems
-               if (w := exact(dim_char * character(inverse(sig))))]
+    dim_char = character(identity)
+    # P(sigma m) = sum_rho char(1) char(sigma rho^{-1}) rho m
+    shifted = {sig: [exact(dim_char * character(compose(sig, inverse(rho))))
+                     for rho in elems] for sig in elems}
+    linear = dim_char == 1 and all(
+        character(compose(a, b)) == character(a) * character(b)
+        for a in elems for b in elems)
 
     def projector(degree: int, weight: int) -> SparseMatrix:
         sl = quotient_slice(p, degree, weight)
-        total = SparseMatrix(sl.dim, sl.dim)
-        for sig, weight_c in weights:
-            mat = map_matrix(p, actions[sig], degree, weight)
-            for i, row in enumerate(mat.rows):
-                acc = total.rows[i]
-                for j, v in row.items():
-                    nv = acc.get(j, 0) + weight_c * v
-                    if nv:
-                        acc[j] = nv
-                    else:
-                        acc.pop(j, None)
-        return total
+        seen: set = set()
+        rows = []
+        for mono in sl.quotient:
+            if mono in seen:
+                continue
+            images = []
+            for rho in elems:
+                image = actions[rho].image(mono)
+                if len(image) != 1:
+                    raise AlgebraError(
+                        "internal error: the action of "
+                        f"{rho} does not send {mono} to one monomial")
+                images.extend(image.items())
+            # one shift sigma per distinct orbit member sigma m
+            shifts: dict = {}
+            for rho, (target, _) in zip(elems, images):
+                shifts.setdefault(target, rho)
+            seen.update(shifts)
+            for sig in [identity] if linear else shifts.values():
+                orbit_sum: dict = {}
+                for (target, c), w in zip(images, shifted[sig]):
+                    if w:
+                        orbit_sum[target] = orbit_sum.get(target, 0) + w * c
+                row = sl.coords(orbit_sum)
+                if row:
+                    rows.append(row)
+        return SparseMatrix.from_rows(len(rows), sl.dim, rows)
 
     bases: dict = {}
 
@@ -531,7 +565,7 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
 def invariant_cohomology(p: Presentation, subgroup: Sequence[Perm],
                          max_degree: int) -> CohomologyTable:
     """Cohomology of the subcomplex of subgroup invariants."""
-    r = len(subgroup[0])
+    r = len(check_subgroup_closed(subgroup)[0])
     return isotypic_cohomology(p, subgroup, trivial_character(r), max_degree)
 
 

@@ -24,6 +24,11 @@ are compared.
 model as built rather than on its reduced model; both use the engine's
 slices of that model.
 
+``isotypic_projector`` is the sum over the subgroup of char(1)
+char(sigma^{-1}) times the matrix of sigma on one quotient slice, one
+reduced row per basis monomial and permutation; ``isotypic_cohomology``
+replaced it with orbit sums of free monomials, whose rref must agree.
+
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
 replaced with sparse ones; tests compare the two.
@@ -39,9 +44,11 @@ dense elimination in one (degree, weight) slice.
 from fractions import Fraction
 
 from cdgacalc.algebra import AlgebraContext, AlgebraError, Element, Monomial
+from cdgacalc.analysis import inverse
 from cdgacalc.engine import (VerificationReport, differential_matrix,
-                             quotient_slice)
-from cdgacalc.linalg import rank
+                             map_matrix, quotient_slice)
+from cdgacalc.linalg import SparseMatrix, rank
+from cdgacalc.models import symmetric_action
 from cdgacalc.rat import ONE
 
 
@@ -241,6 +248,31 @@ def unreduced_cohomology(p, max_degree):
             if value:
                 dims[(d, k)] = value
     return dims
+
+
+def isotypic_projector(p, subgroup, character, degree, weight):
+    """sum_sigma char(1) char(sigma^{-1}) M_sigma on one quotient slice.
+
+    Row i is the projector applied to basis monomial i, summed matrix by
+    matrix from ``map_matrix``; the 1/|G| is left out.
+    """
+    sl = quotient_slice(p, degree, weight)
+    dim_char = character(tuple(range(len(subgroup[0]))))
+    total = SparseMatrix(sl.dim, sl.dim)
+    for sig in subgroup:
+        weight_c = dim_char * character(inverse(sig))
+        if not weight_c:
+            continue
+        mat = map_matrix(p, symmetric_action(p, sig), degree, weight)
+        for i, row in enumerate(mat.rows):
+            acc = total.rows[i]
+            for j, v in row.items():
+                nv = acc.get(j, 0) + weight_c * v
+                if nv:
+                    acc[j] = nv
+                else:
+                    acc.pop(j, None)
+    return total
 
 
 def dense_validate(self):

@@ -1,5 +1,6 @@
 import pytest
 
+from cdgacalc import analysis
 from cdgacalc.algebra import AlgebraError, BaseAlgebra
 from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                character_euler, check_subgroup_closed,
@@ -11,9 +12,13 @@ from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                rho_bracket, rho_series, sign_character,
                                stable_range_bound, trivial_character,
                                weightwise_euler)
-from cdgacalc.engine import cohomology
+from cdgacalc.engine import _slice_weights, cohomology, quotient_slice
+from cdgacalc.linalg import rref
 from cdgacalc.models import (build_base, configuration_model,
-                             parse_ample_class, parse_space, section_model)
+                             cotangent_chern, parse_ample_class, parse_space,
+                             section_model, symmetric_action,
+                             twisted_section_model)
+from oracle import isotypic_projector
 
 
 def series(coeffs, trunc, var="w"):
@@ -224,6 +229,114 @@ def test_isotypic_with_zero_dimension_class_function_is_empty():
     assert table.dims() == [0] * 7
 
 
+def projectors_reduced(monkeypatch, p, group, chi, max_degree):
+    """Run isotypic_cohomology; return each slice's projector, as handed
+    to rref, keyed by the (degree, weight) it was built on."""
+    built, last = {}, []
+    slice_of, reduce = analysis.quotient_slice, analysis.rref
+
+    def quotient_slice_spy(q, degree, weight=None):
+        last[:] = [(degree, weight)]
+        return slice_of(q, degree, weight)
+
+    def rref_spy(m):
+        built[last[0]] = m
+        return reduce(m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "quotient_slice", quotient_slice_spy)
+        patch.setattr(analysis, "rref", rref_spy)
+        isotypic_cohomology(p, group, chi, max_degree)
+    return built
+
+
+# chi(1) = 1 but chi is not multiplicative, on S_2, S_3 and on the
+# 3-cycle's subgroup; on the transposition's subgroup the S_3 one is
+# the trivial character
+NONLINEAR = {2: ClassFunction(2, {(1, 1): 1, (2,): 0}),
+             3: ClassFunction(3, {(1, 1, 1): 1, (2, 1): 1, (3,): 0})}
+
+
+def _model(kind, space, r, param):
+    spec = parse_space(space)
+    base = build_base(spec)
+    if kind == "C":
+        return configuration_model(base, r)
+    if kind == "AL":
+        return twisted_section_model(base, cotangent_chern(spec), param, r)
+    return section_model(base, parse_ample_class(base, param), r)
+
+
+@pytest.mark.parametrize("kind, space, r, param", [
+    ("A", "P1", 2, "1"), ("A", "P1", 3, "-5/2"), ("A", "P2", 3, "1"),
+    ("A", "S1", 2, "7/3"), ("A", "P1xP1", 2, "[2/3:-5/2]"),
+    ("A", "P1xP1", 3, "[1:1]"), ("C", "P2", 3, None), ("C", "S1", 3, None),
+    ("C", "P1xP1", 2, None), ("AL", "P1", 3, 3), ("AL", "S1", 2, 2),
+    ("AL", "P2", 2, 3)])
+def test_orbit_sum_projectors_equal_the_summed_matrices(monkeypatch, kind,
+                                                        space, r, param):
+    p = _model(kind, space, r, param)
+    max_degree = 6
+    characters = [trivial_character(r), sign_character(r), NONLINEAR[r]]
+    groups = [all_permutations(r)]
+    if r == 3:
+        characters.append(STANDARD_S3)
+        groups += [generated_subgroup([(1, 0, 2)], 3),
+                   generated_subgroup([(1, 2, 0)], 3)]
+    slices = {(d, k) for d in range(max_degree + 1)
+              for k in _slice_weights(p, d)}
+    for group in groups:
+        for chi in characters:
+            built = projectors_reduced(monkeypatch, p, group, chi,
+                                       max_degree)
+            assert slices <= set(built)
+            for (d, k), mat in built.items():
+                oracle = isotypic_projector(p, group, chi, d, k)
+                assert rref(mat) == rref(oracle), (group, chi, d, k)
+
+
+def test_orbit_sum_cancels_on_a_sign_stabiliser(monkeypatch):
+    # the swap sends alpha1 alpha2 to alpha2 alpha1 = -alpha1 alpha2: its
+    # trivial orbit sum vanishes, its sign orbit sum is 2 alpha1 alpha2
+    p1 = build_base(parse_space("P1"))
+    m = section_model(p1, parse_ample_class(p1, "1"), 2)
+    group = all_permutations(2)
+    gens = [g.label for g in m.context.generators]
+    alphas = m.context.gen_element(gens.index("alpha1")) \
+        * m.context.gen_element(gens.index("alpha2"))
+    (mono, coeff), = alphas.terms.items()
+    assert symmetric_action(m, (1, 0)).image(mono) == {mono: -coeff}
+    sl = quotient_slice(m, 2, 4)
+    col = sl.index[mono]
+    triv = projectors_reduced(monkeypatch, m, group, trivial_character(2),
+                              3)[(2, 4)]
+    assert all(col not in row for row in triv.rows)
+    assert {} not in triv.rows  # a vanishing orbit sum gives no row
+    sign = projectors_reduced(monkeypatch, m, group, sign_character(2),
+                              3)[(2, 4)]
+    assert {col: 2} in sign.rows
+
+
+def test_linear_projectors_take_one_row_per_orbit(monkeypatch):
+    p2 = build_base(parse_space("P2"))
+    m = section_model(p2, parse_ample_class(p2, "1"), 3)
+    group = all_permutations(3)
+    actions = [symmetric_action(m, sig) for sig in group]
+    dims = orbits = 0
+    for chi in (trivial_character(3), sign_character(3)):
+        built = projectors_reduced(monkeypatch, m, group, chi, 6)
+        for (d, k), mat in built.items():
+            basis = quotient_slice(m, d, k).quotient
+            orbit_of = {mono: frozenset(next(iter(phi.image(mono)))
+                                        for phi in actions)
+                        for mono in basis}
+            count = len(set(orbit_of.values()))
+            assert mat.nrows <= count, (chi, d, k)
+            dims += len(basis)
+            orbits += count
+    assert orbits < dims  # the bound is below one row per basis monomial
+
+
 # Total dims of H^0..H^6 of the trivial and sign pieces under the full
 # S_r, recorded with c = 1 and equal for every nonzero c; they pin the
 # answers of the benchmark's ``symmetric`` workload, which runs at
@@ -293,6 +406,22 @@ def test_invariant_and_isotypic_reject_non_subgroups():
             invariant_cohomology(m, bad, 2)
         with pytest.raises(AlgebraError, match=msg):
             isotypic_cohomology(m, bad, sign_character(3), 2)
+
+
+def test_isotypic_rejects_malformed_input_plainly():
+    p1 = build_base(parse_space("P1"))
+    m = section_model(p1, parse_ample_class(p1, "1"), 2)
+    group = all_permutations(2)
+    with pytest.raises(AlgebraError, match="^subgroup is empty$"):
+        isotypic_cohomology(m, [], sign_character(2), 2)
+    with pytest.raises(AlgebraError, match="^subgroup is empty$"):
+        invariant_cohomology(m, [], 2)
+    with pytest.raises(AlgebraError,
+                       match="class function is on S_3, subgroup permutes "
+                             "2 points"):
+        isotypic_cohomology(m, group, STANDARD_S3, 2)
+    with pytest.raises(AlgebraError, match="max_degree must be >= 0"):
+        isotypic_cohomology(m, group, sign_character(2), -1)
 
 
 def test_class_function_validation():

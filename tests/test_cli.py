@@ -328,6 +328,16 @@ def test_verify_negative_max_degree_exits_2():
         "cdgacalc: error: verify: max_degree must be >= 0"]
 
 
+def test_invariants_negative_max_degree_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdgacalc", "invariants", "--space", "P2",
+         "--r", "2", "--max-degree", "-1"],
+        capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.splitlines() == [
+        "cdgacalc: error: isotypic_cohomology: max_degree must be >= 0"]
+
+
 # -- input contract: malformed input exits 2 with one line, no traceback -----
 
 P1_DOC = {
