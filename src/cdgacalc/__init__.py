@@ -13,9 +13,9 @@ refinements attached to them.
 from .rat import Rational, exact, rat, rat_from_str, rat_to_str
 from .linalg import SparseMatrix, RrefResult, rref, kernel_basis, rank
 from .algebra import (AlgebraError, BaseAlgebra, GeneratorSpec, Monomial,
-                      Element, AlgebraContext, AlgebraMap, TensorAlgebra,
-                      tensor_many, tensor_power, load_base_algebra,
-                      base_algebra_from_dict)
+                      Element, AlgebraContext, MonomialPermutation,
+                      TensorAlgebra, tensor_many, tensor_power,
+                      load_base_algebra, base_algebra_from_dict)
 from .engine import (Presentation, PresentationError, SliceBasis,
                      CohomologyTable, VerificationReport, ideal_slice,
                      quotient_slice, differential_matrix, differential_rank,

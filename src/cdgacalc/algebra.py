@@ -627,141 +627,47 @@ class Element:
 
 
 # ---------------------------------------------------------------------------
-# Generator-defined homomorphisms
+# Signed monomial permutations
 # ---------------------------------------------------------------------------
 
-class AlgebraMap:
-    """Endomorphism defined on the base basis and on generators.
+class MonomialPermutation:
+    """Endomorphism permuting base classes up to sign and generators.
 
-    Extends multiplicatively with Koszul signs: a monomial maps to the
-    ordered product of the images of its factors.  Images must be
-    homogeneous of the same (degree, weight) as their source, which is
-    checked at construction; multiplicativity on the base is the
-    caller's to guarantee.
-
-    When every base class maps to a multiple of one base class and the
-    generators map bijectively to multiples of generators (a signed
-    permutation, such as a symmetric-group action), the map is compiled
-    at construction: the image of b x^e is then c b' x^(pi e), its sign
-    the inversions among the permuted odd generators, with no products
-    formed.  Other maps multiply the images of the factors.
+    ``base_to[b] = (b', c)`` with c = +-1 sends base class b to c b';
+    ``gen_to[g] = t`` sends generator g to generator t.  ``gen_to`` is a
+    permutation, and every class and generator keeps its (degree,
+    weight), as the symmetric-group actions do by construction.  The map
+    extends multiplicatively with Koszul signs, so a monomial b x^e goes
+    to one signed monomial c b' x^(pi e), its sign c times that of the
+    inversions among the permuted odd generators; no products are formed.
     """
 
-    __slots__ = ("context", "base_images", "gen_images", "_table")
+    __slots__ = ("context", "base_to", "gen_to", "_source", "_odd")
 
     def __init__(self, context: AlgebraContext,
-                 gen_images: dict[int, Element],
-                 base_images: Optional[dict[int, Element]] = None):
+                 base_to: Sequence[tuple[int, int]], gen_to: Sequence[int]):
         self.context = context
-        self.gen_images = dict(gen_images)
-        self.base_images = dict(base_images) if base_images is not None else None
-        for g, img in self.gen_images.items():
-            spec = context.generators[g]
-            if img.is_zero():
-                continue
-            try:
-                d, w = img.degree(), img.weight()
-            except AlgebraError:
-                raise AlgebraError(
-                    f"non-homogeneous image for generator {spec.label}")
-            if d != spec.degree or w != spec.weight:
-                raise AlgebraError(
-                    f"non-homogeneous image: generator {spec.label} of "
-                    f"(degree,weight)=({spec.degree},{spec.weight}) mapped "
-                    f"to ({d},{w})")
-        if self.base_images is not None:
-            for b, img in self.base_images.items():
-                if img.is_zero():
-                    continue
-                d = img.degree()
-                w = img.weight()
-                if d != context.base.degrees[b] or w != context.base.weights[b]:
-                    raise AlgebraError(
-                        f"non-homogeneous image for base element "
-                        f"{context.base.labels[b]}")
-        self._table = self._compile()
+        self.base_to = tuple(base_to)
+        self.gen_to = tuple(gen_to)
+        # the image exponent of x_t is that of its source generator
+        self._source = tuple(sorted(range(len(self.gen_to)),
+                                    key=self.gen_to.__getitem__))
+        self._odd = tuple((g, t) for g, t in enumerate(self.gen_to)
+                          if context.gen_parities[g])
 
-    def _compile(self):
-        """``(base_to, source, odd_targets, scales)`` or None.
-
-        ``base_to[b]`` is (b', c) with phi(b) = c b'; generator g maps to
-        c x_t with g = ``source[t]``; ``odd_targets`` lists (g, t) for the
-        odd generators in order; ``scales`` holds (g, c) where c != 1.
-        """
-        ctx = self.context
-        dim, ngen = ctx.base.dim, len(ctx.generators)
-        images = ([self.apply_base(b).terms for b in range(dim)]
-                  + [self.apply_gen(g).terms for g in range(ngen)])
-        if any(len(terms) != 1 for terms in images):
-            return None
-        terms = [next(iter(t.items())) for t in images]
-        base_to, gens = terms[:dim], terms[dim:]
-        target = [m.exps.index(1) if m.base == ctx.base.unit
-                  and sum(m.exps) == 1 else -1 for m, _ in gens]
-        if any(any(m.exps) for m, _ in base_to) \
-                or sorted(target) != list(range(ngen)):
-            return None
-        return (tuple((m.base, c) for m, c in base_to),
-                tuple(sorted(range(ngen), key=target.__getitem__)),
-                tuple((g, target[g]) for g in range(ngen)
-                      if ctx.gen_parities[g]),
-                tuple((g, c) for g, (_, c) in enumerate(gens) if c != 1))
-
-    def apply_base(self, idx: int) -> Element:
-        if self.base_images is None:
-            return self.context.base_element({idx: ONE})
-        img = self.base_images.get(idx)
-        if img is None:
-            return self.context.base_element({idx: ONE})
-        return img
-
-    def apply_gen(self, g: int) -> Element:
-        img = self.gen_images.get(g)
-        if img is None:
-            return self.context.gen_element(g)
-        return img
-
-    def image(self, mono: Monomial) -> dict:
-        """phi of one monomial, as Monomial -> Q (a new dict)."""
-        if self._table is None:
-            img = self.apply_base(mono.base)
-            for g, exp in enumerate(mono.exps):
-                for _ in range(exp):
-                    if img.is_zero():
-                        return {}
-                    img = img * self.apply_gen(g)
-            return dict(img.terms)
-        base_to, source, odd_targets, scales = self._table
-        b, c = base_to[mono.base]
+    def image(self, mono: Monomial) -> tuple[Monomial, int]:
+        """``(m', c)`` with phi(mono) = c m', for a monomial of the
+        context (every odd exponent at most 1)."""
+        b, c = self.base_to[mono.base]
         e = mono.exps
         # inversions among the images of the odd generators, in order
         seen = inversions = 0
-        for g, t in odd_targets:
-            x = e[g]
-            if x:
-                if x > 1:
-                    return {}
+        for g, t in self._odd:
+            if e[g]:
                 inversions += (seen >> t).bit_count()
                 seen |= 1 << t
-        for g, s in scales:
-            if e[g]:
-                c = c * s ** e[g]
-        if inversions & 1:
-            c = -c
-        return {Monomial(b, tuple(map(e.__getitem__, source))): c}
-
-    def apply(self, e: Element) -> Element:
-        if e.context is not self.context:
-            raise AlgebraError("context mismatch: element not in this algebra")
-        acc: dict[Monomial, object] = {}
-        for m, c in e.terms.items():
-            for m2, c2 in self.image(m).items():
-                v = acc.get(m2, 0) + c * c2
-                if v:
-                    acc[m2] = v
-                else:
-                    acc.pop(m2, None)
-        return Element(self.context, acc)
+        return (Monomial(b, tuple(map(e.__getitem__, self._source))),
+                -c if inversions & 1 else c)
 
 
 # ---------------------------------------------------------------------------

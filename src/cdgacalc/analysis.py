@@ -53,9 +53,11 @@ class BigradedSeries:
         for k, v in coeffs.items():
             if not (0 <= k <= truncation):
                 raise AlgebraError(f"exponent {k} outside [0, {truncation}]")
-            v = int(v)
+            if v != int(v):
+                raise AlgebraError(
+                    f"non-integral coefficient {v} of {variable}^{k}")
             if v:
-                clean[k] = v
+                clean[k] = int(v)
         self.coeffs = clean
         self.truncation = truncation
         self.variable = variable
@@ -492,14 +494,7 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
         for mono in sl.quotient:
             if mono in seen:
                 continue
-            images = []
-            for rho in elems:
-                image = actions[rho].image(mono)
-                if len(image) != 1:
-                    raise AlgebraError(
-                        "internal error: the action of "
-                        f"{rho} does not send {mono} to one monomial")
-                images.extend(image.items())
+            images = [actions[rho].image(mono) for rho in elems]
             # one shift sigma per distinct orbit member sigma m
             shifts: dict = {}
             for rho, (target, _) in zip(elems, images):

@@ -57,14 +57,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .algebra import (AlgebraContext, AlgebraError, AlgebraMap, Element,
-                      Monomial)
+from .algebra import (AlgebraContext, AlgebraError, Element, Monomial,
+                      MonomialPermutation)
 from .linalg import SparseMatrix, rank, rref
 from .rat import ONE, rat
 
 
 class PresentationError(AlgebraError):
-    """Malformed presentation: inhomogeneous relation or differential."""
+    """Malformed presentation: inhomogeneous relation or differential, or
+    input outside its algebra."""
 
 
 class Presentation:
@@ -77,6 +78,11 @@ class Presentation:
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
                  params: Optional[dict] = None):
+        ngen = len(context.generators)
+        for g in differential:
+            if g not in range(ngen):
+                raise PresentationError(f"differential key {g!r} is not a "
+                                        f"generator index 0..{ngen - 1}")
         # coefficients into their exact form (int where integral)
         relations = tuple(rel.context.element(rel.terms) for rel in relations)
         differential = {g: img.context.element(img.terms)
@@ -84,6 +90,9 @@ class Presentation:
                         if img is not None and not img.is_zero()}
         grades = []
         for rel in relations:
+            if rel.context is not context:
+                raise PresentationError(
+                    f"relation {rel!r} lives in another algebra")
             if rel.is_zero():
                 raise PresentationError("zero relation")
             try:
@@ -93,6 +102,9 @@ class Presentation:
                     f"relation not homogeneous: {rel!r}") from None
         for g, img in differential.items():
             spec = context.generators[g]
+            if img.context is not context:
+                raise PresentationError(
+                    f"d({spec.label}) lives in another algebra")
             try:
                 d, w = img.degree(), img.weight()
             except AlgebraError:
@@ -126,7 +138,7 @@ class Presentation:
         self._reduced: Optional[Presentation] = None
         self._odd_bits = tuple(1 << i if odd else 0
                                for i, odd in enumerate(context.gen_parities))
-        self._derivations = self._compile_derivations()
+        self._derivations = self._derivation_tables()
 
     # -- caching ------------------------------------------------------------
 
@@ -246,7 +258,7 @@ class Presentation:
 
     # -- differential -------------------------------------------------------
 
-    def _compile_derivations(self) -> tuple:
+    def _derivation_tables(self) -> tuple:
         """``(i, terms)`` per generator with d(g_i) != 0.
 
         A term c b x^f of d(g_i) becomes (b, nonzero (generator, exponent)
@@ -554,16 +566,17 @@ def differential_rank(p: Presentation, degree: int,
     return p._cached(("rank", degree, weight), build)
 
 
-def map_matrix(p: Presentation, phi: AlgebraMap, degree: int,
+def map_matrix(p: Presentation, phi: MonomialPermutation, degree: int,
                weight: Optional[int] = None) -> SparseMatrix:
-    """Matrix of a degree/weight-preserving algebra map on one slice."""
+    """Matrix of a signed monomial permutation on one slice."""
     if phi.context is not p.context:
         raise AlgebraError("context mismatch: map not on this "
                            "presentation's algebra")
     src = quotient_slice(p, degree, weight)
     mat = SparseMatrix(src.dim, src.dim)
     for i, mono in enumerate(src.quotient):
-        mat.rows[i] = src.coords(phi.image(mono))
+        image, c = phi.image(mono)
+        mat.rows[i] = src.coords({image: c})
     return mat
 
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .algebra import (AlgebraContext, AlgebraError, AlgebraMap, BaseAlgebra,
-                      Element, GeneratorSpec, TensorAlgebra,
+from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, Element,
+                      GeneratorSpec, MonomialPermutation, TensorAlgebra,
                       load_base_algebra, tensor_many, tensor_power)
 from .engine import Presentation
 from .linalg import SparseMatrix, rref
@@ -293,7 +293,14 @@ def _layout(p: Presentation) -> ModelLayout:
             "presentation was not built by the model builders")
     base_dim = p.context.base.factors[0].dim if isinstance(
         p.context.base, TensorAlgebra) else p.context.base.dim
-    return ModelLayout(r, r * (r - 1) // 2, base_dim, kind != "C")
+    layout = ModelLayout(r, r * (r - 1) // 2, base_dim, kind != "C")
+    expected = layout.n_pairs + (base_dim + 2 * r if layout.has_marks else 0)
+    if len(p.context.generators) != expected:
+        raise AlgebraError(
+            f"presentation has {len(p.context.generators)} generators, the "
+            f"model as built has {expected}; the S_r action is defined on "
+            "the model as built, not on its reduced model")
+    return layout
 
 
 def _configuration_generators(base: BaseAlgebra, r: int) -> list[GeneratorSpec]:
@@ -576,7 +583,8 @@ def _check_permutation(sigma: Sequence[int], r: int) -> tuple[int, ...]:
     return sig
 
 
-def symmetric_action(p: Presentation, sigma: Sequence[int]) -> AlgebraMap:
+def symmetric_action(p: Presentation,
+                     sigma: Sequence[int]) -> MonomialPermutation:
     """Action of a permutation on a model presentation.
 
     ``sigma`` is 0-indexed: point i moves to slot sigma[i].  The base map
@@ -593,15 +601,14 @@ def symmetric_action(p: Presentation, sigma: Sequence[int]) -> AlgebraMap:
 
 
 def _build_action(p: Presentation, layout: ModelLayout,
-                  sig: tuple[int, ...]) -> AlgebraMap:
+                  sig: tuple[int, ...]) -> MonomialPermutation:
     r = layout.r
-    ctx = p.context
-    tensor = ctx.base
+    tensor = p.context.base
     if not isinstance(tensor, TensorAlgebra):
         raise AlgebraError("model base is not a tensor power")
     factors = tensor.factors
 
-    base_images: dict[int, Element] = {}
+    base_to = []
     for idx in range(tensor.dim):
         combo = tensor.decode(idx)
         target = [0] * r
@@ -613,20 +620,15 @@ def _build_action(p: Presentation, layout: ModelLayout,
                 for j in range(i + 1, r):
                     if sig[i] > sig[j] and factors[j].degrees[combo[j]] % 2:
                         sign ^= 1
-        coeff = -ONE if sign else ONE
-        base_images[idx] = ctx.base_element(
-            {tensor.encode(tuple(target)): coeff})
+        base_to.append((tensor.encode(tuple(target)), -1 if sign else 1))
 
-    gen_images: dict[int, Element] = {}
+    gen_to = list(range(len(p.context.generators)))
     for a in range(1, r + 1):
         for b in range(a + 1, r + 1):
-            sa, sb = sig[a - 1] + 1, sig[b - 1] + 1
-            gen_images[layout.g_index(a, b)] = ctx.gen_element(
-                layout.g_index(sa, sb))
+            gen_to[layout.g_index(a, b)] = layout.g_index(sig[a - 1] + 1,
+                                                          sig[b - 1] + 1)
     if layout.has_marks:
         for i in range(1, r + 1):
-            gen_images[layout.alpha_index(i)] = ctx.gen_element(
-                layout.alpha_index(sig[i - 1] + 1))
-            gen_images[layout.eta_index(i)] = ctx.gen_element(
-                layout.eta_index(sig[i - 1] + 1))
-    return AlgebraMap(ctx, gen_images, base_images)
+            gen_to[layout.alpha_index(i)] = layout.alpha_index(sig[i - 1] + 1)
+            gen_to[layout.eta_index(i)] = layout.eta_index(sig[i - 1] + 1)
+    return MonomialPermutation(p.context, base_to, gen_to)

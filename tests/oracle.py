@@ -33,12 +33,14 @@ replaced it with orbit sums of free monomials, whose rref must agree.
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
 replaced with sparse ones; tests compare the two.
 
-``check_multiplicative``, ``check_d_and_relations`` and
-``check_diagonal_identities`` state the laws that the symmetric-group
-actions and the diagonal class satisfy by construction, which the
-library does not re-check at runtime: images are multiplied out factor
-by factor, d is the Leibniz expansion below, and ideal membership is
-dense elimination in one (degree, weight) slice.
+``check_graded_permutation``, ``check_multiplicative``,
+``check_d_and_relations`` and ``check_diagonal_identities`` state the
+laws that the symmetric-group actions and the diagonal class satisfy by
+construction, which the library does not re-check at runtime: images
+are multiplied out factor by factor from the Elements a signed monomial
+permutation sends base classes and generators to, d is the Leibniz
+expansion below, and ideal membership is dense elimination in one
+(degree, weight) slice.
 """
 
 from fractions import Fraction
@@ -374,11 +376,17 @@ def dense_tensor_table(tensor):
 
 
 def explicit_image(phi, mono):
-    """phi(b x^e) = phi(b) prod_g phi(g)^e, multiplied out factor by factor."""
-    img = phi.apply_base(mono.base)
+    """phi(b x^e) = phi(b) prod_g phi(g)^e, multiplied out factor by factor.
+
+    The images of b and of each generator are Elements built from
+    ``base_to`` and ``gen_to``.
+    """
+    ctx = phi.context
+    target, c = phi.base_to[mono.base]
+    img = ctx.base_element({target: c})
     for g, e in enumerate(mono.exps):
         for _ in range(e):
-            img = img * phi.apply_gen(g)
+            img = img * ctx.gen_element(phi.gen_to[g])
     return img
 
 
@@ -399,17 +407,12 @@ def differential(p, elem):
 def check_multiplicative(phi):
     """Assert phi(b_i b_j) == phi(b_i) phi(b_j) on every pair of base classes.
 
-    The images must lie in the base; they are multiplied there, in a
-    context without generators.
+    The images, built from ``base_to``, are multiplied in a context
+    without generators.
     """
     base = phi.context.base
     flat = AlgebraContext(base, [])
-    images = []
-    for i in range(base.dim):
-        terms = phi.apply_base(i).terms
-        assert not any(any(m.exps) for m in terms), \
-            f"{base.labels[i]} maps out of the base"
-        images.append(flat.base_element({m.base: c for m, c in terms.items()}))
+    images = [flat.base_element({target: c}) for target, c in phi.base_to]
     for i in range(base.dim):
         for j in range(base.dim):
             image = flat.zero()
@@ -417,6 +420,24 @@ def check_multiplicative(phi):
                 image = image + images[k].scale(c)
             assert image == images[i] * images[j], \
                 f"not multiplicative on ({base.labels[i]}, {base.labels[j]})"
+
+
+def check_graded_permutation(phi):
+    """Assert phi permutes base classes up to sign and permutes generators,
+    each onto one of the same (degree, weight)."""
+    ctx = phi.context
+    base = ctx.base
+    assert sorted(t for t, _ in phi.base_to) == list(range(base.dim))
+    for b, (t, c) in enumerate(phi.base_to):
+        assert c in (1, -1), f"{base.labels[b]} maps to {c} times a class"
+        assert (base.degrees[t], base.weights[t]) == \
+            (base.degrees[b], base.weights[b]), \
+            f"{base.labels[b]} maps to {base.labels[t]} of another grade"
+    assert sorted(phi.gen_to) == list(range(len(ctx.generators)))
+    for g, t in enumerate(phi.gen_to):
+        src, dst = ctx.generators[g], ctx.generators[t]
+        assert (dst.degree, dst.weight) == (src.degree, src.weight), \
+            f"{src.label} maps to {dst.label} of another grade"
 
 
 def check_d_and_relations(p, maps):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from cdgacalc.algebra import (AlgebraError, AlgebraContext, AlgebraMap,
-                              BaseAlgebra, GeneratorSpec, Monomial,
+from cdgacalc.algebra import (AlgebraError, AlgebraContext, BaseAlgebra,
+                              GeneratorSpec, Monomial, MonomialPermutation,
                               base_algebra_from_dict, load_base_algebra,
                               tensor_many, tensor_power)
 from cdgacalc.models import (build_base, parse_ample_class, parse_space,
@@ -154,57 +154,27 @@ def test_tensor_power_koszul_sign():
     assert not (a_left * a_right).is_zero()
 
 
-def test_apply_homomorphism_identity_and_scaling():
-    ctx = AlgebraContext(p1_algebra(), [
-        GeneratorSpec("alpha", 1, 2), GeneratorSpec("eta", 2, 4),
-    ])
-    alpha, eta = ctx.gen_element("alpha"), ctx.gen_element("eta")
-    m = alpha * eta
-    ident = AlgebraMap(ctx, {})
-    assert ident.apply(m) == m
-    scal = AlgebraMap(ctx, {0: alpha.scale(2)})
-    assert scal.apply(m) == m.scale(2)
-
-
-def test_apply_multiplies_images_that_are_not_monomial_permutations():
-    ctx = AlgebraContext(p1_algebra(), [
-        GeneratorSpec("a", 2, 2), GeneratorSpec("b", 2, 2),
-        GeneratorSpec("u", 1, 1), GeneratorSpec("v", 1, 1),
-    ])
-    a, b, u, v = (ctx.gen_element(x) for x in "abuv")
-    mixed = AlgebraMap(ctx, {0: a + b})         # a two-term image
-    assert mixed._table is None
-    assert mixed.apply(a * b) == a * b + b * b
-    merged = AlgebraMap(ctx, {0: b, 2: v})      # not injective
-    assert merged._table is None
-    assert merged.apply(a * b) == b * b
-    assert merged.apply(u * v).is_zero()
-    swap = AlgebraMap(ctx, {2: v, 3: u.scale(3)})
-    assert swap._table is not None
-    assert swap.apply(u * v) == (u * v).scale(-3)
-
-
 def test_apply_homomorphism_swap_sign():
     t = tensor_power(genus1_algebra(), 2)
-    ctx = AlgebraContext(t, [])
+    ctx = AlgebraContext(t, [GeneratorSpec("u", 1, 1),
+                             GeneratorSpec("v", 1, 1)])
     # swap of tensor factors: u (x) v -> (-1)^{|u||v|} v (x) u
-    base_images = {}
+    base_to = []
     for idx in range(t.dim):
         u, v = t.decode(idx)
-        sign = -ONE if (t.factors[0].degrees[u] % 2
-                        and t.factors[1].degrees[v] % 2) else ONE
-        base_images[idx] = ctx.base_element({t.encode((v, u)): sign})
-    swap = AlgebraMap(ctx, {}, base_images)
+        sign = -1 if (t.factors[0].degrees[u] % 2
+                      and t.factors[1].degrees[v] % 2) else 1
+        base_to.append((t.encode((v, u)), sign))
+    swap = MonomialPermutation(ctx, base_to, [1, 0])
     check_multiplicative(swap)
-    a_both = ctx.base_element({t.encode((1, 1)): ONE})  # a1 (x) a1
-    assert swap.apply(a_both) == -a_both
-
-
-def test_homomorphism_rejects_inhomogeneous_image():
-    ctx = AlgebraContext(p1_algebra(), [GeneratorSpec("alpha", 1, 2)])
-    bad = ctx.one() + ctx.gen_element("alpha")
-    with pytest.raises(AlgebraError, match="non-homogeneous"):
-        AlgebraMap(ctx, {0: bad})
+    a_both = t.encode((1, 1))  # a1 (x) a1
+    assert swap.image(Monomial(a_both, (0, 0))) == (Monomial(a_both, (0, 0)),
+                                                    -1)
+    # u v -> v u = -u v, times the base sign
+    assert swap.image(Monomial(a_both, (1, 1))) == (Monomial(a_both, (1, 1)),
+                                                    1)
+    assert swap.image(Monomial(t.unit, (1, 0))) == (Monomial(t.unit, (0, 1)),
+                                                    1)
 
 
 def test_context_mismatch_raises():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cdgacalc import analysis
@@ -37,6 +39,15 @@ def test_series_arithmetic():
         series({0: 2}, 6).reciprocal()
     with pytest.raises(AlgebraError, match="variable"):
         a * series({0: 1}, 6, "t")
+
+
+def test_series_rejects_non_integral_coefficients():
+    with pytest.raises(AlgebraError, match="non-integral coefficient 1/2 of"
+                                           " w\\^0"):
+        series({0: Fraction(1, 2), 1: 2}, 3)
+    with pytest.raises(AlgebraError, match="non-integral coefficient 2.7"):
+        series({0: 1, 1: 2.7}, 3)
+    assert series({0: Fraction(4, 2), 1: 3.0}, 3).coeffs == {0: 2, 1: 3}
 
 
 def test_poincare_series_weight_version():
@@ -305,7 +316,7 @@ def test_orbit_sum_cancels_on_a_sign_stabiliser(monkeypatch):
     alphas = m.context.gen_element(gens.index("alpha1")) \
         * m.context.gen_element(gens.index("alpha2"))
     (mono, coeff), = alphas.terms.items()
-    assert symmetric_action(m, (1, 0)).image(mono) == {mono: -coeff}
+    assert symmetric_action(m, (1, 0)).image(mono) == (mono, -coeff)
     sl = quotient_slice(m, 2, 4)
     col = sl.index[mono]
     triv = projectors_reduced(monkeypatch, m, group, trivial_character(2),
@@ -327,7 +338,7 @@ def test_linear_projectors_take_one_row_per_orbit(monkeypatch):
         built = projectors_reduced(monkeypatch, m, group, chi, 6)
         for (d, k), mat in built.items():
             basis = quotient_slice(m, d, k).quotient
-            orbit_of = {mono: frozenset(next(iter(phi.image(mono)))
+            orbit_of = {mono: frozenset(phi.image(mono)[0]
                                         for phi in actions)
                         for mono in basis}
             count = len(set(orbit_of.values()))

@@ -187,6 +187,42 @@ def test_presentation_rejects_weight_inhomogeneous_differential():
         Presentation(ctx, [], {0: ctx.base_element({1: ONE})})
 
 
+def test_presentation_rejects_relation_from_another_algebra():
+    base = build_base(parse_space("P1"))
+    ctx = AlgebraContext(base, [GeneratorSpec("a", 1, 2)])
+    other = AlgebraContext(base, [GeneratorSpec("a", 1, 2)])
+    rel = other.gen_element("a") * other.base_element({1: ONE})
+    with pytest.raises(PresentationError, match="relation .* lives in "
+                                                "another algebra"):
+        Presentation(ctx, [rel], {})
+
+
+def test_presentation_rejects_differential_from_another_algebra():
+    base = build_base(parse_space("P1"))
+    ctx = AlgebraContext(base, [GeneratorSpec("a", 1, 2)])
+    other = AlgebraContext(base, [GeneratorSpec("a", 1, 2)])
+    with pytest.raises(PresentationError,
+                       match=r"d\(a\) lives in another algebra"):
+        Presentation(ctx, [], {0: other.base_element({1: ONE})})
+
+
+def test_presentation_rejects_negative_differential_key():
+    base = build_base(parse_space("P1"))
+    ctx = AlgebraContext(base, [GeneratorSpec("a", 1, 2)])
+    with pytest.raises(PresentationError,
+                       match="differential key -1 is not a generator index"):
+        Presentation(ctx, [], {-1: ctx.base_element({1: ONE})})
+
+
+def test_presentation_rejects_differential_key_past_the_generators():
+    base = build_base(parse_space("P1"))
+    ctx = AlgebraContext(base, [GeneratorSpec("a", 1, 2)])
+    with pytest.raises(PresentationError,
+                       match="differential key 1 is not a generator index "
+                             "0..0"):
+        Presentation(ctx, [], {1: ctx.base_element({1: ONE})})
+
+
 def test_slice_caches_keep_their_key_shapes():
     # bench/child.py harvest_keys reads these caches by their key shapes;
     # cohomology runs on the reduced model, which caches its factored

@@ -16,7 +16,8 @@ from cdgacalc.models import (ProjectiveSpace, Surface, Product, build_base,
                              symmetric_action, twisted_section_model)
 from cdgacalc.rat import ONE
 from oracle import (check_d_and_relations, check_diagonal_identities,
-                    check_multiplicative, dense_tensor_table, explicit_image)
+                    check_graded_permutation, check_multiplicative,
+                    dense_tensor_table, explicit_image)
 
 
 def test_build_base_presets():
@@ -199,12 +200,12 @@ def test_symmetric_action_swap_on_configuration():
     cm = configuration_model(p1, 2)
     swap = symmetric_action(cm, (1, 0))
     ctx = cm.context
-    g = ctx.gen_element(0)
-    assert swap.apply(g) == g
+    (g, _), = ctx.gen_element(0).terms.items()
+    assert swap.image(g) == (g, 1)
     t = ctx.base
-    x1 = ctx.base_element({t.encode((1, 0)): ONE})
-    x2 = ctx.base_element({t.encode((0, 1)): ONE})
-    assert swap.apply(x1) == x2
+    x1 = ctx.monomial(t.encode((1, 0)))
+    x2 = ctx.monomial(t.encode((0, 1)))
+    assert swap.image(x1) == (x2, 1)
 
 
 def test_symmetric_action_swap_sign_on_surface():
@@ -214,8 +215,8 @@ def test_symmetric_action_swap_sign_on_surface():
     ctx = cm.context
     t = ctx.base
     a_idx = s1.index_of("a1")
-    both = ctx.base_element({t.encode((a_idx, a_idx)): ONE})
-    assert swap.apply(both) == -both
+    both = ctx.monomial(t.encode((a_idx, a_idx)))
+    assert swap.image(both) == (both, -1)
 
 
 def test_symmetric_action_equivariance():
@@ -237,10 +238,10 @@ def test_symmetric_action_three_points():
     p2 = build_base(parse_space("P2"))
     m = configuration_model(p2, 3)
     cycle = symmetric_action(m, (1, 2, 0))
-    g12 = m.context.gen_element(0)
+    (g12, _), = m.context.gen_element(0).terms.items()
+    (g23, _), = m.context.gen_element(m.context.gen_index("G23")).terms.items()
     # G12 -> G_{sigma(1)sigma(2)} = G23
-    assert cycle.apply(g12) == m.context.gen_element(
-        m.context.gen_index("G23"))
+    assert cycle.image(g12) == (g23, 1)
 
 
 @pytest.mark.parametrize("space, r, c, max_degree", [
@@ -258,12 +259,12 @@ def test_compiled_action_equals_explicit_product(space, r, c, max_degree):
     flips = 0
     for sig in all_permutations(r):
         phi = symmetric_action(p, sig)
-        assert phi._table is not None  # the compiled route is under test
         for d in range(max_degree + 1):
             for mono in ctx.monomials_of(d):
-                image = phi.image(mono)
-                assert image == explicit_image(phi, mono).terms, (sig, mono)
-                flips += -1 in image.values()
+                image, c = phi.image(mono)
+                assert {image: c} == explicit_image(phi, mono).terms, \
+                    (sig, mono)
+                flips += c == -1
     assert flips  # some images change sign
 
 
@@ -326,18 +327,26 @@ def test_laws_that_hold_by_construction(space, r, tmp_path):
     actions = [[symmetric_action(p, sig) for sig in all_permutations(r)]
                for p in families]
     for p, maps in zip(families, actions):
+        for phi in maps:
+            check_graded_permutation(phi)
         check_d_and_relations(p, maps)
     # every family acts on the same tensor power by the same base map, so
     # multiplicativity is checked on the configuration model's maps
     for phi in actions[0]:
         check_multiplicative(phi)
     for maps in actions[1:]:
-        assert list(map(_base_map, maps)) == list(map(_base_map, actions[0]))
+        assert [phi.base_to for phi in maps] == \
+            [phi.base_to for phi in actions[0]]
 
 
-def _base_map(phi):
-    return [{m.base: c for m, c in phi.apply_base(i).terms.items()}
-            for i in range(phi.context.base.dim)]
+def test_symmetric_action_rejects_the_reduced_model():
+    p1 = build_base(parse_space("P1"))
+    p = section_model(p1, parse_ample_class(p1, "1"), 2)
+    assert p.reduced is not p
+    with pytest.raises(AlgebraError, match="defined on the model as built"):
+        symmetric_action(p.reduced, (1, 0))
+    with pytest.raises(AlgebraError, match="defined on the model as built"):
+        invariant_cohomology(p.reduced, all_permutations(2), 5)
 
 
 def test_map_matrix_rejects_map_on_another_context():
