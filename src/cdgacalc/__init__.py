@@ -11,7 +11,7 @@ refinements attached to them.
 """
 
 from .rat import Rational, exact, rat, rat_from_str, rat_to_str
-from .linalg import SparseMatrix, RrefResult, rref, kernel_basis, rank
+from .linalg import SparseMatrix, RrefResult, rref, rank
 from .algebra import (AlgebraError, BaseAlgebra, GeneratorSpec, Monomial,
                       Element, AlgebraContext, MonomialPermutation,
                       TensorAlgebra, tensor_many, tensor_power,
@@ -32,7 +32,6 @@ from .analysis import (BigradedSeries, ClassFunction, poincare_series_U,
                        rho_bracket, r1_stable_series, invariant_cohomology,
                        isotypic_cohomology, character_euler,
                        stable_range_bound, trivial_character, sign_character,
-                       regular_character, all_permutations,
-                       generated_subgroup, cycle_type)
+                       all_permutations, generated_subgroup, cycle_type)
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ every other module for determinism.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -75,22 +74,28 @@ class BaseAlgebra:
             if clean:
                 tbl[(i, j)] = clean
         self.table = tbl
-        self._by_degree: dict[int, tuple[int, ...]] = {}
-        self._by_deg_weight: dict[tuple[int, int], tuple[int, ...]] = {}
-        for idx, d in enumerate(self.degrees):
-            self._by_degree.setdefault(d, ())
-            self._by_degree[d] += (idx,)
-            key = (d, self.weights[idx])
-            self._by_deg_weight.setdefault(key, ())
-            self._by_deg_weight[key] += (idx,)
+        self._index_grades()
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._label_index) != self.dim:
             raise AlgebraError("duplicate basis labels")
+
+    def _index_grades(self) -> None:
+        """The basis indices of each degree and (degree, weight), ascending."""
+        by_degree: dict[int, list[int]] = {}
+        by_deg_weight: dict[tuple[int, int], list[int]] = {}
+        for idx, (d, w) in enumerate(zip(self.degrees, self.weights)):
+            by_degree.setdefault(d, []).append(idx)
+            by_deg_weight.setdefault((d, w), []).append(idx)
+        self._by_degree = {d: tuple(v) for d, v in by_degree.items()}
+        self._by_deg_weight = {k: tuple(v) for k, v in by_deg_weight.items()}
 
     # -- lookups ---------------------------------------------------------
 
     def product(self, i: int, j: int) -> dict[int, object]:
         return self.table.get((i, j), {})
+
+    def label(self, idx: int) -> str:
+        return self.labels[idx]
 
     def index_of(self, label: str) -> int:
         try:
@@ -234,58 +239,109 @@ class BaseAlgebra:
 
 
 class TensorAlgebra(BaseAlgebra):
-    """Tensor product of base algebras, with factor bookkeeping.
+    """Tensor product of base algebras, as a view over its factors.
 
     Basis elements are tuples of factor basis elements (encoded row-major
     into a flat index), labelled by the factor labels joined with "⊗"; a
     factor label that itself holds "⊗" is wrapped in parentheses.
-    Structure constants carry the Koszul signs of the interleaving.
     ``pullback`` implements the algebra map induced by projecting onto one
     factor.
 
-    The table is built from the factors' nonzero products only, so
-    construction costs the product of the factors' nonzero counts, not
-    dim^2.  It is not validated: a tensor product of valid factors
-    satisfies every law by construction, which the test suite checks.
+    Nothing is built per pair of classes up front: ``product`` multiplies
+    the factors' products slot by slot, with the Koszul signs of the
+    interleaving, on first use and memoises the result, so ``table``
+    holds only the pairs seen so far (zero products as empty dicts).
+    Degrees, weights and the per-degree bases are built in passes linear
+    in the dimension; labels are computed on demand.  The view is not
+    validated: a tensor product of valid factors satisfies every law by
+    construction, which the test suite checks against the all-pairs
+    product table.
     """
 
     __slots__ = ("factors", "_strides")
 
     def __init__(self, factors: Sequence[BaseAlgebra], name=None):
         factors = tuple(factors)
-        dims = [f.dim for f in factors]
         strides = [1] * len(factors)
         for i in range(len(factors) - 2, -1, -1):
-            strides[i] = strides[i + 1] * dims[i + 1]
+            strides[i] = strides[i + 1] * factors[i + 1].dim
         self.factors = factors
         self._strides = tuple(strides)
-
-        combos = [()]
+        self.name = name or "⊗".join(f.name for f in factors)
+        self.n = sum(f.n for f in factors)
+        self.dim = strides[0] * factors[0].dim
+        self.unit = self._enc(tuple(f.unit for f in factors))
+        self.fundamental = self._enc(tuple(f.fundamental for f in factors))
+        degrees = weights = (0,)
         for f in factors:
-            combos = [c + (i,) for c in combos for i in range(f.dim)]
-        # a factor label holding "⊗" is bracketed, so labels stay distinct
-        factor_labels = [tuple(f"({lab})" if "⊗" in lab else lab
-                               for lab in f.labels) for f in factors]
-        labels = ["⊗".join(lab[c[i]] for i, lab in enumerate(factor_labels))
-                  for c in combos]
-        degrees = [sum(f.degrees[c[i]] for i, f in enumerate(factors))
-                   for c in combos]
-        weights = [sum(f.weights[c[i]] for i, f in enumerate(factors))
-                   for c in combos]
-        # (u, v) is nonzero only if every slot pair is nonzero in its factor
-        table: dict[tuple[int, int], dict[int, object]] = {}
-        for slots in itertools.product(*(f.table for f in factors)):
-            u, v = zip(*slots)
-            prod = self._slotwise_product(u, v)
-            if prod:
-                table[(self._enc(u), self._enc(v))] = prod
-        # keys in (u, v) order, the order additivity errors are found in
-        table = dict(sorted(table.items()))
-        unit = self._enc(tuple(f.unit for f in factors))
-        fund = self._enc(tuple(f.fundamental for f in factors))
-        self._fill(name or "⊗".join(f.name for f in factors),
-                   sum(f.n for f in factors), labels, degrees, unit, fund,
-                   table, weights)
+            degrees = tuple(d + e for d in degrees for e in f.degrees)
+            weights = tuple(w + e for w in weights for e in f.weights)
+        self.degrees = degrees
+        self.weights = weights
+        self._index_grades()
+        self.table = {}
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(self.label, range(self.dim)))
+
+    def label(self, idx: int) -> str:
+        parts = []
+        for f in reversed(self.factors):
+            idx, a = divmod(idx, f.dim)
+            lab = f.label(a)
+            parts.append(f"({lab})" if "⊗" in lab else lab)
+        return "⊗".join(reversed(parts))
+
+    def index_of(self, label: str) -> int:
+        for idx in range(self.dim):
+            if self.label(idx) == label:
+                return idx
+        raise AlgebraError(f"unknown basis label {label!r}")
+
+    def product(self, i: int, j: int) -> dict[int, object]:
+        prod = self.table.get((i, j))
+        if prod is None:
+            prod = self.table[(i, j)] = self._multiply(i, j)
+        return prod
+
+    def _multiply(self, i: int, j: int) -> dict[int, object]:
+        # one pass over the slots, right to left: each class b of the
+        # right operand moves left past the odd classes of the left one
+        # to its right.  Single-term factor products fold into (k, c);
+        # the others expand afterwards, the leftmost factor's terms
+        # outermost, as a left-to-right expansion orders them.
+        k, c = 0, ONE
+        stride = 1
+        flip = odd_after = 0
+        several = []
+        for f in reversed(self.factors):
+            dim = f.dim
+            i, a = divmod(i, dim)
+            j, b = divmod(j, dim)
+            prod = f.table.get((a, b))
+            if prod is None:  # a factor that is itself a lazy view
+                prod = f.product(a, b)
+            if not prod:
+                return {}
+            flip ^= odd_after & f.degrees[b]
+            odd_after ^= f.degrees[a] & 1
+            if len(prod) == 1:
+                for k2, c2 in prod.items():
+                    k += stride * k2
+                    c *= c2
+            else:
+                several.append((stride, prod))
+            stride *= dim
+        if flip:
+            c = -c
+        if not several:
+            return {k: c if type(c) is int else exact(c)}
+        acc = [(k, c)]
+        for stride, prod in several:
+            acc = [(k + stride * k2, c * c2)
+                   for k2, c2 in prod.items() for k, c in acc]
+        return {k: c if type(c) is int else exact(c) for k, c in acc}
 
     def _enc(self, combo: tuple[int, ...]) -> int:
         return sum(c * s for c, s in zip(combo, self._strides))
@@ -298,25 +354,6 @@ class TensorAlgebra(BaseAlgebra):
         for s, f in zip(self._strides, self.factors):
             out.append(idx // s % f.dim)
         return tuple(out)
-
-    def _slotwise_product(self, u, v) -> dict[int, object]:
-        # Koszul sign: each v_i moves left past u_j for all j > i.
-        sign_exp = odd_after = 0
-        for f, a, b in reversed(tuple(zip(self.factors, u, v))):
-            if f.degrees[b] % 2:
-                sign_exp += odd_after
-            odd_after += f.degrees[a] % 2
-        acc: list[tuple[int, object]] = [(0, -ONE if sign_exp % 2 else ONE)]
-        for f, a, b, stride in zip(self.factors, u, v, self._strides):
-            prod = f.table.get((a, b))
-            if not prod:
-                return {}
-            acc = [(k + stride * k2, c * c2)
-                   for k, c in acc for k2, c2 in prod.items()]
-        out: dict[int, object] = {}
-        for k, c in acc:
-            out[k] = out.get(k, 0) + c
-        return {k: c for k, c in out.items() if c}
 
     def pullback(self, slot: int, coeffs: dict[int, object]) -> dict[int, object]:
         """Embed a factor element into the tensor algebra (units elsewhere)."""
@@ -446,7 +483,7 @@ class AlgebraContext:
     def monomial_label(self, m: Monomial) -> str:
         parts = []
         if m.base != self.base.unit or not any(m.exps):
-            parts.append(self.base.labels[m.base])
+            parts.append(self.base.label(m.base))
         for g, e in zip(self.generators, m.exps):
             if e == 1:
                 parts.append(g.label)
@@ -631,34 +668,55 @@ class Element:
 # ---------------------------------------------------------------------------
 
 class MonomialPermutation:
-    """Endomorphism permuting base classes up to sign and generators.
+    """Endomorphism permuting tensor factors up to sign and generators.
 
-    ``base_to[b] = (b', c)`` with c = +-1 sends base class b to c b';
-    ``gen_to[g] = t`` sends generator g to generator t.  ``gen_to`` is a
-    permutation, and every class and generator keeps its (degree,
-    weight), as the symmetric-group actions do by construction.  The map
-    extends multiplicatively with Koszul signs, so a monomial b x^e goes
-    to one signed monomial c b' x^(pi e), its sign c times that of the
+    The base is a tensor power; ``slots[i]`` is the slot factor i moves
+    to, so a base class goes to one class of the same (degree, weight)
+    times the Koszul sign of its odd factor classes passing each other.
+    ``gen_to[g] = t`` sends generator g to generator t of the same
+    (degree, weight); ``gen_to`` is a permutation, as the
+    symmetric-group actions have by construction.  The map extends
+    multiplicatively with Koszul signs, so a monomial b x^e goes to one
+    signed monomial c b' x^(pi e), its sign c times that of the
     inversions among the permuted odd generators; no products are formed.
+    ``base_image(b) = (b', c)`` is computed on first use and memoised in
+    ``base_to``.
     """
 
-    __slots__ = ("context", "base_to", "gen_to", "_source", "_odd")
+    __slots__ = ("context", "slots", "gen_to", "base_to", "_source", "_odd")
 
-    def __init__(self, context: AlgebraContext,
-                 base_to: Sequence[tuple[int, int]], gen_to: Sequence[int]):
+    def __init__(self, context: AlgebraContext, slots: Sequence[int],
+                 gen_to: Sequence[int]):
         self.context = context
-        self.base_to = tuple(base_to)
+        self.slots = tuple(slots)
         self.gen_to = tuple(gen_to)
+        self.base_to: dict[int, tuple[int, int]] = {}
         # the image exponent of x_t is that of its source generator
         self._source = tuple(sorted(range(len(self.gen_to)),
                                     key=self.gen_to.__getitem__))
         self._odd = tuple((g, t) for g, t in enumerate(self.gen_to)
                           if context.gen_parities[g])
 
+    def base_image(self, b: int) -> tuple[int, int]:
+        """``(b', c)`` with phi(b) = c b', for a base class b."""
+        hit = self.base_to.get(b)
+        if hit is not None:
+            return hit
+        base = self.context.base
+        # inversions among the odd factor classes, as for generators below
+        target = seen = flip = 0
+        for f, a, s in zip(base.factors, base.decode(b), self.slots):
+            target += a * base._strides[s]
+            if f.degrees[a] & 1:
+                flip ^= (seen >> s).bit_count() & 1
+                seen |= 1 << s
+        hit = self.base_to[b] = (target, -1 if flip else 1)
+        return hit
+
     def image(self, mono: Monomial) -> tuple[Monomial, int]:
         """``(m', c)`` with phi(mono) = c m', for a monomial of the
         context (every odd exponent at most 1)."""
-        b, c = self.base_to[mono.base]
+        b, c = self.base_to.get(mono.base) or self.base_image(mono.base)
         e = mono.exps
         # inversions among the images of the odd generators, in order
         seen = inversions = 0

@@ -127,9 +127,6 @@ class BigradedSeries:
             inv[k] = -a0 * acc
         return BigradedSeries(inv, self.truncation, self.variable)
 
-    def evaluate_at_one(self) -> int:
-        return sum(self.coeffs.values())
-
     def __eq__(self, other):
         return (isinstance(other, BigradedSeries)
                 and self.variable == other.variable
@@ -207,7 +204,7 @@ def _check_weight_bounds(p: Presentation) -> None:
     for i in range(ctx.base.dim):
         if ctx.base.weights[i] < ctx.base.degrees[i]:
             raise AlgebraError(
-                f"base class {ctx.base.labels[i]} has weight < degree: "
+                f"base class {ctx.base.label(i)} has weight < degree: "
                 "weightwise sums cannot be bounded")
 
 
@@ -438,12 +435,6 @@ def sign_character(r: int) -> ClassFunction:
     for p in _partitions(r):
         transpositions = sum(c - 1 for c in p)
         vals[p] = Fraction(-1 if transpositions % 2 else 1)
-    return ClassFunction(r, vals)
-
-
-def regular_character(r: int) -> ClassFunction:
-    vals = {p: Fraction(0) for p in _partitions(r)}
-    vals[(1,) * r] = Fraction(math.factorial(r))
     return ClassFunction(r, vals)
 
 

@@ -60,7 +60,7 @@ from typing import Callable, Optional, Sequence
 from .algebra import (AlgebraContext, AlgebraError, Element, Monomial,
                       MonomialPermutation)
 from .linalg import SparseMatrix, rank, rref
-from .rat import ONE, rat
+from .rat import ONE, exact, rat
 
 
 class PresentationError(AlgebraError):
@@ -311,6 +311,8 @@ class Presentation:
                 if rest_odd & f_odd:
                     continue
                 prod = base.table.get((b, tb))
+                if prod is None:
+                    prod = base.product(b, tb)
                 if not prod:
                     continue
                 if f_items:
@@ -549,7 +551,10 @@ def differential_matrix(p: Presentation, degree: int,
                 image: dict[Monomial, object] = {}
                 p._leibniz_into(image, mono, 1)
                 if image:
-                    mat.rows[i] = tgt.coords(image)
+                    row = mat.rows[i] = tgt.coords(image)
+                    for j, v in row.items():
+                        if type(v) is not int:
+                            row[j] = exact(v)
         return mat
 
     return p._cached(("diff", degree, weight), build)

@@ -61,31 +61,14 @@ class SparseMatrix:
         return m
 
     @classmethod
-    def from_dense(cls, dense) -> "SparseMatrix":
-        nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        return cls(nrows, ncols,
-                   ((i, j, v) for i, r in enumerate(dense)
-                    for j, v in enumerate(r) if v))
-
-    @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         return cls(n, n, ((i, i, 1) for i in range(n)))
 
     def entry(self, i: int, j: int):
         return self.rows[i].get(j, 0)
 
-    def triples(self):
-        for i, row in enumerate(self.rows):
-            for j in sorted(row):
-                yield i, j, row[j]
-
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.ncols, self.nrows,
-                            ((j, i, v) for i, j, v in self.triples()))
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -106,10 +89,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
-
-    def to_dense(self):
-        return [[self.rows[i].get(j, 0) for j in range(self.ncols)]
-                for i in range(self.nrows)]
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
@@ -207,28 +186,6 @@ def rref(m: SparseMatrix) -> RrefResult:
     reduced.rows = [{c: exact(v) for c, v in work[ri].items()}
                     for _, ri in pivots]
     return RrefResult(len(pivots), tuple(c for c, _ in pivots), reduced)
-
-
-def kernel_basis(m: SparseMatrix) -> list[dict[int, object]]:
-    """Basis of ``{v : m v = 0}`` as sparse column vectors.
-
-    One vector per non-pivot column ``f`` of the rref, in ascending column
-    order: ``v[f] = 1`` and ``v[p] = -reduced[row(p)][f]`` for each pivot
-    column ``p``.
-    """
-    res = rref(m)
-    pivot_set = set(res.pivots)
-    basis: list[dict[int, object]] = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        vec: dict[int, object] = {f: ONE}
-        for ri, p in enumerate(res.pivots):
-            coeff = res.reduced.rows[ri].get(f)
-            if coeff:
-                vec[p] = -coeff
-        basis.append(vec)
-    return basis
 
 
 def rank(m: SparseMatrix) -> int:

@@ -176,7 +176,7 @@ def class_label(base: BaseAlgebra, coeffs: dict) -> str:
     bits = []
     for idx in sorted(coeffs):
         c = coeffs[idx]
-        lab = base.labels[idx]
+        lab = base.label(idx)
         bits.append(lab if c == 1 else f"{rat_to_str(c)}{lab}")
     return "+".join(bits)
 
@@ -372,7 +372,7 @@ def _marked_generators(base: BaseAlgebra, r: int) -> list[GeneratorSpec]:
     n = base.n
     gens = _configuration_generators(base, r)
     for j in range(base.dim):
-        gens.append(GeneratorSpec(f"s[{base.labels[j]}]",
+        gens.append(GeneratorSpec(f"s[{base.label(j)}]",
                                   base.degrees[j] + 1, base.weights[j] + 2))
     gens.extend(GeneratorSpec(f"alpha{i}", 2 * n - 1, 2 * n)
                 for i in range(1, r + 1))
@@ -421,7 +421,7 @@ def section_model(base: BaseAlgebra, c: dict, r: int) -> Presentation:
     for idx in c:
         if base.degrees[idx] != 2:
             raise AlgebraError(
-                f"c must be homogeneous of degree 2; {base.labels[idx]} "
+                f"c must be homogeneous of degree 2; {base.label(idx)} "
                 f"has degree {base.degrees[idx]}")
     tensor, layout, ctx = _marked_context(base, r)
     relations = _configuration_relations(ctx, tensor, layout)
@@ -603,25 +603,6 @@ def symmetric_action(p: Presentation,
 def _build_action(p: Presentation, layout: ModelLayout,
                   sig: tuple[int, ...]) -> MonomialPermutation:
     r = layout.r
-    tensor = p.context.base
-    if not isinstance(tensor, TensorAlgebra):
-        raise AlgebraError("model base is not a tensor power")
-    factors = tensor.factors
-
-    base_to = []
-    for idx in range(tensor.dim):
-        combo = tensor.decode(idx)
-        target = [0] * r
-        for i in range(r):
-            target[sig[i]] = combo[i]
-        sign = 0
-        for i in range(r):
-            if factors[i].degrees[combo[i]] % 2:
-                for j in range(i + 1, r):
-                    if sig[i] > sig[j] and factors[j].degrees[combo[j]] % 2:
-                        sign ^= 1
-        base_to.append((tensor.encode(tuple(target)), -1 if sign else 1))
-
     gen_to = list(range(len(p.context.generators)))
     for a in range(1, r + 1):
         for b in range(a + 1, r + 1):
@@ -631,4 +612,4 @@ def _build_action(p: Presentation, layout: ModelLayout,
         for i in range(1, r + 1):
             gen_to[layout.alpha_index(i)] = layout.alpha_index(sig[i - 1] + 1)
             gen_to[layout.eta_index(i)] = layout.eta_index(sig[i - 1] + 1)
-    return MonomialPermutation(p.context, base_to, gen_to)
+    return MonomialPermutation(p.context, sig, gen_to)

@@ -31,7 +31,14 @@ replaced it with orbit sums of free monomials, whose rref must agree.
 
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
-replaced with sparse ones; tests compare the two.
+replaced with sparse and lazy ones; tests compare the two.
+``dense_tensor_algebra`` validates that table as a ``BaseAlgebra``, and
+``check_tensor_products`` compares a tensor's products with it on every
+pair.
+
+``kernel_basis``, ``from_dense``, ``to_dense``, ``transpose``,
+``regular_character`` and ``evaluate_at_one`` are helpers only the tests
+use.
 
 ``check_graded_permutation``, ``check_multiplicative``,
 ``check_d_and_relations`` and ``check_diagonal_identities`` state the
@@ -43,15 +50,68 @@ expansion below, and ideal membership is dense elimination in one
 (degree, weight) slice.
 """
 
+import math
 from fractions import Fraction
 
-from cdgacalc.algebra import AlgebraContext, AlgebraError, Element, Monomial
-from cdgacalc.analysis import inverse
+from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
+                              Element, Monomial)
+from cdgacalc.analysis import ClassFunction, inverse, trivial_character
 from cdgacalc.engine import (VerificationReport, differential_matrix,
                              map_matrix, quotient_slice)
-from cdgacalc.linalg import SparseMatrix, rank
+from cdgacalc.linalg import SparseMatrix, rank, rref
 from cdgacalc.models import symmetric_action
-from cdgacalc.rat import ONE
+from cdgacalc.rat import ONE, Rational
+
+
+def from_dense(dense):
+    nrows = len(dense)
+    ncols = len(dense[0]) if nrows else 0
+    return SparseMatrix(nrows, ncols,
+                        ((i, j, v) for i, r in enumerate(dense)
+                         for j, v in enumerate(r) if v))
+
+
+def to_dense(m):
+    return [[m.rows[i].get(j, 0) for j in range(m.ncols)]
+            for i in range(m.nrows)]
+
+
+def transpose(m):
+    return SparseMatrix(m.ncols, m.nrows,
+                        ((j, i, v) for i, row in enumerate(m.rows)
+                         for j, v in row.items()))
+
+
+def kernel_basis(m):
+    """Basis of ``{v : m v = 0}`` as sparse column vectors.
+
+    One vector per non-pivot column ``f`` of the rref, in ascending column
+    order: ``v[f] = 1`` and ``v[p] = -reduced[row(p)][f]`` for each pivot
+    column ``p``.
+    """
+    res = rref(m)
+    pivot_set = set(res.pivots)
+    basis = []
+    for f in range(m.ncols):
+        if f in pivot_set:
+            continue
+        vec = {f: ONE}
+        for ri, p in enumerate(res.pivots):
+            coeff = res.reduced.rows[ri].get(f)
+            if coeff:
+                vec[p] = -coeff
+        basis.append(vec)
+    return basis
+
+
+def regular_character(r):
+    vals = {p: Fraction(0) for p in trivial_character(r).values}
+    vals[(1,) * r] = Fraction(math.factorial(r))
+    return ClassFunction(r, vals)
+
+
+def evaluate_at_one(series):
+    return sum(series.coeffs.values())
 
 
 def free_differential(p, mono):
@@ -375,14 +435,39 @@ def dense_tensor_table(tensor):
     return table
 
 
+def dense_tensor_algebra(tensor):
+    """A ``BaseAlgebra`` on the tensor's all-pairs table; the constructor
+    validates it against every algebra law."""
+    return BaseAlgebra(tensor.name, tensor.n, tensor.labels, tensor.degrees,
+                       tensor.unit, tensor.fundamental,
+                       dense_tensor_table(tensor), weights=tensor.weights)
+
+
+def check_tensor_products(tensor):
+    """Assert ``tensor.product`` equals the validated all-pairs table on
+    every pair, in exact form.
+
+    Validating the lazy view itself would check only the pairs it has
+    memoised.  The lazy products are taken first, before the all-pairs
+    loop fills the memo of a factor that is itself a tensor product.
+    """
+    products = {(u, v): tensor.product(u, v)
+                for u in range(tensor.dim) for v in range(tensor.dim)}
+    dense = dense_tensor_algebra(tensor)
+    for (u, v), prod in products.items():
+        assert prod == dense.product(u, v), (tensor.name, u, v)
+        assert all(type(c) is int or type(c) is Rational
+                   and c.denominator != 1 for c in prod.values())
+
+
 def explicit_image(phi, mono):
     """phi(b x^e) = phi(b) prod_g phi(g)^e, multiplied out factor by factor.
 
     The images of b and of each generator are Elements built from
-    ``base_to`` and ``gen_to``.
+    ``base_image`` and ``gen_to``.
     """
     ctx = phi.context
-    target, c = phi.base_to[mono.base]
+    target, c = phi.base_image(mono.base)
     img = ctx.base_element({target: c})
     for g, e in enumerate(mono.exps):
         for _ in range(e):
@@ -407,12 +492,13 @@ def differential(p, elem):
 def check_multiplicative(phi):
     """Assert phi(b_i b_j) == phi(b_i) phi(b_j) on every pair of base classes.
 
-    The images, built from ``base_to``, are multiplied in a context
+    The images, built from ``base_image``, are multiplied in a context
     without generators.
     """
     base = phi.context.base
     flat = AlgebraContext(base, [])
-    images = [flat.base_element({target: c}) for target, c in phi.base_to]
+    images = [flat.base_element({target: c})
+              for target, c in map(phi.base_image, range(base.dim))]
     for i in range(base.dim):
         for j in range(base.dim):
             image = flat.zero()
@@ -427,8 +513,9 @@ def check_graded_permutation(phi):
     each onto one of the same (degree, weight)."""
     ctx = phi.context
     base = ctx.base
-    assert sorted(t for t, _ in phi.base_to) == list(range(base.dim))
-    for b, (t, c) in enumerate(phi.base_to):
+    images = [phi.base_image(b) for b in range(base.dim)]
+    assert sorted(t for t, _ in images) == list(range(base.dim))
+    for b, (t, c) in enumerate(images):
         assert c in (1, -1), f"{base.labels[b]} maps to {c} times a class"
         assert (base.degrees[t], base.weights[t]) == \
             (base.degrees[b], base.weights[b]), \

@@ -10,7 +10,7 @@ from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                cycle_type, generated_subgroup,
                                invariant_cohomology, isotypic_cohomology,
                                p_r_closed_form, poincare_series_U,
-                               r1_stable_series, regular_character,
+                               r1_stable_series,
                                rho_bracket, rho_series, sign_character,
                                stable_range_bound, trivial_character,
                                weightwise_euler)
@@ -20,7 +20,7 @@ from cdgacalc.models import (build_base, configuration_model,
                              cotangent_chern, parse_ample_class, parse_space,
                              section_model, symmetric_action,
                              twisted_section_model)
-from oracle import isotypic_projector
+from oracle import evaluate_at_one, isotypic_projector, regular_character
 
 
 def series(coeffs, trunc, var="w"):
@@ -139,8 +139,8 @@ def test_euler_at_one_counts_configurations():
             expected = 1
             for j in range(r):
                 expected *= chi - j
-            got = weightwise_euler(configuration_model(base, r),
-                                   w_max).evaluate_at_one()
+            got = evaluate_at_one(weightwise_euler(
+                configuration_model(base, r), w_max))
             assert got == expected, (space, r)
 
 

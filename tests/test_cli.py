@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,25 @@ def test_cohomology_table_output(capsys):
     assert lines[0] == "model: A2(P2, c=x)"
     dims = [int(line.split()[1]) for line in lines[2:]]
     assert dims == [1, 1, 2, 3, 1, 4, 5]
+
+
+def test_eight_points_on_p2_match_the_eager_output_lazily(capsys,
+                                                          monkeypatch):
+    # the golden is the stdout of the eager build, which filled all 6^8 =
+    # 1,679,616 nonzero products of the tensor power (~40 s, 1.3 GB); the
+    # lazy view computes only the pairs the slices to degree 6 meet
+    built = []
+    build = cli._build_model
+    monkeypatch.setattr(cli, "_build_model",
+                        lambda args: built.append(build(args)) or built[-1])
+    code, out, err = run_cli(capsys, "cohomology", "--space", "P2", "--r",
+                             "8", "--max-degree", "6", "--by-weight")
+    assert code == 0 and not err
+    golden = Path(__file__).parent / "data" / "p2_r8_cohomology_by_weight.txt"
+    assert out == golden.read_text(encoding="utf-8")
+    tensor = built[0].context.base
+    assert tensor.dim == 3 ** 8
+    assert len(tensor.table) < 5000
 
 
 def test_cohomology_json_output(capsys):

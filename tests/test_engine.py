@@ -324,8 +324,11 @@ def _values(rows):
 
 def test_scalars_stay_int_on_integer_models_and_never_float():
     integer = _section("P1xP1", 2, "[1:1]")
-    rational = _section("P1xP1", 2, "[2/3:1]")
-    for p in (integer, rational):
+    # rational c: eliminating S1's slices yields integral Rationals
+    rationals = (_section("P1xP1", 2, "[2/3:1]"), _section("S1", 2, "-1/2"))
+    models = [integer, integer.reduced]
+    models += [q for p in rationals for q in (p, p.reduced)]
+    for p in models:
         ctx = p.context
         for d in range(7):
             for k in sorted({ctx.monomial_weight(m)
@@ -340,11 +343,12 @@ def test_scalars_stay_int_on_integer_models_and_never_float():
                 kinds = {type(v) for v in values}
                 assert float not in kinds
                 assert kinds <= {int, Rational}
-                if p is integer:
+                if p in (integer, integer.reduced):
                     assert kinds <= {int}, (d, k, kinds)
                 # exact form: an integral value is never a Rational
-                assert all(type(v) is int for v in _values(reduced.rows)
-                           if v == int(v))
+                assert all(type(v) is int
+                           for v in _values(reduced.rows) + _values(dmat.rows)
+                           if v == int(v)), (p.name, d, k)
                 assert type(rank(dmat)) is int
 
 
