@@ -17,6 +17,7 @@ from .algebra import (AlgebraError, BaseAlgebra, GeneratorSpec, Monomial,
                       TensorAlgebra, tensor_many, tensor_power,
                       load_base_algebra, base_algebra_from_dict)
 from .engine import (Presentation, PresentationError, SliceBasis,
+                     FactoredSlice,
                      CohomologyTable, VerificationReport, ideal_slice,
                      quotient_slice, differential_matrix, differential_rank,
                      cohomology, verify_d_squared, map_matrix)

@@ -357,27 +357,41 @@ def cycle_type(sigma: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
+def _span(generators: Sequence[Perm], r: int, inside=None) -> set:
+    """The group the generators generate, each element composed once with
+    each generator.  With ``inside``, a product outside it raises."""
+    identity = tuple(range(r))
+    elems = {identity}
+    queue = [identity]
+    for a in queue:
+        for g in generators:
+            c = compose(a, g)
+            if c not in elems:
+                if inside is not None and c not in inside:
+                    raise AlgebraError(
+                        f"subgroup not closed: {a} . {g} missing")
+                elems.add(c)
+                queue.append(c)
+    return elems
+
+
 def generated_subgroup(generators: Iterable[Perm], r: int) -> list[Perm]:
     """Closure of a set of permutations under composition."""
-    elems = {tuple(range(r))}
-    frontier = [tuple(g) for g in generators]
-    for g in frontier:
+    gens = [tuple(g) for g in generators]
+    for g in gens:
         if sorted(g) != list(range(r)):
             raise AlgebraError(f"{g} is not a permutation of 0..{r - 1}")
-    elems.update(frontier)
-    while frontier:
-        new = []
-        for a in list(elems):
-            for b in frontier:
-                c = compose(a, b)
-                if c not in elems:
-                    elems.add(c)
-                    new.append(c)
-        frontier = new
-    return sorted(elems)
+    return sorted(_span(gens, r))
 
 
-def check_subgroup_closed(subgroup: Sequence[Perm]) -> list[Perm]:
+def _closed_with_generators(subgroup: Sequence[Perm]):
+    """Check that ``subgroup`` is a duplicate-free list of permutations
+    closed under composition; return it and generators taken from it.
+
+    Generators are taken greedily; each one at least doubles their span,
+    and the span must stay inside the list, so the check costs |G|
+    compositions per generator rather than |G|^2.
+    """
     elems = [tuple(s) for s in subgroup]
     if not elems:
         raise AlgebraError("subgroup is empty")
@@ -387,12 +401,17 @@ def check_subgroup_closed(subgroup: Sequence[Perm]) -> list[Perm]:
     r = len(elems[0])
     if tuple(range(r)) not in seen:
         raise AlgebraError("subgroup not closed: missing the identity")
-    for a in elems:
-        for b in elems:
-            if compose(a, b) not in seen:
-                raise AlgebraError(
-                    f"subgroup not closed: {a} . {b} missing")
-    return elems
+    gens: list[Perm] = []
+    span = {tuple(range(r))}
+    for s in elems:
+        if s not in span:
+            gens.append(s)
+            span = _span(gens, r, seen)
+    return elems, gens
+
+
+def check_subgroup_closed(subgroup: Sequence[Perm]) -> list[Perm]:
+    return _closed_with_generators(subgroup)[0]
 
 
 @dataclass(frozen=True)
@@ -463,7 +482,7 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     """
     if max_degree < 0:
         raise AlgebraError("isotypic_cohomology: max_degree must be >= 0")
-    elems = check_subgroup_closed(subgroup)
+    elems, gens = _closed_with_generators(subgroup)
     identity = tuple(range(len(elems[0])))
     if character.r != len(identity):
         raise AlgebraError(f"class function is on S_{character.r}, "
@@ -471,12 +490,22 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     actions = {sig: symmetric_action(p, sig) for sig in elems}
     order = len(elems)
     dim_char = character(identity)
-    # P(sigma m) = sum_rho char(1) char(sigma rho^{-1}) rho m
-    shifted = {sig: [exact(dim_char * character(compose(sig, inverse(rho))))
-                     for rho in elems] for sig in elems}
+    shifted: dict = {}
+
+    def shift_weights(sig: Perm) -> list:
+        # P(sigma m) = sum_rho char(1) char(sigma rho^{-1}) rho m
+        hit = shifted.get(sig)
+        if hit is None:
+            hit = shifted[sig] = [
+                exact(dim_char * character(compose(sig, inverse(rho))))
+                for rho in elems]
+        return hit
+
+    # char(a g) = char(a) char(g) for every generator g makes char
+    # multiplicative: each element of a finite group is a word in them
     linear = dim_char == 1 and all(
-        character(compose(a, b)) == character(a) * character(b)
-        for a in elems for b in elems)
+        character(compose(a, g)) == character(a) * character(g)
+        for a in elems for g in gens)
 
     def projector(degree: int, weight: int) -> SparseMatrix:
         sl = quotient_slice(p, degree, weight)
@@ -493,7 +522,7 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
             seen.update(shifts)
             for sig in [identity] if linear else shifts.values():
                 orbit_sum: dict = {}
-                for (target, c), w in zip(images, shifted[sig]):
+                for (target, c), w in zip(images, shift_weights(sig)):
                     if w:
                         orbit_sum[target] = orbit_sum.get(target, 0) + w * c
                 row = sl.coords(orbit_sum)

@@ -14,10 +14,15 @@ on first use; the presentation itself when no generator follows).  The
 generators after it form a relation-free suffix, and multiplying by a
 monomial u in them adds no sign, so every ideal slice is block-diagonal
 in u and each block is a core ideal slice of lower (degree, weight).  A
-quotient slice is therefore assembled from cached core slices times u,
-with the same canonical basis and projector as eliminating the whole
-free slice; the free slices of a model with a suffix are never
-enumerated.
+quotient slice is therefore a view, :class:`FactoredSlice`: blocks
+(u, core slice, offset) with u in suffix order and the core's order
+inside each block.  Its basis as a set and every normal form are those
+of eliminating the whole free slice; the free slices of a model with a
+suffix are never enumerated, and its basis monomials are only made when
+something reads them.  The differential matrix is assembled from
+d(m u) = d(m) u + (-1)^|m| m d(u) with cached blocks: d of each core
+slice's basis, d of each suffix monomial, and the core's multiplication
+operators, which a presentation and its reduced model share.
 
 Cohomology is computed on a presentation's *reduced* model: every pair
 of suffix generators (x, y) with d x = c y + phi, c a nonzero scalar and
@@ -47,14 +52,17 @@ differential preserves the weight k, so slices at different weights never
 interact.  Passing ``weight=None`` everywhere computes with whole-degree
 slices instead (used to check that the weight splitting is genuine).
 
-All computations are cached per presentation and keyed by (degree,
-weight).  Results are deterministic because the reduced row echelon form
-and the monomial order are canonical.
+Slices, ideal slices, differential matrices and ranks are cached per
+presentation and keyed by (degree, weight); the blocks differential
+matrices are assembled from are cached apart.  Results are
+deterministic because the reduced row echelon form, the monomial order
+and the block order are canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .algebra import (AlgebraContext, AlgebraError, Element, Monomial,
@@ -73,7 +81,7 @@ class Presentation:
 
     __slots__ = ("context", "relations", "differential", "name", "params",
                  "_relation_grades", "_derivations", "_odd_bits", "_cache",
-                 "_core", "_suffix", "_weights", "_reduced")
+                 "_core", "_suffix", "_weights", "_reduced", "_blocks")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -136,6 +144,8 @@ class Presentation:
         self._suffix: dict = {}
         self._weights: dict = {}
         self._reduced: Optional[Presentation] = None
+        # d of core slices, d of suffix monomials, multiplication operators
+        self._blocks: dict = {}
         self._odd_bits = tuple(1 << i if odd else 0
                                for i, odd in enumerate(context.gen_parities))
         self._derivations = self._derivation_tables()
@@ -390,12 +400,14 @@ def _substitute(ctx: AlgebraContext, terms: dict, x: int, y: int,
 
 @dataclass(frozen=True)
 class SliceBasis:
-    """Monomial basis of one (degree, weight) slice of the quotient.
+    """Monomial basis of one (degree, weight) slice of a core's quotient.
 
     ``quotient`` lists the free monomials surviving as a basis (the
     non-pivot columns of the rref of the ideal slice), in canonical
     order; ``rewrite`` is the normal-form projector sending each pivot
-    monomial to its expansion in surviving monomials.
+    monomial to its expansion in surviving monomials.  As a slice of the
+    presentation itself it is the one block at the empty suffix
+    monomial.
     """
 
     degree: int
@@ -407,6 +419,10 @@ class SliceBasis:
     @property
     def dim(self) -> int:
         return len(self.quotient)
+
+    @property
+    def blocks(self) -> tuple:
+        return (((), self, 0),)
 
     def reduce(self, terms: dict) -> dict:
         """Normal form of a free-slice element, as Monomial -> Q."""
@@ -440,6 +456,88 @@ class SliceBasis:
         """Normal form in coordinates of the quotient basis."""
         reduced = self.reduce(terms)
         return {self.index[m]: c for m, c in reduced.items()}
+
+
+class FactoredSlice:
+    """One (degree, weight) slice of a presentation with a relation-free
+    suffix, as a view over its core's slices.
+
+    ``blocks`` lists (u, core slice, offset) for the suffix monomials u
+    in ``Presentation._suffix_monomials`` order (suffix degree, then
+    weight, then exponents) whose core slice at (degree - |u|,
+    weight - wt u) is nonempty; block u holds that slice times u, in the
+    slice's order, from coordinate ``offset`` on.  Its basis as a set,
+    and every normal form, are the ones eliminating the whole free slice
+    gives.  ``quotient`` and ``index`` are built on first read.
+    """
+
+    def __init__(self, degree: int, weight: Optional[int],
+                 core: Presentation, context: AlgebraContext, blocks: tuple):
+        self.degree = degree
+        self.weight = weight
+        self.blocks = blocks
+        self.dim = sum(sl.dim for _, sl, _ in blocks)
+        self._core = core
+        self._context = context
+        self._at = {u: (sl, off) for u, sl, off in blocks}
+
+    @cached_property
+    def quotient(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial(b, e + u) for u, sl, _ in self.blocks
+                     for b, e in sl.quotient)
+
+    @cached_property
+    def index(self) -> dict:
+        return {m: i for i, m in enumerate(self.quotient)}
+
+    def _empty_block(self, u: tuple) -> SliceBasis:
+        """The core slice of a suffix monomial u that has no block: an
+        empty one, where every monomial reduces to zero."""
+        du, wu = _suffix_grade(self._context,
+                               len(self._core.context.generators), u)
+        d = self.degree - du
+        w = None if self.weight is None else self.weight - wu
+        if d < 0 or (w is not None and w < 0):
+            raise AlgebraError(f"monomial outside slice (degree "
+                               f"{self.degree}, weight {self.weight})")
+        return quotient_slice(self._core, d, w)
+
+    def coords(self, terms: dict) -> dict[int, object]:
+        """Normal form in coordinates of the quotient basis.
+
+        Each monomial's core part is rewritten in its block's core slice;
+        a Monomial is a NamedTuple, so the plain tuple (b, e) finds it.
+        """
+        n = len(self._core.context.generators)
+        out: dict[int, object] = {}
+        for (b, e), c in terms.items():
+            if not c:
+                continue
+            hit = self._at.get(e[n:])
+            if hit is None:
+                # checks that the monomial lies in the slice
+                self._empty_block(e[n:]).coords({Monomial(b, e[:n]): c})
+                continue
+            sl, off = hit
+            m = (b, e[:n])
+            rw = sl.rewrite.get(m)
+            if rw is None:
+                j = sl.index.get(m)
+                if j is None:
+                    raise AlgebraError(f"monomial outside slice (degree "
+                                       f"{self.degree}, weight {self.weight})")
+                j += off
+                out[j] = out.get(j, 0) + c
+            else:
+                for m2, c2 in rw.items():
+                    j = off + sl.index[m2]
+                    out[j] = out.get(j, 0) + c * c2
+        return {j: v for j, v in out.items() if v}
+
+    def reduce(self, terms: dict) -> dict:
+        """Normal form of a free-slice element, as Monomial -> Q."""
+        quotient = self.quotient
+        return {quotient[j]: c for j, c in self.coords(terms).items()}
 
 
 def ideal_slice(p: Presentation, degree: int,
@@ -482,16 +580,18 @@ def ideal_slice(p: Presentation, degree: int,
 
 
 def quotient_slice(p: Presentation, degree: int,
-                   weight: Optional[int] = None) -> SliceBasis:
+                   weight: Optional[int] = None
+                   ) -> SliceBasis | FactoredSlice:
     """Deterministic basis + projector for one slice of the quotient.
 
-    The core's slices come from the rref of their ideal slice.  Any other
-    presentation's slice is the union over monomials u in its
+    The core's slices are :class:`SliceBasis` objects from the rref of
+    their ideal slice.  Any other presentation's slice is a
+    :class:`FactoredSlice`: the union over monomials u in its
     relation-free suffix of the core's slice at (degree - |u|,
-    weight - wt u) times u: the ideal slice is block-diagonal in u with
-    those blocks, and the canonical order restricted to one block is the
-    core's, so basis and projector are the ones the rref of the whole
-    ideal slice would give.
+    weight - wt u) times u.  The ideal slice is block-diagonal in u with
+    those blocks, so the basis as a set and every normal form are the
+    ones the rref of the whole ideal slice would give; the basis is in
+    block order, not in canonical order.
     """
     core = p.core
 
@@ -509,29 +609,121 @@ def quotient_slice(p: Presentation, degree: int,
         return SliceBasis(degree, weight, quotient, rewrite, index)
 
     def factor():
-        quotient: list[Monomial] = []
-        rewrite: dict[Monomial, dict[Monomial, object]] = {}
+        blocks = []
+        offset = 0
         for du in range(degree + 1):
             for wu, suffix in p._suffix_monomials(du).items():
                 if weight is not None and wu > weight:
                     continue
-                block = quotient_slice(core, degree - du,
-                                       None if weight is None else weight - wu)
-                for u in suffix:
-                    quotient.extend(Monomial(b, e + u)
-                                    for b, e in block.quotient)
-                    for (b, e), row in block.rewrite.items():
-                        rewrite[Monomial(b, e + u)] = {
-                            Monomial(b2, e2 + u): c
-                            for (b2, e2), c in row.items()}
-        # monomial_key, given that the degree is fixed
-        base_degrees = p.context.base.degrees
-        quotient.sort(key=lambda m: (-base_degrees[m.base], m.exps, m.base))
-        index = {m: i for i, m in enumerate(quotient)}
-        return SliceBasis(degree, weight, tuple(quotient), rewrite, index)
+                sl = quotient_slice(core, degree - du,
+                                    None if weight is None else weight - wu)
+                if sl.dim:
+                    for u in suffix:
+                        blocks.append((u, sl, offset))
+                        offset += sl.dim
+        return FactoredSlice(degree, weight, core, p.context, tuple(blocks))
 
     return p._cached(("slice", degree, weight),
                      eliminate if core is p else factor)
+
+
+def _suffix_grade(ctx: AlgebraContext, n: int, u: tuple) -> tuple[int, int]:
+    """(degree, weight) of the monomial in the generators after the
+    first n of ``ctx`` with exponents u."""
+    return (sum(x * d for x, d in zip(u, ctx.gen_degrees[n:])),
+            sum(x * w for x, w in zip(u, ctx.gen_weights[n:])))
+
+
+def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
+    """d in p of the basis monomials of the core slice ``sl``.
+
+    d(m) = sum_s kappa_s s over suffix monomials s, kappa_s in the core's
+    free algebra.  Lists (i, ((s, coordinates of nf(kappa_s) in its core
+    slice), ...)) for the basis monomials m_i with d(m_i) != 0 in the
+    quotient.  Cached in p, per core slice.
+    """
+    key = ("d", sl.degree, sl.weight)
+    hit = p._blocks.get(key)
+    if hit is None:
+        core = p.core
+        n = len(core.context.generators)
+        pad = (0,) * (len(p.context.generators) - n)
+        rows = []
+        for i, (b, e) in enumerate(sl.quotient):
+            image: dict = {}
+            p._leibniz_into(image, Monomial(b, e + pad), 1)
+            parts: dict = {}
+            for (b2, e2), c in image.items():
+                parts.setdefault(e2[n:], {})[Monomial(b2, e2[:n])] = c
+            terms = []
+            for s, part in parts.items():
+                ds, ws = _suffix_grade(p.context, n, s)
+                tgt = quotient_slice(
+                    core, sl.degree + 1 - ds,
+                    None if sl.weight is None else sl.weight - ws)
+                coords = tgt.coords(part)
+                if coords:
+                    terms.append((s, coords))
+            if terms:
+                rows.append((i, tuple(terms)))
+        hit = p._blocks[key] = tuple(rows)
+    return hit
+
+
+def _suffix_differential(p: Presentation, u: tuple) -> tuple:
+    """d(u) = sum c kappa u' for a suffix monomial u, as (c, kappa, u')
+    with kappa a monomial of the core's free algebra.  Cached in p."""
+    key = ("du", u)
+    hit = p._blocks.get(key)
+    if hit is None:
+        n = len(p.core.context.generators)
+        image: dict = {}
+        p._leibniz_into(image, Monomial(p.context.base.unit,
+                                        (0,) * n + u), 1)
+        hit = p._blocks[key] = tuple((c, Monomial(b, e[:n]), e[n:])
+                                     for (b, e), c in image.items())
+    return hit
+
+
+def _multiplication(core: Presentation, kappa: Monomial,
+                    sl: SliceBasis) -> tuple:
+    """(i, coordinates of nf(m_i kappa)) for the basis monomials m_i of
+    the core slice ``sl`` with m_i kappa != 0 in the quotient.  Cached in
+    the core, which a presentation and its reduced model share."""
+    key = ("mul", kappa, sl.degree, sl.weight)
+    hit = core._blocks.get(key)
+    if hit is None:
+        ctx = core.context
+        tgt = quotient_slice(
+            core, sl.degree + ctx.monomial_degree(kappa),
+            None if sl.weight is None
+            else sl.weight + ctx.monomial_weight(kappa))
+        rows = []
+        for i, m in enumerate(sl.quotient):
+            acc: dict = {}
+            ctx.mul_term_into(acc, m, 1, kappa, 1)
+            coords = tgt.coords(acc)
+            if coords:
+                rows.append((i, coords))
+        hit = core._blocks[key] = tuple(rows)
+    return hit
+
+
+def _suffix_product(parities: tuple, s: tuple, u: tuple):
+    """``(sign, exponents)`` with s u = sign * y^exponents for suffix
+    monomials s and u (parities of the suffix generators), or None when
+    an odd generator repeats."""
+    sign = 0
+    odd_after = 0
+    for i in range(len(s) - 1, -1, -1):
+        if parities[i]:
+            if s[i] and u[i]:
+                return None
+            if u[i]:
+                sign += odd_after
+            if s[i]:
+                odd_after += 1
+    return (-1 if sign & 1 else 1), tuple(a + b for a, b in zip(s, u))
 
 
 def differential_matrix(p: Presentation, degree: int,
@@ -539,22 +731,57 @@ def differential_matrix(p: Presentation, degree: int,
     """Matrix of d from slice (degree, weight) to (degree+1, weight).
 
     Row i holds the coordinates of d(basis monomial i) in the target
-    quotient basis.
+    quotient basis.  Each source block is a core slice times a suffix
+    monomial u, and d(m u) = d(m) u + (-1)^|m| m d(u): the first term is
+    the cached d of the core slice moved to the blocks s u, the second
+    the core's cached multiplication by each kappa of d(u) = sum kappa u'
+    placed in the blocks u'.  A presentation that is its own core has
+    the one block u = ().
     """
 
     def build():
         src = quotient_slice(p, degree, weight)
         tgt = quotient_slice(p, degree + 1, weight)
         mat = SparseMatrix(src.dim, tgt.dim)
-        if tgt.dim:
-            for i, mono in enumerate(src.quotient):
-                image: dict[Monomial, object] = {}
-                p._leibniz_into(image, mono, 1)
-                if image:
-                    row = mat.rows[i] = tgt.coords(image)
-                    for j, v in row.items():
-                        if type(v) is not int:
-                            row[j] = exact(v)
+        if not tgt.dim:
+            return mat
+        rows = mat.rows
+        core = p.core
+        parities = p.context.gen_parities[len(core.context.generators):]
+        offsets = {u: off for u, _, off in tgt.blocks}
+        for u, sl, off in src.blocks:
+            if not sl.dim:
+                continue
+            # s -> (sign of s u, offset of block s u), or None if s u = 0
+            shifts: dict = {}
+            for i, terms in _core_differential(p, sl):
+                row = rows[off + i]
+                for s, coords in terms:
+                    if s not in shifts:
+                        prod = _suffix_product(parities, s, u)
+                        shifts[s] = prod and (prod[0], offsets[prod[1]])
+                    if shifts[s] is None:
+                        continue
+                    sign, toff = shifts[s]
+                    for j, v in coords.items():
+                        j += toff
+                        row[j] = row.get(j, 0) + (v if sign > 0 else -v)
+            odd = sl.degree & 1
+            for c, kappa, u2 in _suffix_differential(p, u):
+                toff = offsets.get(u2)
+                if toff is None:
+                    continue  # the core slice of m kappa is empty
+                if odd:
+                    c = -c
+                for i, coords in _multiplication(core, kappa, sl):
+                    row = rows[off + i]
+                    for j, v in coords.items():
+                        j += toff
+                        row[j] = row.get(j, 0) + c * v
+        for i, row in enumerate(rows):
+            if row:
+                rows[i] = {j: v if type(v) is int else exact(v)
+                           for j, v in row.items() if v}
         return mat
 
     return p._cached(("diff", degree, weight), build)

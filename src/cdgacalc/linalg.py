@@ -60,13 +60,6 @@ class SparseMatrix:
             m.rows[i] = {j: exact(v) for j, v in row.items() if v}
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, ((i, i, 1) for i in range(n)))
-
-    def entry(self, i: int, j: int):
-        return self.rows[i].get(j, 0)
-
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 

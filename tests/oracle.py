@@ -36,9 +36,14 @@ replaced with sparse and lazy ones; tests compare the two.
 ``check_tensor_products`` compares a tensor's products with it on every
 pair.
 
+``reference_differential_matrix`` is the per-monomial differential
+that ``differential_matrix``'s assembly from cached core blocks
+replaced: the Leibniz expansion of each basis monomial, reduced in the
+target slice.
+
 ``kernel_basis``, ``from_dense``, ``to_dense``, ``transpose``,
-``regular_character`` and ``evaluate_at_one`` are helpers only the tests
-use.
+``identity``, ``entry``, ``regular_character`` and ``evaluate_at_one``
+are helpers only the tests use.
 
 ``check_graded_permutation``, ``check_multiplicative``,
 ``check_d_and_relations`` and ``check_diagonal_identities`` state the
@@ -74,6 +79,14 @@ def from_dense(dense):
 def to_dense(m):
     return [[m.rows[i].get(j, 0) for j in range(m.ncols)]
             for i in range(m.nrows)]
+
+
+def identity(n):
+    return SparseMatrix(n, n, ((i, i, 1) for i in range(n)))
+
+
+def entry(m, i, j):
+    return m.rows[i].get(j, 0)
 
 
 def transpose(m):
@@ -139,6 +152,20 @@ def free_differential(p, mono):
             term = -term
         total = total + term
     return total
+
+
+def reference_differential_matrix(p, degree, weight=None):
+    """d from slice (degree, weight) to (degree + 1, weight), one basis
+    monomial at a time: row i is the Leibniz expansion of basis monomial
+    i in coordinates of the target slice, in the slices' basis order."""
+    src = quotient_slice(p, degree, weight)
+    tgt = quotient_slice(p, degree + 1, weight)
+    rows = []
+    if tgt.dim:
+        for mono in src.quotient:
+            image = p.differential_of(Element(p.context, {mono: ONE}))
+            rows.append(tgt.coords(image.terms))
+    return SparseMatrix.from_rows(src.dim, tgt.dim, rows)
 
 
 def densify(terms, index, width):

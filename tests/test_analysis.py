@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from cdgacalc import analysis
 from cdgacalc.algebra import AlgebraError, BaseAlgebra
 from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                character_euler, check_subgroup_closed,
+                               compose,
                                configuration_euler,
                                cycle_type, generated_subgroup,
                                invariant_cohomology, isotypic_cohomology,
@@ -406,6 +408,26 @@ def test_subgroup_closure_helpers():
         check_subgroup_closed([(0, 1, 2), (1, 2, 0)])
     assert cycle_type((1, 0, 2)) == (2, 1)
     assert cycle_type((1, 2, 0)) == (3,)
+
+
+def test_subgroup_checks_per_generator_match_all_pairs():
+    # closure is checked on products with a generating set; every subset
+    # of S_3 holding the identity is judged as the all-pairs check does
+    elems = all_permutations(3)
+    identity, others = elems[0], elems[1:]
+    closed = 0
+    for n in range(len(others) + 1):
+        for subset in itertools.combinations(others, n):
+            group = [identity, *subset]
+            pairs = all(compose(a, b) in group for a in group for b in group)
+            if pairs:
+                assert check_subgroup_closed(group) == group
+                assert generated_subgroup(subset, 3) == sorted(group)
+                closed += 1
+            else:
+                with pytest.raises(AlgebraError, match="not closed"):
+                    check_subgroup_closed(group)
+    assert closed == 6
 
 
 def test_invariant_and_isotypic_reject_non_subgroups():

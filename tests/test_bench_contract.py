@@ -5,7 +5,10 @@
 ``weightwise_euler``, ``verify_d_squared`` and ``ctx.monomials_of``,
 and checks every answer against golden dimensions and Euler
 characteristics.  Running its untraced path on every workload here means
-an API change that breaks the benchmark fails the suite.
+an API change that breaks the benchmark fails the suite.  Its traced
+path (``--trace 1``) replays each layer over the slice keys the untraced
+path left in the model's caches and reads the slice objects' ``dim`` and
+the matrices' ``nnz``; it runs here too.
 """
 
 import importlib
@@ -31,3 +34,13 @@ def test_benchmark_workload_runs_and_checks(child, workload):
                              harvest=False)
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["messages"]
+
+
+@pytest.mark.parametrize("workload", ["table1", "many-points", "symmetric"])
+def test_benchmark_traced_path_runs_and_checks(child, workload):
+    jobs = child.make_jobs(workload, 3, tiny=True)
+    plain = child.run_plain(jobs, harvest=True)
+    assert plain["failed"] == 0, plain["messages"]
+    staged = child.run_staged(workload, jobs, plain["keys"])
+    assert staged["attempted"] > 0
+    assert staged["failed"] == 0, staged["messages"]
