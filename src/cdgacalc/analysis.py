@@ -26,13 +26,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import AlgebraContext, AlgebraError, BaseAlgebra, GeneratorSpec
+from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, GeneratorSpec,
+                      Monomial)
 from .engine import (CohomologyTable, Presentation, cohomology,
                      differential_matrix, map_matrix, quotient_slice,
                      _slice_weights)
-from .linalg import SparseMatrix, rank, rref
+from .linalg import RrefResult, SparseMatrix, rank, rref
 from .models import symmetric_action
 from .rat import ONE, Rational, exact
 
@@ -461,6 +462,176 @@ def sign_character(r: int) -> ClassFunction:
 # Invariants and isotypic pieces
 # ---------------------------------------------------------------------------
 
+def _orbit_sum_rows(sl, group: Sequence[Perm], image: Callable,
+                    weights_of: Callable) -> list[dict]:
+    """Rows spanning the image of a group-averaging projector on ``sl``.
+
+    ``image(rho, m)`` is (m', c) with rho(m) = c m' for a free monomial
+    m.  Each orbit of free monomials meeting the basis of ``sl`` is
+    imaged once; ``weights_of`` maps its members, as {sigma m: sigma},
+    to the weight lists w for which sum_rho w[rho] rho(m) = P(sigma m)
+    is a row, each reduced once into the slice's coordinates.
+    """
+    seen: set = set()
+    rows = []
+    for mono in sl.quotient:
+        if mono in seen:
+            continue
+        images = [image(rho, mono) for rho in group]
+        # one shift sigma per distinct orbit member sigma m
+        shifts: dict = {}
+        for rho, (target, _) in zip(group, images):
+            shifts.setdefault(target, rho)
+        seen.update(shifts)
+        for weights in weights_of(shifts):
+            orbit_sum: dict = {}
+            for (target, c), w in zip(images, weights):
+                if w:
+                    orbit_sum[target] = orbit_sum.get(target, 0) + w * c
+            row = sl.coords(orbit_sum)
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
+                    character: ClassFunction) -> tuple[Callable, int]:
+    """``(basis_at, |G|)``; ``basis_at(degree, weight)`` is the rref of
+    the image of the character-averaging projector on that quotient
+    slice, or None when the slice is empty.  See
+    :func:`isotypic_cohomology`."""
+    elems, gens = _closed_with_generators(subgroup)
+    identity = tuple(range(len(elems[0])))
+    if character.r != len(identity):
+        raise AlgebraError(f"class function is on S_{character.r}, "
+                           f"subgroup permutes {len(identity)} points")
+    # char(sigma^{-1}) = char(sigma): a permutation and its inverse have
+    # one cycle type
+    chi = {sig: exact(character(sig)) for sig in elems}
+    actions = {sig: symmetric_action(p, sig) for sig in elems}
+    # char(a g) = char(a) char(g) for every generator g makes char
+    # multiplicative: each element of a finite group is a word in them
+    linear = chi[identity] == 1 and all(
+        chi[compose(a, g)] == chi[a] * chi[g] for a in elems for g in gens)
+
+    bases: dict = {}
+
+    def basis_at(degree: int, weight: int):
+        key = (degree, weight)
+        if key not in bases:
+            sl = quotient_slice(p, degree, weight)
+            if not sl.dim:
+                bases[key] = None
+            else:
+                bases[key] = induced(sl) if linear else whole(sl)
+        return bases[key]
+
+    shifted: dict = {}
+
+    def shift_weights(sig: Perm) -> list:
+        # P(sigma m) = sum_rho char(1) char(sigma rho^{-1}) rho m
+        hit = shifted.get(sig)
+        if hit is None:
+            hit = shifted[sig] = [
+                exact(chi[identity] * chi[compose(sig, inverse(rho))])
+                for rho in elems]
+        return hit
+
+    def whole(sl) -> RrefResult:
+        rows = _orbit_sum_rows(
+            sl, elems, lambda rho, mono: actions[rho].image(mono),
+            lambda shifts: map(shift_weights, shifts.values()))
+        return rref(SparseMatrix.from_rows(len(rows), sl.dim, rows))
+
+    n = len(p.core.context.generators)
+    pad = (0,) * (len(p.context.generators) - n)
+    unit, zeros = p.context.base.unit, (0,) * n
+    orbits: dict = {}
+
+    def suffix_orbit(u: tuple):
+        # first in block order: (stabiliser [(h, eps_h)], cosets
+        # {g u: (g, eps_g)}) with g(u) = eps_g g u; later members: None
+        hit = orbits.get(u, False)
+        if hit is False:
+            stabiliser, cosets = [], {}
+            for g in elems:
+                (_, e), eps = actions[g].image(Monomial(unit, zeros + u))
+                if e[n:] == u:
+                    stabiliser.append((g, eps))
+                else:
+                    cosets.setdefault(e[n:], (g, eps))
+            hit = orbits[u] = stabiliser, cosets
+            orbits.update(dict.fromkeys(cosets))
+        return hit
+
+    def core_image(rho: Perm, mono: Monomial):
+        (b, e), c = actions[rho].image(Monomial(mono.base, mono.exps + pad))
+        return Monomial(b, e[:n]), c
+
+    def core_images(sig: Perm, sl) -> Callable:
+        # images(i): coordinates in sl of sig(m_i), m_i its basis monomial
+        # i; each computed on first use, cached in p per (sig, sl, i)
+        key = ("image", sig, sl.degree, sl.weight)
+        cache = p._blocks.get(key)
+        if cache is None:
+            cache = p._blocks[key] = {}
+
+        def images(i: int) -> dict:
+            hit = cache.get(i)
+            if hit is None:
+                target, c = core_image(sig, sl.quotient[i])
+                hit = cache[i] = sl.coords({target: c})
+            return hit
+
+        return images
+
+    def stabiliser_basis(sl, stabiliser) -> RrefResult:
+        # rref of Q = sum_h char(h^{-1}) eps_h h on the core slice
+        twisted = tuple((h, chi[h] * eps) for h, eps in stabiliser)
+        key = ("isotypic", sl.degree, sl.weight, twisted)
+        hit = p._blocks.get(key)
+        if hit is None:
+            group = [h for h, _ in twisted]
+            weights = [w for _, w in twisted]
+            rows = _orbit_sum_rows(sl, group, core_image,
+                                   lambda shifts: [weights])
+            hit = p._blocks[key] = rref(
+                SparseMatrix.from_rows(len(rows), sl.dim, rows))
+        return hit
+
+    def induced(sl) -> RrefResult:
+        offsets = {u: off for u, _, off in sl.blocks}
+        rows, pivots = [], []
+        for u, core_sl, off in sl.blocks:
+            orbit = suffix_orbit(u)
+            if orbit is None:
+                continue  # u is in the orbit of an earlier block
+            stabiliser, cosets = orbit
+            if len(stabiliser) == 1:
+                # Q is the identity
+                basis = ((i, {i: 1}) for i in range(core_sl.dim))
+            else:
+                q = stabiliser_basis(core_sl, stabiliser)
+                basis = zip(q.pivots, q.reduced.rows)
+            moved = [(offsets[v], chi[g] * eps, core_images(g, core_sl))
+                     for v, (g, eps) in cosets.items()]
+            for pivot, x in basis:
+                # Phi(x) = sum over g in G/H of char(g^{-1}) g(x u)
+                row = {off + j: c for j, c in x.items()}
+                for voff, w, images in moved:
+                    for j, c in x.items():
+                        c *= w
+                        for t, v in images(j).items():
+                            t += voff
+                            row[t] = row.get(t, 0) + c * v
+                rows.append(row)
+                pivots.append(off + pivot)
+        return RrefResult(len(rows), tuple(pivots),
+                          SparseMatrix.from_rows(len(rows), sl.dim, rows))
+
+    return basis_at, len(elems)
+
+
 def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
                         character: ClassFunction,
                         max_degree: int) -> CohomologyTable:
@@ -473,76 +644,38 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     subcomplex of invariants.  Only the rref of P's image is used, which
     a nonzero scalar does not change, so the 1/|G| is left out.
 
-    Each action sends a monomial to one signed monomial, so the image is
-    spanned by orbit sums of free monomials: P(sigma m) for the members
-    sigma m of each orbit meeting the slice's basis, summed before one
-    reduction.  For a linear character, P sigma = char(sigma) P, so one
-    row per orbit, P(m), spans the same image; an orbit whose stabiliser
-    acts by the other sign gives none.
+    Each action sends a monomial to one signed monomial, and it maps the
+    core's generators to themselves and the suffix's to themselves, so it
+    permutes the blocks (u, core slice, offset) of a slice: g(m u) =
+    eps_g(u) g(m) g u.  For a linear character (P g = char(g) P), each
+    orbit of suffix monomials is an induced representation, and P's image
+    on it is induced from the stabiliser H of its first block u (Frobenius
+    reciprocity; Serre, Linear Representations of Finite Groups, 7.2).
+    Only the twisted projector Q = sum_h char(h^{-1}) eps_h(u) h is
+    row-reduced, on u's core slice, once per core slice and (H, eps); H
+    is trivial for most blocks, and Q then is the identity.  Each rref
+    row x gives the row Phi(x) = sum_{g in G/H} char(g^{-1}) g(x u),
+    which is x on block u and lies in the later blocks of the orbit
+    elsewhere, so the rows are the rref of P's image.  The core images
+    g(m) are cached in p.  Any other class function takes the orbit sums
+    P(sigma m) of free monomials over the whole slice, one per orbit
+    member, before one reduction.
+
+    Each restricted rank is computed once: it is both the rank out of
+    (d, k) and the rank into (d + 1, k).
     """
     if max_degree < 0:
         raise AlgebraError("isotypic_cohomology: max_degree must be >= 0")
-    elems, gens = _closed_with_generators(subgroup)
-    identity = tuple(range(len(elems[0])))
-    if character.r != len(identity):
-        raise AlgebraError(f"class function is on S_{character.r}, "
-                           f"subgroup permutes {len(identity)} points")
-    actions = {sig: symmetric_action(p, sig) for sig in elems}
-    order = len(elems)
-    dim_char = character(identity)
-    shifted: dict = {}
-
-    def shift_weights(sig: Perm) -> list:
-        # P(sigma m) = sum_rho char(1) char(sigma rho^{-1}) rho m
-        hit = shifted.get(sig)
-        if hit is None:
-            hit = shifted[sig] = [
-                exact(dim_char * character(compose(sig, inverse(rho))))
-                for rho in elems]
-        return hit
-
-    # char(a g) = char(a) char(g) for every generator g makes char
-    # multiplicative: each element of a finite group is a word in them
-    linear = dim_char == 1 and all(
-        character(compose(a, g)) == character(a) * character(g)
-        for a in elems for g in gens)
-
-    def projector(degree: int, weight: int) -> SparseMatrix:
-        sl = quotient_slice(p, degree, weight)
-        seen: set = set()
-        rows = []
-        for mono in sl.quotient:
-            if mono in seen:
-                continue
-            images = [actions[rho].image(mono) for rho in elems]
-            # one shift sigma per distinct orbit member sigma m
-            shifts: dict = {}
-            for rho, (target, _) in zip(elems, images):
-                shifts.setdefault(target, rho)
-            seen.update(shifts)
-            for sig in [identity] if linear else shifts.values():
-                orbit_sum: dict = {}
-                for (target, c), w in zip(images, shift_weights(sig)):
-                    if w:
-                        orbit_sum[target] = orbit_sum.get(target, 0) + w * c
-                row = sl.coords(orbit_sum)
-                if row:
-                    rows.append(row)
-        return SparseMatrix.from_rows(len(rows), sl.dim, rows)
-
-    bases: dict = {}
-
-    def basis_at(degree: int, weight: int):
-        key = (degree, weight)
-        if key not in bases:
-            if quotient_slice(p, degree, weight).dim == 0:
-                bases[key] = None
-            else:
-                # rref rows: a basis of the projector's image
-                bases[key] = rref(projector(degree, weight))
-        return bases[key]
+    basis_at, order = _isotypic_bases(p, subgroup, character)
+    ranks: dict = {}
 
     def restricted_rank(degree: int, weight: int) -> int:
+        key = (degree, weight)
+        if key not in ranks:
+            ranks[key] = restrict(degree, weight)
+        return ranks[key]
+
+    def restrict(degree: int, weight: int) -> int:
         src = basis_at(degree, weight)
         if src is None or src.rank == 0:
             return 0

@@ -144,7 +144,8 @@ class Presentation:
         self._suffix: dict = {}
         self._weights: dict = {}
         self._reduced: Optional[Presentation] = None
-        # d of core slices, d of suffix monomials, multiplication operators
+        # d of core slices, d of suffix monomials, multiplication operators;
+        # analysis adds core slices' images under the S_r actions
         self._blocks: dict = {}
         self._odd_bits = tuple(1 << i if odd else 0
                                for i, odd in enumerate(context.gen_parities))

@@ -27,7 +27,10 @@ slices of that model.
 ``isotypic_projector`` is the sum over the subgroup of char(1)
 char(sigma^{-1}) times the matrix of sigma on one quotient slice, one
 reduced row per basis monomial and permutation; ``isotypic_cohomology``
-replaced it with orbit sums of free monomials, whose rref must agree.
+replaced it with bases induced from core slices (linear characters) or
+orbit sums of free monomials (any other), whose row space must agree.
+``isotypic_table`` is the cohomology of that projector's image, slice
+by slice, from its ranks alone.
 
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
@@ -61,8 +64,8 @@ from fractions import Fraction
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
                               Element, Monomial)
 from cdgacalc.analysis import ClassFunction, inverse, trivial_character
-from cdgacalc.engine import (VerificationReport, differential_matrix,
-                             map_matrix, quotient_slice)
+from cdgacalc.engine import (VerificationReport, _slice_weights,
+                             differential_matrix, map_matrix, quotient_slice)
 from cdgacalc.linalg import SparseMatrix, rank, rref
 from cdgacalc.models import symmetric_action
 from cdgacalc.rat import ONE, Rational
@@ -362,6 +365,28 @@ def isotypic_projector(p, subgroup, character, degree, weight):
                 else:
                     acc.pop(j, None)
     return total
+
+
+def isotypic_table(p, subgroup, character, max_degree):
+    """{(degree, weight): dim} of the cohomology of the projector's image.
+
+    d commutes with the projector P, so d maps P's image onto the row
+    space of P D, and dim H = rank P - rank P D - rank P' D' with D the
+    differential matrix out of the slice and P' D' the one into it.
+    """
+    def ranks(degree, weight):
+        proj = isotypic_projector(p, subgroup, character, degree, weight)
+        out = differential_matrix(p, degree, weight)
+        return rank(proj), rank(proj.matmul(out))
+
+    entries = {}
+    for d in range(max_degree + 1):
+        for k in _slice_weights(p, d):
+            here, out = ranks(d, k)
+            into = ranks(d - 1, k)[1] if d > 0 else 0
+            if here - out - into:
+                entries[(d, k)] = here - out - into
+    return entries
 
 
 def dense_validate(self):

@@ -22,7 +22,8 @@ from cdgacalc.models import (build_base, configuration_model,
                              cotangent_chern, parse_ample_class, parse_space,
                              section_model, symmetric_action,
                              twisted_section_model)
-from oracle import evaluate_at_one, isotypic_projector, regular_character
+from oracle import (evaluate_at_one, isotypic_projector, isotypic_table,
+                    regular_character)
 
 
 def series(coeffs, trunc, var="w"):
@@ -242,25 +243,22 @@ def test_isotypic_with_zero_dimension_class_function_is_empty():
     assert table.dims() == [0] * 7
 
 
-def projectors_reduced(monkeypatch, p, group, chi, max_degree):
-    """Run isotypic_cohomology; return each slice's projector, as handed
-    to rref, keyed by the (degree, weight) it was built on."""
-    built, last = {}, []
-    slice_of, reduce = analysis.quotient_slice, analysis.rref
+def isotypic_bases(p, group, chi, max_degree):
+    """Each nonempty slice's basis of the projector's image, as
+    isotypic_cohomology builds it, keyed by (degree, weight)."""
+    basis_at = analysis._isotypic_bases(p, group, chi)[0]
+    return {(d, k): basis_at(d, k) for d in range(max_degree + 1)
+            for k in _slice_weights(p, d)}
 
-    def quotient_slice_spy(q, degree, weight=None):
-        last[:] = [(degree, weight)]
-        return slice_of(q, degree, weight)
 
-    def rref_spy(m):
-        built[last[0]] = m
-        return reduce(m)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(analysis, "quotient_slice", quotient_slice_spy)
-        patch.setattr(analysis, "rref", rref_spy)
-        isotypic_cohomology(p, group, chi, max_degree)
-    return built
+def assert_reduced_basis_of(basis, projector):
+    """The rows span the projector's image, and each has 1 at its own
+    pivot and 0 at every other pivot."""
+    assert rref(basis.reduced) == rref(projector)
+    assert basis.rank == basis.reduced.nrows == len(set(basis.pivots))
+    for pivot, row in zip(basis.pivots, basis.reduced.rows):
+        assert {c: row.get(c, 0) for c in basis.pivots} == {
+            c: int(c == pivot) for c in basis.pivots}
 
 
 # chi(1) = 1 but chi is not multiplicative, on S_2, S_3 and on the
@@ -286,8 +284,10 @@ def _model(kind, space, r, param):
     ("A", "P1xP1", 3, "[1:1]"), ("C", "P2", 3, None), ("C", "S1", 3, None),
     ("C", "P1xP1", 2, None), ("AL", "P1", 3, 3), ("AL", "S1", 2, 2),
     ("AL", "P2", 2, 3)])
-def test_orbit_sum_projectors_equal_the_summed_matrices(monkeypatch, kind,
-                                                        space, r, param):
+def test_orbit_sum_projectors_equal_the_summed_matrices(kind, space, r,
+                                                        param):
+    # linear characters take the bases induced from core slices, the
+    # others the whole-slice orbit sums; both against the summed matrices
     p = _model(kind, space, r, param)
     max_degree = 6
     characters = [trivial_character(r), sign_character(r), NONLINEAR[r]]
@@ -296,21 +296,18 @@ def test_orbit_sum_projectors_equal_the_summed_matrices(monkeypatch, kind,
         characters.append(STANDARD_S3)
         groups += [generated_subgroup([(1, 0, 2)], 3),
                    generated_subgroup([(1, 2, 0)], 3)]
-    slices = {(d, k) for d in range(max_degree + 1)
-              for k in _slice_weights(p, d)}
     for group in groups:
         for chi in characters:
-            built = projectors_reduced(monkeypatch, p, group, chi,
-                                       max_degree)
-            assert slices <= set(built)
-            for (d, k), mat in built.items():
+            for (d, k), basis in isotypic_bases(p, group, chi,
+                                                max_degree).items():
                 oracle = isotypic_projector(p, group, chi, d, k)
-                assert rref(mat) == rref(oracle), (group, chi, d, k)
+                assert basis is not None, (d, k)
+                assert_reduced_basis_of(basis, oracle)
 
 
-def test_orbit_sum_cancels_on_a_sign_stabiliser(monkeypatch):
-    # the swap sends alpha1 alpha2 to alpha2 alpha1 = -alpha1 alpha2: its
-    # trivial orbit sum vanishes, its sign orbit sum is 2 alpha1 alpha2
+def test_orbit_sum_cancels_on_a_sign_stabiliser():
+    # the swap sends alpha1 alpha2 to alpha2 alpha1 = -alpha1 alpha2: it
+    # is absent from the trivial piece and present in the sign piece
     p1 = build_base(parse_space("P1"))
     m = section_model(p1, parse_ample_class(p1, "1"), 2)
     group = all_permutations(2)
@@ -319,35 +316,95 @@ def test_orbit_sum_cancels_on_a_sign_stabiliser(monkeypatch):
         * m.context.gen_element(gens.index("alpha2"))
     (mono, coeff), = alphas.terms.items()
     assert symmetric_action(m, (1, 0)).image(mono) == (mono, -coeff)
-    sl = quotient_slice(m, 2, 4)
-    col = sl.index[mono]
-    triv = projectors_reduced(monkeypatch, m, group, trivial_character(2),
-                              3)[(2, 4)]
-    assert all(col not in row for row in triv.rows)
-    assert {} not in triv.rows  # a vanishing orbit sum gives no row
-    sign = projectors_reduced(monkeypatch, m, group, sign_character(2),
-                              3)[(2, 4)]
-    assert {col: 2} in sign.rows
+    col = quotient_slice(m, 2, 4).index[mono]
+    triv = isotypic_bases(m, group, trivial_character(2), 3)[(2, 4)]
+    assert all(col not in row for row in triv.reduced.rows)
+    assert {} not in triv.reduced.rows
+    sign = isotypic_bases(m, group, sign_character(2), 3)[(2, 4)]
+    assert {col: 1} in sign.reduced.rows
+    for chi, basis in ((trivial_character(2), triv),
+                       (sign_character(2), sign)):
+        assert_reduced_basis_of(
+            basis, isotypic_projector(m, group, chi, 2, 4))
 
 
-def test_linear_projectors_take_one_row_per_orbit(monkeypatch):
+def test_linear_projectors_take_one_row_per_orbit():
     p2 = build_base(parse_space("P2"))
     m = section_model(p2, parse_ample_class(p2, "1"), 3)
     group = all_permutations(3)
     actions = [symmetric_action(m, sig) for sig in group]
     dims = orbits = 0
     for chi in (trivial_character(3), sign_character(3)):
-        built = projectors_reduced(monkeypatch, m, group, chi, 6)
-        for (d, k), mat in built.items():
-            basis = quotient_slice(m, d, k).quotient
+        for (d, k), basis in isotypic_bases(m, group, chi, 6).items():
+            quotient = quotient_slice(m, d, k).quotient
             orbit_of = {mono: frozenset(phi.image(mono)[0]
                                         for phi in actions)
-                        for mono in basis}
+                        for mono in quotient}
             count = len(set(orbit_of.values()))
-            assert mat.nrows <= count, (chi, d, k)
-            dims += len(basis)
+            assert basis.rank <= count, (chi, d, k)
+            dims += len(quotient)
             orbits += count
     assert orbits < dims  # the bound is below one row per basis monomial
+
+
+def test_actions_keep_the_core_and_the_suffix_apart():
+    # the induced bases need sigma(m u) = eps sigma(m) sigma(u) for core
+    # monomials m and suffix monomials u
+    for kind, space, r, param in [("A", "P2", 3, "1"), ("C", "S1", 3, None),
+                                  ("AL", "P1", 3, 3), ("A", "P1", 1, "1")]:
+        p = _model(kind, space, r, param)
+        n = len(p.core.context.generators)
+        for sig in all_permutations(r):
+            gen_to = symmetric_action(p, sig).gen_to
+            assert all((t < n) == (g < n) for g, t in enumerate(gen_to))
+
+
+def test_induced_bases_on_a_proper_sign_stabiliser():
+    # in P2 r=3 the suffix monomial alpha1 alpha2 has stabiliser <(01)>
+    # in S_3, and the swap acts on it by -1
+    m = _model("A", "P2", 3, "1")
+    gens = [g.label for g in m.context.generators]
+    alphas = m.context.gen_element(gens.index("alpha1")) \
+        * m.context.gen_element(gens.index("alpha2"))
+    (mono, coeff), = alphas.terms.items()
+    group = all_permutations(3)
+    stabiliser = [sig for sig in group
+                  if symmetric_action(m, sig).image(mono)[0] == mono]
+    assert stabiliser == [(0, 1, 2), (1, 0, 2)]
+    assert symmetric_action(m, (1, 0, 2)).image(mono) == (mono, -coeff)
+    degree, weight = 6, 8
+    col = quotient_slice(m, degree, weight).index[mono]
+    for sub in (group, stabiliser):
+        triv, sign = (isotypic_bases(m, sub, chi, degree)[(degree, weight)]
+                      for chi in (trivial_character(3), sign_character(3)))
+        assert all(col not in row for row in triv.reduced.rows)
+        assert any(col in row for row in sign.reduced.rows)
+        for chi, basis in ((trivial_character(3), triv),
+                           (sign_character(3), sign)):
+            assert_reduced_basis_of(basis, isotypic_projector(
+                m, sub, chi, degree, weight))
+
+
+@pytest.mark.parametrize("kind, space, r, param", [
+    ("A", "P2", 3, "1"), ("C", "P2", 3, None), ("C", "S1", 3, None),
+    ("AL", "P1", 3, 3)])
+def test_isotypic_tables_match_the_projector_oracle(kind, space, r, param):
+    p = _model(kind, space, r, param)
+    max_degree = 6
+    group = all_permutations(r)
+    pieces = []
+    for sub in (group, generated_subgroup([(1, 0, 2)], 3)):
+        for chi in (trivial_character(r), sign_character(r)):
+            table = isotypic_cohomology(p, sub, chi, max_degree)
+            assert table.entries == isotypic_table(p, sub, chi, max_degree)
+            if sub is group:
+                pieces.append(table)
+    pieces.append(isotypic_cohomology(p, group, STANDARD_S3, max_degree))
+    full = cohomology(p, max_degree)
+    assert all(piece.entries for piece in pieces)
+    for key in set(full.entries).union(*(t.entries for t in pieces)):
+        assert sum(t.entries.get(key, 0) for t in pieces) \
+            == full.entries.get(key, 0), key
 
 
 # Total dims of H^0..H^6 of the trivial and sign pieces under the full
