@@ -1,9 +1,9 @@
 """Sparse exact linear algebra over the rationals.
 
-The whole engine reduces to three primitives on sparse rational matrices:
-reduced row echelon form (for ideal slices and normal forms), kernel bases
-(for brute-force cross-checks), and rank (for cohomology dimensions).
-``rref`` and ``rank`` are two pivot policies of one elimination loop:
+The whole engine reduces to two primitives on sparse rational matrices:
+reduced row echelon form (for ideal slices and normal forms) and rank
+(for cohomology dimensions).  ``rref`` and ``rank`` are two pivot
+policies of one elimination loop:
 
 * ``rref`` returns *the* reduced row echelon form, which is unique for a
   given row space; every module downstream relies on that for
@@ -15,18 +15,20 @@ reduced row echelon form (for ideal slices and normal forms), kernel bases
 Rank is exact sparse elimination over Q (Dumas-Villard, CASC 2002) with
 no shortcut mod p: with small integer entries it costs about as much,
 and half of the differential matrices are rank deficient, where a mod-p
-rank certifies nothing.  Entries are ``int`` when integral (see
-``rat.exact``), so integer matrices with unit pivots stay in ``int``
-arithmetic.  All functions are pure: inputs are never mutated.
+rank certifies nothing.  The loop is fraction-free (``_eliminate``), so
+it runs in ``int`` arithmetic on integer and rational input alike, and
+``rref`` divides each pivot row by its pivot only at the end.  All
+functions are pure: inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable
 
-from .rat import ONE, Rational, exact
+from .rat import Rational, exact
 
 
 class SparseMatrix:
@@ -92,15 +94,28 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def _eliminate(m: SparseMatrix, canonical: bool):
-    """Gauss-Jordan elimination: (rows, [(pivot column, row id), ...]).
+def _integral(row: dict) -> dict:
+    """``row`` times the lcm of its entries' denominators, in ``int``s."""
+    if all(type(v) is int for v in row.values()):
+        return dict(row)
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: int(v.numerator * (den // v.denominator))
+            for c, v in row.items()}
 
-    Pivot rows are scaled to a leading 1 and the pivot is the sparsest
-    row of its column.  ``canonical`` takes columns left to right and
-    keeps pivot rows live, so each pivot column is cleared everywhere
-    (the rref); otherwise pivot rows retire once used.
+
+def _eliminate(m: SparseMatrix, canonical: bool):
+    """Fraction-free Gauss-Jordan elimination: (rows, [(column, row id)]).
+
+    Each row is first scaled to integer entries, and every row operation
+    keeps it so: a pivot p = ±1 clears its column by subtraction, any
+    other pivot replaces each row r by (p/g)·r − (r[col]/g)·prow, with
+    g = gcd(p, r[col]), and then divides r by the gcd of its entries.
+    The pivot row is the sparsest row of its column and is not scaled.
+    ``canonical`` takes columns left to right and keeps pivot rows live,
+    so each pivot column is cleared everywhere (the rref up to one scale
+    per row); otherwise pivot rows retire once used.
     """
-    work = [dict(r) for r in m.rows if r]
+    work = [_integral(r) for r in m.rows if r]
     # column -> live row ids with a nonzero there, kept current
     col_rows: dict[int, set[int]] = {}
     for ri, row in enumerate(work):
@@ -121,15 +136,13 @@ def _eliminate(m: SparseMatrix, canonical: bool):
         if key != priority(col):
             heappush(heap, (priority(col), col))
             continue
-        candidates = [r for r in col_rows[col] if r not in used]
+        candidates = col_rows[col] - used if canonical else col_rows[col]
         if not candidates:
             continue
         ri = min(candidates, key=lambda r: (len(work[r]), r))
         prow = work[ri]
-        if prow[col] != 1:
-            inv = exact(ONE / Rational(prow[col]))
-            for c in prow:
-                prow[c] = exact(prow[c] * inv)
+        p = prow[col]
+        unit = p == 1 or p == -1
         if not canonical:
             for c in prow:
                 s = col_rows[c]
@@ -141,6 +154,14 @@ def _eliminate(m: SparseMatrix, canonical: bool):
                 continue
             orow = work[other]
             factor = orow[col]
+            if unit:
+                factor *= p
+            else:
+                g = gcd(p, factor)
+                scale, factor = p // g, factor // g
+                if scale != 1:
+                    for c in orow:
+                        orow[c] *= scale
             for c, v in prow.items():
                 nv = orow.get(c)
                 if nv is None:
@@ -160,9 +181,24 @@ def _eliminate(m: SparseMatrix, canonical: bool):
                     s.discard(other)
                     if not s:
                         del col_rows[c]
-        used.add(ri)
+            if not unit:
+                g = gcd(*orow.values())
+                if g > 1:
+                    for c in orow:
+                        orow[c] //= g
+        if canonical:
+            used.add(ri)
         pivots.append((col, ri))
     return work, pivots
+
+
+def _scaled(row: dict, pivot: int) -> dict:
+    """``row`` divided by its pivot, in ``rat.exact`` form: an ``int``
+    where the pivot divides the entry, else a ``Rational``."""
+    if pivot == 1:
+        return row
+    return {c: v // pivot if v % pivot == 0 else Rational(v, pivot)
+            for c, v in row.items()}
 
 
 @dataclass(frozen=True)
@@ -176,8 +212,7 @@ def rref(m: SparseMatrix) -> RrefResult:
     """Reduced row echelon form of ``m`` (unique; rows sorted by pivot)."""
     work, pivots = _eliminate(m, canonical=True)
     reduced = SparseMatrix(len(pivots), m.ncols)
-    reduced.rows = [{c: exact(v) for c, v in work[ri].items()}
-                    for _, ri in pivots]
+    reduced.rows = [_scaled(work[ri], work[ri][col]) for col, ri in pivots]
     return RrefResult(len(pivots), tuple(c for c, _ in pivots), reduced)
 
 

@@ -272,8 +272,8 @@ class ModelLayout:
             a, b = b, a
         if a == b:
             raise AlgebraError("G_ab needs a != b")
-        prior = sum(self.r - i for i in range(1, a))
-        return prior + (b - a - 1)
+        # the rows a' < a hold (r - 1) + ... + (r - a + 1) pairs
+        return (a - 1) * self.r - a * (a - 1) // 2 + (b - a - 1)
 
     def s_index(self, j: int) -> int:
         return self.n_pairs + j

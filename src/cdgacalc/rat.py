@@ -4,9 +4,11 @@ Everything in this package is computed over Q, with no rounding anywhere.
 A scalar is a Python ``int`` when it is integral and a ``Rational`` only
 when it is not, because the built-in models have integer coefficients and
 ``int`` arithmetic is far cheaper.  :func:`exact` puts a value into that
-form at the model boundary and on elimination output; mixed arithmetic in
-between stays exact.  ``Rational`` is ``gmpy2.mpq`` when gmpy2 is
-importable and ``fractions.Fraction`` otherwise; both hash like ``int``.
+form at the model boundary and where a matrix is built; elimination
+clears denominators and runs in ``int`` arithmetic (see ``linalg``), and
+mixed arithmetic elsewhere stays exact.  ``Rational`` is ``gmpy2.mpq``
+when gmpy2 is importable and ``fractions.Fraction`` otherwise; both hash
+like ``int``.
 """
 
 from __future__ import annotations

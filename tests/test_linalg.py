@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from cdgacalc import linalg
 from cdgacalc.linalg import SparseMatrix, rref, rank
 from cdgacalc.rat import Rational
 from oracle import (entry, from_dense, identity, kernel_basis, to_dense,
@@ -199,3 +200,87 @@ def test_elimination_keeps_scalars_exact(m):
         for v in row.values():
             assert type(v) is (int if v == int(v) else Rational)
     assert type(rank(m)) is int
+
+
+# -- edge cases of the fraction-free kernel, against the dense textbook rref --
+
+def assert_matches_dense(m):
+    pivots, reduced = dense_rref(to_dense(m), m.ncols)
+    res = rref(m)
+    assert res.pivots == tuple(pivots)
+    assert to_dense(res.reduced) == reduced
+    assert rank(m) == len(pivots) == rank(transpose(m))
+
+
+def test_huge_entries_with_non_unit_pivots():
+    rng = random.Random(1020)
+    big = 10 ** 20
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = SparseMatrix(nrows, ncols)
+        for i in range(nrows):
+            for j in range(ncols):
+                if rng.random() < 0.6:
+                    m.rows[i][j] = rng.randint(-big, big) or 1
+        assert_matches_dense(m)
+    # rank deficient: the third row is 10^20 + 7 times the first plus the
+    # second, so every pivot after the first is far from +-1
+    a = [3 * big + 1, -2 * big, 5, 0]
+    b = [0, 7, big - 3, 11]
+    k = big + 7
+    m = from_dense([a, b, [k * x + y for x, y in zip(a, b)]])
+    assert_matches_dense(m)
+    assert rank(m) == 2
+
+
+def test_rows_assigned_with_mixed_int_and_integral_fractions():
+    rng = random.Random(5)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = SparseMatrix(nrows, ncols)
+        for i in range(nrows):
+            for j in range(ncols):
+                v = rng.randint(-6, 6)
+                if v:
+                    kind = rng.randrange(3)
+                    m.rows[i][j] = (v if kind == 0 else Fraction(v, 1)
+                                    if kind == 1 else Fraction(v, 4))
+        assert_matches_dense(m)
+    m = SparseMatrix(2, 2)
+    m.rows = [{0: Fraction(2, 1), 1: 4}, {0: 3, 1: Fraction(6, 1)}]
+    assert rank(m) == 1
+    assert rref(m).reduced.rows == [{0: 1, 1: 2}]
+
+
+def test_zero_and_empty_matrices():
+    for nrows, ncols in [(0, 0), (0, 4), (4, 0), (3, 5)]:
+        m = SparseMatrix(nrows, ncols)
+        res = rref(m)
+        assert rank(m) == res.rank == 0
+        assert res.pivots == ()
+        assert (res.reduced.nrows, res.reduced.ncols) == (0, ncols)
+        assert_matches_dense(m)
+
+
+def test_integer_input_builds_no_rational(monkeypatch):
+    rng = random.Random(77)
+    mats = []
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        mats.append(SparseMatrix(
+            nrows, ncols, ((i, j, rng.choice([-9, -4, -2, 2, 3, 6, 15]))
+                           for i in range(nrows) for j in range(ncols)
+                           if rng.random() < 0.5)))
+
+    def no_rational(*args):
+        raise AssertionError("the elimination loop built a Rational")
+
+    monkeypatch.setattr(linalg, "Rational", no_rational)
+    ranks = [rank(m) for m in mats]
+    for m in mats:
+        work, _ = linalg._eliminate(m, canonical=True)
+        assert all(type(v) is int for row in work for v in row.values())
+    monkeypatch.undo()
+    for m, r in zip(mats, ranks):
+        assert r == len(dense_rref(to_dense(m), m.ncols)[0])
+        assert_matches_dense(m)

@@ -101,6 +101,16 @@ def test_configuration_cohomology_oracles():
         [1, 0, 0, 1, 0, 0, 0]
 
 
+def test_g_index_enumerates_pairs_lexicographically():
+    for r in range(1, 10):
+        layout = models.ModelLayout(r, r * (r - 1) // 2, 1, False)
+        pairs = [(a, b) for a in range(1, r + 1) for b in range(a + 1, r + 1)]
+        for i, (a, b) in enumerate(pairs):
+            assert layout.g_index(a, b) == layout.g_index(b, a) == i
+        with pytest.raises(AlgebraError):
+            layout.g_index(r, r)
+
+
 def test_section_model_generator_degrees():
     s1 = build_base(parse_space("S1"))
     m = section_model(s1, parse_ample_class(s1, "1"), 2)
