@@ -32,8 +32,8 @@ from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, GeneratorSpec,
                       Monomial)
 from .engine import (CohomologyTable, Presentation, cohomology,
                      differential_matrix, map_matrix, quotient_slice,
-                     _slice_weights)
-from .linalg import RrefResult, SparseMatrix, rank, rref
+                     _certify, _slice_weights)
+from .linalg import RrefResult, SparseMatrix, pivot_columns, rref
 from .models import symmetric_action
 from .rat import ONE, Rational, exact
 
@@ -662,26 +662,37 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     member, before one reduction.
 
     Each restricted rank is computed once: it is both the rank out of
-    (d, k) and the rank into (d + 1, k).
+    (d, k) and the rank into (d + 1, k).  It is computed with clearing,
+    as in :func:`~cdgacalc.engine.differential_rank`: the rows at the
+    pivot columns of the restricted matrix out of (d - 1, k) are left
+    out.  d^2 = 0 is certified first (raises :class:`AlgebraError` if it
+    fails).
     """
     if max_degree < 0:
         raise AlgebraError("isotypic_cohomology: max_degree must be >= 0")
     basis_at, order = _isotypic_bases(p, subgroup, character)
+    _certify(p)
     ranks: dict = {}
+    # pivot columns of the restricted matrices whose rank above is not
+    # computed yet
+    pivots: dict = {}
 
     def restricted_rank(degree: int, weight: int) -> int:
         key = (degree, weight)
         if key not in ranks:
-            ranks[key] = restrict(degree, weight)
+            cols = restrict(degree, weight)
+            ranks[key] = len(cols)
+            if cols:
+                pivots[key] = cols
         return ranks[key]
 
-    def restrict(degree: int, weight: int) -> int:
+    def restrict(degree: int, weight: int) -> frozenset:
         src = basis_at(degree, weight)
         if src is None or src.rank == 0:
-            return 0
+            return frozenset()
         tgt = basis_at(degree + 1, weight)
         if tgt is None or tgt.rank == 0:
-            return 0
+            return frozenset()
         image = src.reduced.matmul(differential_matrix(p, degree, weight))
         # in the rref basis of the target, coordinates are the entries in
         # the pivot columns; multiplying back verifies them exactly
@@ -692,7 +703,9 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
         if coords.matmul(tgt.reduced) != image:
             raise AlgebraError("internal error: image does not lie in the "
                                "invariant subspace")
-        return rank(coords)
+        skip = pivots.pop((degree - 1, weight), ())
+        return pivot_columns(row for i, row in enumerate(coords.rows)
+                             if i not in skip)
 
     entries: dict = {}
     for d in range(max_degree + 1):
@@ -701,8 +714,9 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
             q = 0 if src is None else src.rank
             if q == 0:
                 continue
-            r_out = restricted_rank(d, k)
+            # bottom-up, so the pivots below are known when (d, k) is ranked
             r_in = restricted_rank(d - 1, k) if d > 0 else 0
+            r_out = restricted_rank(d, k)
             value = q - r_out - r_in
             if value:
                 entries[(d, k)] = value

@@ -36,7 +36,8 @@ on the model as built.
 d^2 = 0 is certified on generators, not slice by slice: once d maps
 every relation into the ideal, d^2 is a derivation of the quotient, so
 it vanishes in every degree when it vanishes on each generator.  Each
-such normal form is reduced through the core's slices.
+such normal form is reduced through the core's slices.  The check is
+cached per presentation; ranks rely on it and raise when it fails.
 
 A presentation normalizes its coefficients once (``rat.exact``), so
 integer models run in ``int`` arithmetic, and compiles d on generators
@@ -52,11 +53,22 @@ differential preserves the weight k, so slices at different weights never
 interact.  Passing ``weight=None`` everywhere computes with whole-degree
 slices instead (used to check that the weight splitting is genuine).
 
-Slices, ideal slices, differential matrices and ranks are cached per
-presentation and keyed by (degree, weight); the blocks differential
-matrices are assembled from are cached apart.  Results are
-deterministic because the reduced row echelon form, the monomial order
-and the block order are canonical.
+Ranks are computed by clearing (Chen-Kerber, Persistent homology
+computation with a twist, EuroCG 2011), bottom-up along each weight's
+chain D(0, k), D(1, k), ...: the rows of D(d, k) at the pivot columns
+of D(d-1, k) are left out before elimination.  d^2 = 0 puts the image
+of D(d-1, k) in the kernel of D(d, k), and that image maps
+isomorphically onto those coordinates, so the rank does not change.
+The rows are assembled straight into the elimination, without a
+matrix.
+
+Slices, ideal slices, public differential matrices and ranks are
+cached per presentation and keyed by (degree, weight); the blocks
+differential matrices are assembled from, and the pivot columns of each
+chain's top rank until the rank above reads them, are cached apart.
+``cohomology`` keeps no matrix.  Results are deterministic because the
+reduced row echelon form, the monomial order and the block order are
+canonical.
 """
 
 from __future__ import annotations
@@ -67,7 +79,7 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import (AlgebraContext, AlgebraError, Element, Monomial,
                       MonomialPermutation)
-from .linalg import SparseMatrix, rank, rref
+from .linalg import SparseMatrix, pivot_columns, rref
 from .rat import ONE, exact, rat
 
 
@@ -81,7 +93,8 @@ class Presentation:
 
     __slots__ = ("context", "relations", "differential", "name", "params",
                  "_relation_grades", "_derivations", "_odd_bits", "_cache",
-                 "_core", "_suffix", "_weights", "_reduced", "_blocks")
+                 "_core", "_suffix", "_weights", "_reduced", "_blocks",
+                 "_certificate")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -141,12 +154,17 @@ class Presentation:
         self._relation_grades = grades
         self._cache: dict = {}
         self._core: Optional[Presentation] = None
-        self._suffix: dict = {}
+        # per suffix degree: its monomials as (exponents, weight, last
+        # generator), and their exponents grouped by weight
+        self._suffix: list = []
         self._weights: dict = {}
         self._reduced: Optional[Presentation] = None
-        # d of core slices, d of suffix monomials, multiplication operators;
-        # analysis adds core slices' images under the S_r actions
+        # d of core slices, d of suffix monomials, multiplication operators,
+        # pivot columns of the top ranked slice of each weight; analysis adds
+        # core slices' images under the S_r actions
         self._blocks: dict = {}
+        # verify_d_squared's check of the relations and generators
+        self._certificate: Optional[VerificationReport] = None
         self._odd_bits = tuple(1 << i if odd else 0
                                for i, odd in enumerate(context.gen_parities))
         self._derivations = self._derivation_tables()
@@ -191,21 +209,34 @@ class Presentation:
 
     def _suffix_monomials(self, degree: int) -> dict[int, list]:
         """Exponent vectors of the monomials of the given degree in the
-        generators after the core, grouped by weight."""
-        hit = self._suffix.get(degree)
-        if hit is None:
-            gens = self.context.generators[len(self.core.context.generators):]
-            partial = [((), 0, 0)]  # exponents, degree, weight
-            for g in gens:
-                top = 1 if g.odd else degree // g.degree
-                partial = [(e + (x,), d + x * g.degree, w + x * g.weight)
-                           for e, d, w in partial for x in range(top + 1)
-                           if d + x * g.degree <= degree]
-            hit = self._suffix[degree] = {}
-            for e, d, w in partial:
-                if d == degree:
-                    hit.setdefault(w, []).append(e)
-        return hit
+        generators after the core, grouped by weight; the weights in
+        order of their first monomial, each list in lexicographic order.
+
+        Each degree is built once, from the lower ones: a monomial is
+        reached from its last generator g, as g times a monomial of
+        degree - |g| in the generators before g, or up to g when g is
+        even.
+        """
+        walk = self._suffix
+        if degree < len(walk):
+            return walk[degree][1]
+        gens = self.context.generators[len(self.core.context.generators):]
+        for d in range(len(walk), degree + 1):
+            # (exponents, weight, index of the last generator)
+            made = [((0,) * len(gens), 0, -1)] if d == 0 else []
+            for j, g in enumerate(gens):
+                if g.degree > d:
+                    continue
+                for e, w, last in walk[d - g.degree][0]:
+                    if last < j or (last == j and not g.odd):
+                        made.append((e[:j] + (e[j] + 1,) + e[j + 1:],
+                                     w + g.weight, j))
+            made.sort()
+            grouped: dict = {}
+            for e, w, _ in made:
+                grouped.setdefault(w, []).append(e)
+            walk.append((made, grouped))
+        return walk[degree][1]
 
     # -- contractible pairs --------------------------------------------------
 
@@ -598,7 +629,11 @@ def quotient_slice(p: Presentation, degree: int,
 
     def eliminate():
         free = p.context.monomials_of(degree, weight)
-        res = rref(ideal_slice(p, degree, weight))
+        ideal = ideal_slice(p, degree, weight)
+        if not ideal.nrows:
+            return SliceBasis(degree, weight, free, {},
+                              {m: i for i, m in enumerate(free)})
+        res = rref(ideal)
         pivot_set = set(res.pivots)
         quotient = tuple(m for i, m in enumerate(free) if i not in pivot_set)
         rewrite: dict[Monomial, dict[Monomial, object]] = {}
@@ -727,62 +762,75 @@ def _suffix_product(parities: tuple, s: tuple, u: tuple):
     return (-1 if sign & 1 else 1), tuple(a + b for a, b in zip(s, u))
 
 
+def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
+    """Rows of d from the slice ``src`` to the slice ``tgt`` above it.
+
+    Row i holds the coordinates of d(basis monomial i) in ``tgt``, with
+    explicit zeros and entries not in ``rat.exact`` form; the rows in
+    ``skip`` are left empty.  Each source block is a core slice times a
+    suffix monomial u, and d(m u) = d(m) u + (-1)^|m| m d(u): the first
+    term is the cached d of the core slice moved to the blocks s u, the
+    second the core's cached multiplication by each kappa of
+    d(u) = sum kappa u' placed in the blocks u'.  A presentation that is
+    its own core has the one block u = ().
+    """
+    rows: list[dict] = [{} for _ in range(src.dim)]
+    core = p.core
+    parities = p.context.gen_parities[len(core.context.generators):]
+    offsets = {u: off for u, _, off in tgt.blocks}
+    for u, sl, off in src.blocks:
+        if not sl.dim:
+            continue
+        # s -> (sign of s u, offset of block s u), or None if s u = 0
+        shifts: dict = {}
+        for i, terms in _core_differential(p, sl):
+            if off + i in skip:
+                continue
+            row = rows[off + i]
+            for s, coords in terms:
+                if s not in shifts:
+                    prod = _suffix_product(parities, s, u)
+                    shifts[s] = prod and (prod[0], offsets[prod[1]])
+                if shifts[s] is None:
+                    continue
+                sign, toff = shifts[s]
+                for j, v in coords.items():
+                    j += toff
+                    row[j] = row.get(j, 0) + (v if sign > 0 else -v)
+        odd = sl.degree & 1
+        for c, kappa, u2 in _suffix_differential(p, u):
+            toff = offsets.get(u2)
+            if toff is None:
+                continue  # the core slice of m kappa is empty
+            if odd:
+                c = -c
+            for i, coords in _multiplication(core, kappa, sl):
+                if off + i in skip:
+                    continue
+                row = rows[off + i]
+                for j, v in coords.items():
+                    j += toff
+                    row[j] = row.get(j, 0) + c * v
+    return rows
+
+
 def differential_matrix(p: Presentation, degree: int,
                         weight: Optional[int] = None) -> SparseMatrix:
     """Matrix of d from slice (degree, weight) to (degree+1, weight).
 
     Row i holds the coordinates of d(basis monomial i) in the target
-    quotient basis.  Each source block is a core slice times a suffix
-    monomial u, and d(m u) = d(m) u + (-1)^|m| m d(u): the first term is
-    the cached d of the core slice moved to the blocks s u, the second
-    the core's cached multiplication by each kappa of d(u) = sum kappa u'
-    placed in the blocks u'.  A presentation that is its own core has
-    the one block u = ().
+    quotient basis, in ``rat.exact`` form; see :func:`_assemble`.
+    Cached; the ranks of :func:`cohomology` do not use it.
     """
 
     def build():
         src = quotient_slice(p, degree, weight)
         tgt = quotient_slice(p, degree + 1, weight)
         mat = SparseMatrix(src.dim, tgt.dim)
-        if not tgt.dim:
-            return mat
-        rows = mat.rows
-        core = p.core
-        parities = p.context.gen_parities[len(core.context.generators):]
-        offsets = {u: off for u, _, off in tgt.blocks}
-        for u, sl, off in src.blocks:
-            if not sl.dim:
-                continue
-            # s -> (sign of s u, offset of block s u), or None if s u = 0
-            shifts: dict = {}
-            for i, terms in _core_differential(p, sl):
-                row = rows[off + i]
-                for s, coords in terms:
-                    if s not in shifts:
-                        prod = _suffix_product(parities, s, u)
-                        shifts[s] = prod and (prod[0], offsets[prod[1]])
-                    if shifts[s] is None:
-                        continue
-                    sign, toff = shifts[s]
-                    for j, v in coords.items():
-                        j += toff
-                        row[j] = row.get(j, 0) + (v if sign > 0 else -v)
-            odd = sl.degree & 1
-            for c, kappa, u2 in _suffix_differential(p, u):
-                toff = offsets.get(u2)
-                if toff is None:
-                    continue  # the core slice of m kappa is empty
-                if odd:
-                    c = -c
-                for i, coords in _multiplication(core, kappa, sl):
-                    row = rows[off + i]
-                    for j, v in coords.items():
-                        j += toff
-                        row[j] = row.get(j, 0) + c * v
-        for i, row in enumerate(rows):
-            if row:
-                rows[i] = {j: v if type(v) is int else exact(v)
-                           for j, v in row.items() if v}
+        if tgt.dim:
+            mat.rows = [{j: v if type(v) is int else exact(v)
+                         for j, v in row.items() if v}
+                        for row in _assemble(p, src, tgt)]
         return mat
 
     return p._cached(("diff", degree, weight), build)
@@ -790,13 +838,34 @@ def differential_matrix(p: Presentation, degree: int,
 
 def differential_rank(p: Presentation, degree: int,
                       weight: Optional[int] = None) -> int:
-    def build():
-        src = quotient_slice(p, degree, weight)
-        if src.dim == 0 or quotient_slice(p, degree + 1, weight).dim == 0:
-            return 0
-        return rank(differential_matrix(p, degree, weight))
+    """Rank of d from slice (degree, weight) to (degree + 1, weight).
 
-    return p._cached(("rank", degree, weight), build)
+    Computed bottom-up along the weight's chain with clearing (see the
+    module docstring), once d^2 = 0 is certified (raises
+    :class:`AlgebraError` if it fails).  Only the rank is cached, not the
+    matrix; the pivot columns are kept until the rank above reads them.
+    """
+    hit = p._cache.get(("rank", degree, weight))
+    if hit is not None:
+        return hit
+    _certify(p)
+    # the lowest degree of the chain whose rank is missing, stopping at an
+    # empty slice, below which nothing is cleared
+    low = degree
+    while (low > 0 and ("rank", low - 1, weight) not in p._cache
+           and quotient_slice(p, low - 1, weight).dim):
+        low -= 1
+    for d in range(low, degree + 1):
+        src = quotient_slice(p, d, weight)
+        tgt = quotient_slice(p, d + 1, weight)
+        skip = p._blocks.pop(("pivots", d - 1, weight), ())
+        pivots = ()
+        if src.dim and tgt.dim:
+            pivots = pivot_columns(_assemble(p, src, tgt, skip))
+        if pivots:
+            p._blocks[("pivots", d, weight)] = pivots
+        hit = p._cache[("rank", d, weight)] = len(pivots)
+    return hit
 
 
 def map_matrix(p: Presentation, phi: MonomialPermutation, degree: int,
@@ -888,10 +957,12 @@ def cohomology(p: Presentation, max_degree: int,
     carries ``p``'s name and parameters.  With ``by_weight`` the
     computation runs one weight at a time (the differential preserves
     weights); otherwise whole-degree slices are used and entries carry
-    weight None.
+    weight None.  Raises :class:`AlgebraError` when the check of
+    :func:`verify_d_squared` fails, since the ranks rely on d^2 = 0.
     """
     if max_degree < 0:
         raise AlgebraError("cohomology: max_degree must be >= 0")
+    _certify(p)
     q = p.reduced
     entries: dict = {}
     for d in range(max_degree + 1):
@@ -946,19 +1017,16 @@ def _normal_form(p: Presentation, terms: dict) -> dict:
     return out
 
 
-def verify_d_squared(p: Presentation, max_degree: int) -> VerificationReport:
-    """Certificate that d is a differential on the quotient CDGA.
+def _generator_check(p: Presentation) -> VerificationReport:
+    """d of every relation, then d^2 of every generator, reduced to
+    normal form: the first failure's report, or an ok report counting
+    the relations.  Cached in p."""
+    if p._certificate is None:
+        p._certificate = _check_generators(p)
+    return p._certificate
 
-    d(relation) must reduce to zero for every relation, so d(ideal) lies
-    in the ideal and d descends to the quotient.  d^2 = [d, d]/2 is then
-    a derivation of the quotient, zero on the base, so d^2 = 0 in every
-    degree once d(d(g)) reduces to zero for every generator g.  Failures
-    are reported, not raised: the first failing relation or generator and
-    its nonzero normal form.  ``slices_checked`` counts the relations and
-    the nonempty (degree, weight) quotient slices of degree <= max_degree.
-    """
-    if max_degree < 0:
-        raise AlgebraError("verify: max_degree must be >= 0")
+
+def _check_generators(p: Presentation) -> VerificationReport:
     ctx = p.context
     for i, rel in enumerate(p.relations):
         drel = p.differential_of(rel)
@@ -976,5 +1044,34 @@ def verify_d_squared(p: Presentation, max_degree: int) -> VerificationReport:
                 False, len(p.relations), "d_squared", spec.degree,
                 spec.weight, spec.label,
                 f"d(d({spec.label})) = {Element(ctx, residual)!r}")
+    return VerificationReport(True, len(p.relations))
+
+
+def _certify(p: Presentation) -> None:
+    """Raise :class:`AlgebraError` unless d^2 = 0 on p's quotient."""
+    report = _generator_check(p)
+    if not report.ok:
+        raise AlgebraError(f"{p.name}: d is not a differential on the "
+                           f"quotient: {report.message()}")
+
+
+def verify_d_squared(p: Presentation, max_degree: int) -> VerificationReport:
+    """Certificate that d is a differential on the quotient CDGA.
+
+    d(relation) must reduce to zero for every relation, so d(ideal) lies
+    in the ideal and d descends to the quotient.  d^2 = [d, d]/2 is then
+    a derivation of the quotient, zero on the base, so d^2 = 0 in every
+    degree once d(d(g)) reduces to zero for every generator g.  Failures
+    are reported, not raised: the first failing relation or generator and
+    its nonzero normal form.  ``slices_checked`` counts the relations and
+    the nonempty (degree, weight) quotient slices of degree <= max_degree.
+    The check of relations and generators is cached in p, where
+    :func:`cohomology` and :func:`differential_rank` read it.
+    """
+    if max_degree < 0:
+        raise AlgebraError("verify: max_degree must be >= 0")
+    report = _generator_check(p)
+    if not report.ok:
+        return report
     slices = sum(len(_slice_weights(p, d)) for d in range(max_degree + 1))
     return VerificationReport(True, len(p.relations) + slices)

@@ -10,7 +10,9 @@ policies of one elimination loop:
   determinism.  Pivot columns are therefore taken left to right.
 * ``rank`` pivots in the live column with the fewest live rows
   (Markowitz 1957), popped from a lazy heap, to limit fill-in on the
-  wide differential matrices.  Only the count matters.
+  wide differential matrices.  ``pivot_columns`` returns the columns it
+  pivots in, on rows given without a matrix; the engine clears the next
+  differential's rows with them, and ``rank`` is their count.
 
 Rank is exact sparse elimination over Q (Dumas-Villard, CASC 2002) with
 no shortcut mod p: with small integer entries it costs about as much,
@@ -95,16 +97,18 @@ class SparseMatrix:
 
 
 def _integral(row: dict) -> dict:
-    """``row`` times the lcm of its entries' denominators, in ``int``s."""
+    """``row`` times the lcm of its entries' denominators, in ``int``s,
+    without explicit zeros."""
     if all(type(v) is int for v in row.values()):
-        return dict(row)
+        return {c: v for c, v in row.items() if v}
     den = lcm(*(v.denominator for v in row.values()))
     return {c: int(v.numerator * (den // v.denominator))
-            for c, v in row.items()}
+            for c, v in row.items() if v}
 
 
-def _eliminate(m: SparseMatrix, canonical: bool):
-    """Fraction-free Gauss-Jordan elimination: (rows, [(column, row id)]).
+def _eliminate(rows: Iterable[dict], canonical: bool):
+    """Fraction-free Gauss-Jordan elimination of ``rows`` (column -> Q):
+    (rows, [(column, row id)]).
 
     Each row is first scaled to integer entries, and every row operation
     keeps it so: a pivot p = ±1 clears its column by subtraction, any
@@ -115,7 +119,7 @@ def _eliminate(m: SparseMatrix, canonical: bool):
     so each pivot column is cleared everywhere (the rref up to one scale
     per row); otherwise pivot rows retire once used.
     """
-    work = [_integral(r) for r in m.rows if r]
+    work = [_integral(r) for r in rows if r]
     # column -> live row ids with a nonzero there, kept current
     col_rows: dict[int, set[int]] = {}
     for ri, row in enumerate(work):
@@ -210,12 +214,22 @@ class RrefResult:
 
 def rref(m: SparseMatrix) -> RrefResult:
     """Reduced row echelon form of ``m`` (unique; rows sorted by pivot)."""
-    work, pivots = _eliminate(m, canonical=True)
+    work, pivots = _eliminate(m.rows, canonical=True)
     reduced = SparseMatrix(len(pivots), m.ncols)
     reduced.rows = [_scaled(work[ri], work[ri][col]) for col, ri in pivots]
     return RrefResult(len(pivots), tuple(c for c, _ in pivots), reduced)
 
 
+def pivot_columns(rows: Iterable[dict]) -> frozenset[int]:
+    """Pivot columns of the Markowitz-style elimination of ``rows``
+    (column -> Q, explicit zeros allowed).
+
+    The submatrix at these columns has the rank of the whole, so the
+    row space maps isomorphically onto their coordinates.
+    """
+    return frozenset(c for c, _ in _eliminate(rows, canonical=False)[1])
+
+
 def rank(m: SparseMatrix) -> int:
     """Exact rank, by the free Markowitz-style pivot policy."""
-    return len(_eliminate(m, canonical=False)[1])
+    return len(pivot_columns(m.rows))

@@ -44,6 +44,13 @@ that ``differential_matrix``'s assembly from cached core blocks
 replaced: the Leibniz expansion of each basis monomial, reduced in the
 target slice.
 
+``suffix_monomials`` is the enumeration that
+``Presentation._suffix_monomials``'s walk from the lower degrees
+replaced: every exponent vector of degree <= the target, rebuilt
+generator by generator.  ``rref_slice_basis`` is the core slice from
+the rref of its ideal slice, taken also when the ideal slice has no
+rows, which ``quotient_slice`` now skips.
+
 ``kernel_basis``, ``from_dense``, ``to_dense``, ``transpose``,
 ``identity``, ``entry``, ``regular_character`` and ``evaluate_at_one``
 are helpers only the tests use.
@@ -64,8 +71,9 @@ from fractions import Fraction
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
                               Element, Monomial)
 from cdgacalc.analysis import ClassFunction, inverse, trivial_character
-from cdgacalc.engine import (VerificationReport, _slice_weights,
-                             differential_matrix, map_matrix, quotient_slice)
+from cdgacalc.engine import (SliceBasis, VerificationReport, _slice_weights,
+                             differential_matrix, ideal_slice, map_matrix,
+                             quotient_slice)
 from cdgacalc.linalg import SparseMatrix, rank, rref
 from cdgacalc.models import symmetric_action
 from cdgacalc.rat import ONE, Rational
@@ -281,6 +289,39 @@ def unfactored_slice(p, degree, weight=None):
         vec = ech.reduce(unit)
         normal[m] = {free[j]: v for j, v in enumerate(vec) if v}
     return quotient, normal
+
+
+def suffix_monomials(p, degree):
+    """Exponent vectors of the monomials of one degree in the generators
+    after p's core, grouped by weight, in lexicographic order."""
+    gens = p.context.generators[len(p.core.context.generators):]
+    partial = [((), 0, 0)]  # exponents, degree, weight
+    for g in gens:
+        top = 1 if g.odd else degree // g.degree
+        partial = [(e + (x,), d + x * g.degree, w + x * g.weight)
+                   for e, d, w in partial for x in range(top + 1)
+                   if d + x * g.degree <= degree]
+    out = {}
+    for e, d, w in partial:
+        if d == degree:
+            out.setdefault(w, []).append(e)
+    return out
+
+
+def rref_slice_basis(p, degree, weight=None):
+    """The SliceBasis of a presentation that is its own core, from the
+    rref of its ideal slice."""
+    free = p.context.monomials_of(degree, weight)
+    res = rref(ideal_slice(p, degree, weight))
+    pivot_set = set(res.pivots)
+    quotient = tuple(m for i, m in enumerate(free) if i not in pivot_set)
+    rewrite = {}
+    for ri, pcol in enumerate(res.pivots):
+        row = res.reduced.rows[ri]
+        rewrite[free[pcol]] = {free[c]: -v for c, v in row.items()
+                               if c != pcol}
+    index = {m: i for i, m in enumerate(quotient)}
+    return SliceBasis(degree, weight, quotient, rewrite, index)
 
 
 def _free_weights(p, degree):

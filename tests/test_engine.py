@@ -5,19 +5,21 @@ import pytest
 from cdgacalc import cli
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, Element,
                               GeneratorSpec, tensor_power)
-from cdgacalc.analysis import weightwise_euler
+from cdgacalc.analysis import (all_permutations, isotypic_cohomology,
+                               sign_character, weightwise_euler)
 from cdgacalc.engine import (Presentation, PresentationError, _slice_weights,
                              cohomology, differential_matrix,
                              differential_rank, ideal_slice, quotient_slice,
                              verify_d_squared)
-from cdgacalc.linalg import rank, rref
+from cdgacalc.linalg import SparseMatrix, rank, rref
 from cdgacalc.models import build_base, cotangent_chern, parse_ample_class, \
     parse_space, section_model, configuration_model, twisted_section_model
 from cdgacalc.rat import ONE, Rational
 
-from oracle import (dense_cohomology_dims, free_differential,
-                    reference_differential_matrix, slice_d_squared,
-                    unfactored_slice, unreduced_cohomology)
+from oracle import (_free_weights, dense_cohomology_dims, free_differential,
+                    reference_differential_matrix, rref_slice_basis,
+                    slice_d_squared, suffix_monomials, unfactored_slice,
+                    unreduced_cohomology)
 from test_acceptance import random_presentation
 
 
@@ -239,7 +241,7 @@ def test_slice_caches_keep_their_key_shapes():
     # only the core enumerates its free slices
     assert core.context._mono_cache
     assert not p.context._mono_cache and not reduced.context._mono_cache
-    for pres, layers in ((reduced, {"slice", "diff", "rank"}),
+    for pres, layers in ((reduced, {"slice", "rank"}),
                          (core, {"ideal", "slice"})):
         assert pres._cache
         for key in pres._cache:
@@ -704,3 +706,104 @@ def test_reduction_signs_powers_and_greedy_cancellation():
         assert not red.differential
         dense = dense_cohomology_dims(p, 6)
         assert cohomology(p, 6).dims() == [dense[d] for d in range(7)]
+
+
+# -- the suffix walk, empty ideal slices and clearing -----------------------
+
+def _builtin_models():
+    for space in ("P1", "P2", "S1", "S2", "P1xP1"):
+        for r in (1, 2, 3):
+            for p in _families(space, r):
+                yield p
+                yield p.reduced
+
+
+def test_suffix_walk_equals_brute_force_enumeration():
+    models = list(_builtin_models())
+    models += [random_presentation(seed)[0] for seed in range(24)]
+    nonempty = 0
+    for p in models:
+        for d in range(13):
+            # weights in the same order, each list in the same order
+            got = list(p._suffix_monomials(d).items())
+            assert got == list(suffix_monomials(p, d).items()), (p.name, d)
+            nonempty += bool(got) and d > 0
+    assert nonempty > 0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("space", ["P1", "P2", "S1", "S2", "P1xP1"])
+def test_core_slices_equal_the_rref_route(space, r):
+    shapes = Counter()
+    for p in _families(space, r):
+        core = p.core
+        ctx = core.context
+        # the core's free algebra is finite: its G_ab are odd
+        assert all(g.odd for g in ctx.generators)
+        top = max(ctx.base.degrees) + sum(g.degree for g in ctx.generators)
+        for d in range(top + 1):
+            for k in _free_weights(core, d) + [None]:
+                assert quotient_slice(core, d, k) \
+                    == rref_slice_basis(core, d, k), (core.name, d, k)
+                shapes[bool(ideal_slice(core, d, k).nrows)] += 1
+    assert shapes[True] and shapes[False]
+
+
+def _column_rank(m, cols):
+    return rank(SparseMatrix.from_rows(m.nrows, m.ncols, (
+        {j: v for j, v in row.items() if j in cols} for row in m.rows)))
+
+
+def _assert_cleared_ranks(p, max_degree):
+    """Each weight's chain, ranked bottom-up by ``differential_rank``,
+    against the rank of the whole matrix; returns how many nonzero rows
+    clearing left out."""
+    weights = {k for d in range(max_degree + 1) for k in _slice_weights(p, d)}
+    cleared = 0
+    for k in sorted(weights) + [None]:
+        below = ()
+        for d in range(max_degree + 1):
+            whole = differential_matrix(p, d, k)
+            assert differential_rank(p, d, k) == rank(whole), (p.name, d, k)
+            cleared += sum(1 for i in below if whole.rows[i])
+            # kept until the rank above reads them
+            below = p._blocks.get(("pivots", d, k), ())
+            assert len(below) == rank(whole)
+            assert _column_rank(whole, below) == len(below), (p.name, d, k)
+    return cleared
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("space", ["P1", "P2", "S1", "S2", "P1xP1"])
+def test_cleared_ranks_equal_whole_ranks(space, r):
+    for p in _families(space, r):
+        for q in {p: None, p.reduced: None}:
+            _assert_cleared_ranks(q, _slice_budget(p, largest=200, top=8))
+
+
+def test_cleared_ranks_equal_whole_ranks_on_random_presentations():
+    for seed in range(24):
+        p, max_degree = random_presentation(seed)
+        for q in {p: None, p.reduced: None}:
+            _assert_cleared_ranks(q, max_degree)
+
+
+def test_clearing_leaves_out_nonzero_rows():
+    # rows that d^2 = 0 accounts for, yet which d does not send to zero
+    p = _section("S1", 2)
+    assert _assert_cleared_ranks(p.reduced, 6) > 0
+
+
+def test_cohomology_refuses_a_differential_that_does_not_square_to_zero():
+    bad = c2_p1("bad")
+    with pytest.raises(AlgebraError, match="d is not a differential"):
+        cohomology(bad, 4)
+    with pytest.raises(AlgebraError, match="d is not a differential"):
+        isotypic_cohomology(bad, all_permutations(2), sign_character(2), 4)
+    with pytest.raises(AlgebraError, match="d is not a differential"):
+        differential_rank(bad, 2, 2)
+    # verify still reports the failure, as the slice-by-slice check does
+    report = verify_d_squared(bad, 4)
+    assert report == slice_d_squared(c2_p1("bad"), 4)
+    assert (report.ok, report.failure_kind, report.slices_checked) \
+        == (False, "relation", 1)

@@ -278,9 +278,36 @@ def test_integer_input_builds_no_rational(monkeypatch):
     monkeypatch.setattr(linalg, "Rational", no_rational)
     ranks = [rank(m) for m in mats]
     for m in mats:
-        work, _ = linalg._eliminate(m, canonical=True)
+        work, _ = linalg._eliminate(m.rows, canonical=True)
         assert all(type(v) is int for row in work for v in row.values())
     monkeypatch.undo()
     for m, r in zip(mats, ranks):
         assert r == len(dense_rref(to_dense(m), m.ncols)[0])
         assert_matches_dense(m)
+
+
+def test_rank_ignores_explicit_zeros():
+    # rows assembled by accumulation may hold 0 or Fraction(0) entries,
+    # which must never serve as a pivot
+    cases = [
+        [{0: 0}],
+        [{0: Fraction(0), 1: 0}, {1: Fraction(0)}],
+        [{0: 0, 1: 2}, {0: Fraction(0), 1: 4, 2: Fraction(0)}, {2: 0},
+         {0: 1, 2: Fraction(0, 3)}],
+        [{0: Fraction(1, 2), 1: 0}, {0: 0, 1: Fraction(1, 3)},
+         {0: 3, 1: Fraction(0)}],
+    ]
+    rng = random.Random(5)
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        cases.append([{**row, **{j: rng.choice([0, Fraction(0)])
+                                 for j in range(m.ncols)
+                                 if j not in row and rng.random() < 0.3}}
+                      for row in m.rows])
+    for rows in cases:
+        ncols = 1 + max((j for row in rows for j in row), default=0)
+        m = SparseMatrix(len(rows), ncols)
+        m.rows = rows
+        want = len(dense_rref([[row.get(j, 0) for j in range(ncols)]
+                               for row in rows], ncols)[0])
+        assert rank(m) == len(linalg.pivot_columns(rows)) == want, rows
