@@ -20,7 +20,7 @@ from .engine import (Presentation, PresentationError, SliceBasis,
                      FactoredSlice,
                      CohomologyTable, VerificationReport, ideal_slice,
                      quotient_slice, differential_matrix, differential_rank,
-                     cohomology, verify_d_squared, map_matrix)
+                     cohomology, verify_d_squared)
 from .models import (ProjectiveSpace, Surface, Product, Custom, SpaceSpec,
                      ChernData, parse_space, parse_ample_class, build_base,
                      degree_two_class, dual_basis, diagonal_class,

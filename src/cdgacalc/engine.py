@@ -62,13 +62,15 @@ isomorphically onto those coordinates, so the rank does not change.
 The rows are assembled straight into the elimination, without a
 matrix.
 
-Slices, ideal slices, public differential matrices and ranks are
-cached per presentation and keyed by (degree, weight); the blocks
-differential matrices are assembled from, and the pivot columns of each
-chain's top rank until the rank above reads them, are cached apart.
-``cohomology`` keeps no matrix.  Results are deterministic because the
-reduced row echelon form, the monomial order and the block order are
-canonical.
+Slices, ideal slices and ranks are cached per presentation and keyed
+by (degree, weight); the blocks differentials are assembled from, and
+the pivot columns of each chain's top rank until the rank above reads
+them, are cached apart.  Neither ``cohomology`` nor the isotypic ranks
+of :mod:`~cdgacalc.analysis` build a differential matrix: both take
+their rows from the assembler.  :func:`differential_matrix` is for
+library callers, and caches what it builds.  Results are deterministic
+because the reduced row echelon form, the monomial order and the block
+order are canonical.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .algebra import (AlgebraContext, AlgebraError, Element, Monomial,
-                      MonomialPermutation)
+from .algebra import AlgebraContext, AlgebraError, Element, Monomial
 from .linalg import SparseMatrix, pivot_columns, rref
 from .rat import ONE, exact, rat
 
@@ -820,7 +821,7 @@ def differential_matrix(p: Presentation, degree: int,
 
     Row i holds the coordinates of d(basis monomial i) in the target
     quotient basis, in ``rat.exact`` form; see :func:`_assemble`.
-    Cached; the ranks of :func:`cohomology` do not use it.
+    Cached; neither :func:`cohomology` nor the isotypic ranks use it.
     """
 
     def build():
@@ -866,20 +867,6 @@ def differential_rank(p: Presentation, degree: int,
             p._blocks[("pivots", d, weight)] = pivots
         hit = p._cache[("rank", d, weight)] = len(pivots)
     return hit
-
-
-def map_matrix(p: Presentation, phi: MonomialPermutation, degree: int,
-               weight: Optional[int] = None) -> SparseMatrix:
-    """Matrix of a signed monomial permutation on one slice."""
-    if phi.context is not p.context:
-        raise AlgebraError("context mismatch: map not on this "
-                           "presentation's algebra")
-    src = quotient_slice(p, degree, weight)
-    mat = SparseMatrix(src.dim, src.dim)
-    for i, mono in enumerate(src.quotient):
-        image, c = phi.image(mono)
-        mat.rows[i] = src.coords({image: c})
-    return mat
 
 
 class CohomologyTable:
@@ -964,6 +951,9 @@ def cohomology(p: Presentation, max_degree: int,
         raise AlgebraError("cohomology: max_degree must be >= 0")
     _certify(p)
     q = p.reduced
+    # d^2 = 0 on p gives it on its quotient by a d-stable ideal, and q has
+    # p's relations
+    q._certificate = p._certificate
     entries: dict = {}
     for d in range(max_degree + 1):
         for k in _slice_weights(q, d) if by_weight else [None]:

@@ -67,31 +67,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        out = SparseMatrix(self.nrows, other.ncols)
-        for i, row in enumerate(self.rows):
-            acc: dict[int, object] = {}
-            for k, v in row.items():
-                for j, w in other.rows[k].items():
-                    s = acc.get(j)
-                    s = v * w if s is None else s + v * w
-                    if s:
-                        acc[j] = s
-                    else:
-                        acc.pop(j, None)
-            out.rows[i] = acc
-        return out
-
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrix)
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
-
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 

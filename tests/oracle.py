@@ -52,8 +52,12 @@ the rref of its ideal slice, taken also when the ideal slice has no
 rows, which ``quotient_slice`` now skips.
 
 ``kernel_basis``, ``from_dense``, ``to_dense``, ``transpose``,
-``identity``, ``entry``, ``regular_character`` and ``evaluate_at_one``
-are helpers only the tests use.
+``identity``, ``entry``, ``matmul``, ``is_zero``, ``same_matrix``,
+``regular_character`` and ``evaluate_at_one`` are helpers only the
+tests use.  ``same_matrix`` is the comparison of two matrices; a
+SparseMatrix defines no ``==``.  ``map_matrix`` is the matrix of a
+signed monomial permutation on one quotient slice, whose traces
+``character_euler`` now reads one diagonal entry at a time.
 
 ``check_graded_permutation``, ``check_multiplicative``,
 ``check_d_and_relations`` and ``check_diagonal_identities`` state the
@@ -72,8 +76,7 @@ from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
                               Element, Monomial)
 from cdgacalc.analysis import ClassFunction, inverse, trivial_character
 from cdgacalc.engine import (SliceBasis, VerificationReport, _slice_weights,
-                             differential_matrix, ideal_slice, map_matrix,
-                             quotient_slice)
+                             differential_matrix, ideal_slice, quotient_slice)
 from cdgacalc.linalg import SparseMatrix, rank, rref
 from cdgacalc.models import symmetric_action
 from cdgacalc.rat import ONE, Rational
@@ -104,6 +107,47 @@ def transpose(m):
     return SparseMatrix(m.ncols, m.nrows,
                         ((j, i, v) for i, row in enumerate(m.rows)
                          for j, v in row.items()))
+
+
+def matmul(a, b):
+    """The product a b of two SparseMatrix objects."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in matrix product")
+    out = SparseMatrix(a.nrows, b.ncols)
+    for i, row in enumerate(a.rows):
+        acc = {}
+        for k, v in row.items():
+            for j, w in b.rows[k].items():
+                s = acc.get(j, 0) + v * w
+                if s:
+                    acc[j] = s
+                else:
+                    acc.pop(j, None)
+        out.rows[i] = acc
+    return out
+
+
+def is_zero(m):
+    return all(not row for row in m.rows)
+
+
+def same_matrix(a, b):
+    """Equal shape and equal entries (no explicit zeros are stored)."""
+    return (a.nrows, a.ncols, a.rows) == (b.nrows, b.ncols, b.rows)
+
+
+def map_matrix(p, phi, degree, weight=None):
+    """Matrix of a signed monomial permutation on one quotient slice:
+    row i holds the coordinates of phi(m_i), m_i basis monomial i."""
+    if phi.context is not p.context:
+        raise AlgebraError("context mismatch: map not on this "
+                           "presentation's algebra")
+    src = quotient_slice(p, degree, weight)
+    mat = SparseMatrix(src.dim, src.dim)
+    for i, mono in enumerate(src.quotient):
+        image, c = phi.image(mono)
+        mat.rows[i] = src.coords({image: c})
+    return mat
 
 
 def kernel_basis(m):
@@ -352,9 +396,9 @@ def slice_d_squared(p, max_degree):
             if src.dim == 0:
                 continue
             checked += 1
-            prod = differential_matrix(p, d, k).matmul(
-                differential_matrix(p, d + 1, k))
-            if not prod.is_zero():
+            prod = matmul(differential_matrix(p, d, k),
+                          differential_matrix(p, d + 1, k))
+            if not is_zero(prod):
                 bad = next(i for i, row in enumerate(prod.rows) if row)
                 mid = quotient_slice(p, d + 2, k)
                 residual = Element(ctx, {
@@ -418,7 +462,7 @@ def isotypic_table(p, subgroup, character, max_degree):
     def ranks(degree, weight):
         proj = isotypic_projector(p, subgroup, character, degree, weight)
         out = differential_matrix(p, degree, weight)
-        return rank(proj), rank(proj.matmul(out))
+        return rank(proj), rank(matmul(proj, out))
 
     entries = {}
     for d in range(max_degree + 1):

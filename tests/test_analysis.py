@@ -16,14 +16,15 @@ from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                rho_bracket, rho_series, sign_character,
                                stable_range_bound, trivial_character,
                                weightwise_euler)
-from cdgacalc.engine import _slice_weights, cohomology, quotient_slice
-from cdgacalc.linalg import rref
+from cdgacalc.engine import (_slice_weights, cohomology, differential_matrix,
+                             quotient_slice)
+from cdgacalc.linalg import rank, rref
 from cdgacalc.models import (build_base, configuration_model,
                              cotangent_chern, parse_ample_class, parse_space,
                              section_model, symmetric_action,
                              twisted_section_model)
 from oracle import (evaluate_at_one, isotypic_projector, isotypic_table,
-                    regular_character)
+                    map_matrix, matmul, regular_character, same_matrix)
 
 
 def series(coeffs, trunc, var="w"):
@@ -254,7 +255,9 @@ def isotypic_bases(p, group, chi, max_degree):
 def assert_reduced_basis_of(basis, projector):
     """The rows span the projector's image, and each has 1 at its own
     pivot and 0 at every other pivot."""
-    assert rref(basis.reduced) == rref(projector)
+    got, want = rref(basis.reduced), rref(projector)
+    assert got.pivots == want.pivots
+    assert same_matrix(got.reduced, want.reduced)
     assert basis.rank == basis.reduced.nrows == len(set(basis.pivots))
     for pivot, row in zip(basis.pivots, basis.reduced.rows):
         assert {c: row.get(c, 0) for c in basis.pivots} == {
@@ -407,6 +410,55 @@ def test_isotypic_tables_match_the_projector_oracle(kind, space, r, param):
             == full.entries.get(key, 0), key
 
 
+@pytest.mark.parametrize("space, param, sub, chi", [
+    ("S1", "1", all_permutations(3), sign_character(3)),
+    ("S1", "1", all_permutations(3), trivial_character(3)),
+    ("P1xP1", "[1:1]", generated_subgroup([(1, 0, 2)], 3), sign_character(3)),
+    ("S1", "1", all_permutations(3), STANDARD_S3)])
+def test_cleared_restricted_ranks_match_the_projector_oracle(
+        monkeypatch, space, param, sub, chi):
+    # every rank isotypic_cohomology takes, with its cleared rows left
+    # out, equals rank(P D) of the summed projector times the differential
+    p = _model("A", space, 3, param)
+    max_degree = 6
+    ranked, kept = {}, {}
+    at = []
+
+    def assemble(q, src, tgt, skip):
+        at.append((src.degree, src.weight))
+        return analysis_assemble(q, src, tgt, skip)
+
+    def pivot_columns(images):
+        key = at.pop()
+        kept[key] = len(images)
+        cols = linalg_pivot_columns(images)
+        ranked[key] = len(cols)
+        return cols
+
+    analysis_assemble = analysis._assemble
+    linalg_pivot_columns = analysis.pivot_columns
+    monkeypatch.setattr(analysis, "_assemble", assemble)
+    monkeypatch.setattr(analysis, "pivot_columns", pivot_columns)
+    isotypic_cohomology(p, sub, chi, max_degree)
+    cleared = 0
+    for d in range(max_degree + 1):
+        for k in _slice_weights(p, d):
+            proj = isotypic_projector(p, sub, chi, d, k)
+            want = rank(matmul(proj, differential_matrix(p, d, k)))
+            assert ranked.get((d, k), 0) == want, (d, k)
+            if (d, k) in kept:
+                cleared += rank(proj) - kept[(d, k)]
+    assert cleared > 0
+
+
+def test_isotypic_ranks_build_no_differential_matrix():
+    p = _model("A", "S1", 3, "1")
+    group = all_permutations(3)
+    invariant_cohomology(p, group, 7)
+    isotypic_cohomology(p, group, sign_character(3), 7)
+    assert not [key for key in p._cache if key[0] == "diff"]
+
+
 # Total dims of H^0..H^6 of the trivial and sign pieces under the full
 # S_r, recorded with c = 1 and equal for every nonzero c; they pin the
 # answers of the benchmark's ``symmetric`` workload, which runs at
@@ -439,6 +491,26 @@ def test_character_euler_identities():
     triv = character_euler(m, trivial_character(2), 8)
     sign = character_euler(m, sign_character(2), 8)
     assert triv + sign == plain
+
+
+@pytest.mark.parametrize("space", ["P1", "P2", "S1"])
+def test_character_euler_matches_summed_traces(space):
+    m = _model("A", space, 3, "1")
+    w_max = 7
+    group = all_permutations(3)
+    actions = [symmetric_action(m, sig) for sig in group]
+    for chi in (trivial_character(3), sign_character(3), STANDARD_S3):
+        want = {}
+        for k in range(w_max + 1):
+            total = 0
+            for i in range(k + 1):
+                for sig, phi in zip(group, actions):
+                    mat = map_matrix(m, phi, i, k)
+                    trace = sum(r.get(a, 0) for a, r in enumerate(mat.rows))
+                    total += (-1) ** i * chi(sig) * trace
+            if total:
+                want[k] = total / 6
+        assert character_euler(m, chi, w_max).coeffs == want, chi
 
 
 def test_character_euler_trivial_matches_invariants():

@@ -150,6 +150,23 @@ def test_invariants_sign_json_stdout(capsys):
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+def test_invariants_sign_table_stdout(capsys):
+    code, out, err = run_cli(capsys, "invariants", "--space", "S1", "--r",
+                             "3", "--max-degree", "7", "--subgroup", "full",
+                             "--character", "sign")
+    assert code == 0 and not err
+    assert out == ("model: A3(S1, c=X)\n"
+                   "  i    dim\n"
+                   "  0      0\n"
+                   "  1      0\n"
+                   "  2      3\n"
+                   "  3     10\n"
+                   "  4     20\n"
+                   "  5     39\n"
+                   "  6     73\n"
+                   "  7    119\n")
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--space", "P1", "--r", "2",
                            "--max-degree", "6")
