@@ -312,7 +312,7 @@ def r1_stable_series(base: BaseAlgebra, t_max: int) -> BigradedSeries:
         ctx, [], {0: ctx.base_element({base.fundamental: ONE})},
         name=f"punctured-derivative({base.name})",
         params={"model": "omega", "space": base.name})
-    table = cohomology(pres, t_max, by_weight=True)
+    table = cohomology(pres, t_max)
     factor = BigradedSeries(
         {i: table.dim(i) for i in range(t_max + 1)}, t_max, "t")
     return factor * poincare_series_U(base, t_max, "t")
@@ -408,10 +408,6 @@ def _closed_with_generators(subgroup: Sequence[Perm]):
             gens.append(s)
             span = _span(gens, r, seen)
     return elems, gens
-
-
-def check_subgroup_closed(subgroup: Sequence[Perm]) -> list[Perm]:
-    return _closed_with_generators(subgroup)[0]
 
 
 @dataclass(frozen=True)
@@ -733,7 +729,7 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
             if value:
                 entries[(d, k)] = value
     model = {"name": p.name, **p.params, "subgroup_order": order}
-    return CohomologyTable(entries, max_degree, True, model)
+    return CohomologyTable(entries, max_degree, model)
 
 
 def invariant_cohomology(p: Presentation, subgroup: Sequence[Perm],

@@ -85,8 +85,7 @@ def _table_payload(table: CohomologyTable, command: str) -> dict:
         "model": {str(k): str(v) for k, v in table.model.items()},
         "weights_convention": "generator weights: G,alpha 2n; eta 2n+2; "
                               "shifted class of degree-i base class i+2",
-        "computed_range": {"max_degree": table.max_degree,
-                           "by_weight": table.by_weight},
+        "computed_range": {"max_degree": table.max_degree, "by_weight": True},
         "result": {
             "dims": table.dims(),
             "entries": [[d, k, v] for d, k, v in table.rows()],
@@ -101,7 +100,7 @@ def _print_cohomology(table: CohomologyTable, args) -> None:
     if args.format == "csv":
         print("degree,weight,dim")
         for d, k, v in table.rows():
-            print(f"{d},{'' if k is None else k},{v}")
+            print(f"{d},{k},{v}")
         return
     print(f"model: {table.model.get('name')}")
     if args.by_weight:
@@ -151,7 +150,7 @@ class VerificationFailure(RuntimeError):
 def cmd_cohomology(args) -> int:
     model = _build_model(args)
     _auto_verify(model, args.max_degree)
-    table = cohomology(model, args.max_degree, by_weight=True)
+    table = cohomology(model, args.max_degree)
     _print_cohomology(table, args)
     return 0
 
@@ -233,7 +232,7 @@ def cmd_table1(args) -> int:
         base = build_base(parse_space(space))
         model = section_model(base, parse_ample_class(base, c_str), r)
         _auto_verify(model, 10)
-        table = cohomology(model, 10, by_weight=True)
+        table = cohomology(model, 10)
         results.append((space, r, c_str, expected, table.dims()))
     mismatches = []
     for space, r, c_str, expected, got in results:

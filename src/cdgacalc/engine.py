@@ -50,8 +50,7 @@ The cohomology of the quotient in one slice is
 
 with Q the quotient slice and D the induced differential matrix; the
 differential preserves the weight k, so slices at different weights never
-interact.  Passing ``weight=None`` everywhere computes with whole-degree
-slices instead (used to check that the weight splitting is genuine).
+interact, and every slice, rank and table entry has an integer weight.
 
 Ranks are computed by clearing (Chen-Kerber, Persistent homology
 computation with a twist, EuroCG 2011), bottom-up along each weight's
@@ -62,12 +61,13 @@ isomorphically onto those coordinates, so the rank does not change.
 The rows are assembled straight into the elimination, without a
 matrix.
 
-Slices, ideal slices and ranks are cached per presentation and keyed
-by (degree, weight); the blocks differentials are assembled from, and
-the pivot columns of each chain's top rank until the rank above reads
-them, are cached apart.  Neither ``cohomology`` nor the isotypic ranks
-of :mod:`~cdgacalc.analysis` build a differential matrix: both take
-their rows from the assembler.  :func:`differential_matrix` is for
+Slices and ranks are cached per presentation and keyed by (degree,
+weight); the blocks differentials are assembled from, and the pivot
+columns of each chain's top rank until the rank above reads them, are
+cached apart.  Ideal slices are not cached: only the core slice made
+from each one's rref is kept.  Neither ``cohomology`` nor the isotypic
+ranks of :mod:`~cdgacalc.analysis` build a differential matrix: both
+take their rows from the assembler.  :func:`differential_matrix` is for
 library callers, and caches what it builds.  Results are deterministic
 because the reduced row echelon form, the monomial order and the block
 order are canonical.
@@ -444,7 +444,7 @@ class SliceBasis:
     """
 
     degree: int
-    weight: Optional[int]
+    weight: int
     quotient: tuple[Monomial, ...]
     rewrite: dict
     index: dict = field(repr=False)
@@ -504,7 +504,7 @@ class FactoredSlice:
     gives.  ``quotient`` and ``index`` are built on first read.
     """
 
-    def __init__(self, degree: int, weight: Optional[int],
+    def __init__(self, degree: int, weight: int,
                  core: Presentation, context: AlgebraContext, blocks: tuple):
         self.degree = degree
         self.weight = weight
@@ -528,9 +528,8 @@ class FactoredSlice:
         empty one, where every monomial reduces to zero."""
         du, wu = _suffix_grade(self._context,
                                len(self._core.context.generators), u)
-        d = self.degree - du
-        w = None if self.weight is None else self.weight - wu
-        if d < 0 or (w is not None and w < 0):
+        d, w = self.degree - du, self.weight - wu
+        if d < 0 or w < 0:
             raise AlgebraError(f"monomial outside slice (degree "
                                f"{self.degree}, weight {self.weight})")
         return quotient_slice(self._core, d, w)
@@ -573,48 +572,36 @@ class FactoredSlice:
         return {quotient[j]: c for j, c in self.coords(terms).items()}
 
 
-def ideal_slice(p: Presentation, degree: int,
-                weight: Optional[int] = None) -> SparseMatrix:
+def ideal_slice(p: Presentation, degree: int, weight: int) -> SparseMatrix:
     """Matrix whose rows span the (degree, weight) piece of the ideal.
 
     Rows are the products relation * monomial over all relations and all
-    free monomials of complementary degree (and weight), expressed in the
-    canonical monomial basis of the slice.
+    free monomials of complementary degree and weight, expressed in the
+    canonical monomial basis of the slice.  Built on each call, not
+    cached: :func:`quotient_slice` caches the slice its rref gives.
     """
     if degree < 0:
         raise AlgebraError("ideal_slice: degree must be >= 0")
-
-    def build():
-        ctx = p.context
-        cols = ctx.monomials_of(degree, weight)
-        colmap = {m: i for i, m in enumerate(cols)}
-        rows: list[dict[int, object]] = []
-        for rel, (rd, rw) in zip(p.relations, p._relation_grades):
-            md = degree - rd
-            if md < 0:
-                continue
-            if weight is None:
-                mons = ctx.monomials_of(md)
-            else:
-                mw = weight - rw
-                if mw < 0:
-                    continue
-                mons = ctx.monomials_of(md, mw)
-            for mono in mons:
-                acc: dict[Monomial, object] = {}
-                for mr, cr in rel.terms.items():
-                    ctx.mul_term_into(acc, mr, cr, mono, ONE)
-                row = {colmap[m]: c for m, c in acc.items() if c}
-                if row:
-                    rows.append(row)
-        return SparseMatrix.from_rows(len(rows), len(cols), rows)
-
-    return p._cached(("ideal", degree, weight), build)
+    ctx = p.context
+    cols = ctx.monomials_of(degree, weight)
+    colmap = {m: i for i, m in enumerate(cols)}
+    rows: list[dict[int, object]] = []
+    for rel, (rd, rw) in zip(p.relations, p._relation_grades):
+        md, mw = degree - rd, weight - rw
+        if md < 0 or mw < 0:
+            continue
+        for mono in ctx.monomials_of(md, mw):
+            acc: dict[Monomial, object] = {}
+            for mr, cr in rel.terms.items():
+                ctx.mul_term_into(acc, mr, cr, mono, ONE)
+            row = {colmap[m]: c for m, c in acc.items() if c}
+            if row:
+                rows.append(row)
+    return SparseMatrix.from_rows(len(rows), len(cols), rows)
 
 
 def quotient_slice(p: Presentation, degree: int,
-                   weight: Optional[int] = None
-                   ) -> SliceBasis | FactoredSlice:
+                   weight: int) -> SliceBasis | FactoredSlice:
     """Deterministic basis + projector for one slice of the quotient.
 
     The core's slices are :class:`SliceBasis` objects from the rref of
@@ -650,10 +637,9 @@ def quotient_slice(p: Presentation, degree: int,
         offset = 0
         for du in range(degree + 1):
             for wu, suffix in p._suffix_monomials(du).items():
-                if weight is not None and wu > weight:
+                if wu > weight:
                     continue
-                sl = quotient_slice(core, degree - du,
-                                    None if weight is None else weight - wu)
+                sl = quotient_slice(core, degree - du, weight - wu)
                 if sl.dim:
                     for u in suffix:
                         blocks.append((u, sl, offset))
@@ -695,9 +681,8 @@ def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
             terms = []
             for s, part in parts.items():
                 ds, ws = _suffix_grade(p.context, n, s)
-                tgt = quotient_slice(
-                    core, sl.degree + 1 - ds,
-                    None if sl.weight is None else sl.weight - ws)
+                tgt = quotient_slice(core, sl.degree + 1 - ds,
+                                     sl.weight - ws)
                 coords = tgt.coords(part)
                 if coords:
                     terms.append((s, coords))
@@ -731,10 +716,8 @@ def _multiplication(core: Presentation, kappa: Monomial,
     hit = core._blocks.get(key)
     if hit is None:
         ctx = core.context
-        tgt = quotient_slice(
-            core, sl.degree + ctx.monomial_degree(kappa),
-            None if sl.weight is None
-            else sl.weight + ctx.monomial_weight(kappa))
+        tgt = quotient_slice(core, sl.degree + ctx.monomial_degree(kappa),
+                             sl.weight + ctx.monomial_weight(kappa))
         rows = []
         for i, m in enumerate(sl.quotient):
             acc: dict = {}
@@ -816,7 +799,7 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
 
 
 def differential_matrix(p: Presentation, degree: int,
-                        weight: Optional[int] = None) -> SparseMatrix:
+                        weight: int) -> SparseMatrix:
     """Matrix of d from slice (degree, weight) to (degree+1, weight).
 
     Row i holds the coordinates of d(basis monomial i) in the target
@@ -837,8 +820,7 @@ def differential_matrix(p: Presentation, degree: int,
     return p._cached(("diff", degree, weight), build)
 
 
-def differential_rank(p: Presentation, degree: int,
-                      weight: Optional[int] = None) -> int:
+def differential_rank(p: Presentation, degree: int, weight: int) -> int:
     """Rank of d from slice (degree, weight) to (degree + 1, weight).
 
     Computed bottom-up along the weight's chain with clearing (see the
@@ -872,16 +854,14 @@ def differential_rank(p: Presentation, degree: int,
 class CohomologyTable:
     """dim Gr_k^W H^i as a map (degree, weight) -> nonnegative integer.
 
-    ``weight`` is None throughout when computed without the weight
-    refinement.  Only the computed range [0, max_degree] is recorded;
-    higher degrees are simply absent rather than guessed to be zero.
+    Only the computed range [0, max_degree] is recorded; higher degrees
+    are simply absent rather than guessed to be zero.  ``dim(degree)``
+    without a weight sums the degree's weights.
     """
 
-    def __init__(self, entries: dict, max_degree: int, by_weight: bool,
-                 model: dict):
+    def __init__(self, entries: dict, max_degree: int, model: dict):
         self.entries = {k: v for k, v in entries.items() if v}
         self.max_degree = max_degree
-        self.by_weight = by_weight
         self.model = dict(model)
 
     def dim(self, degree: int, weight: Optional[int] = None) -> int:
@@ -893,13 +873,10 @@ class CohomologyTable:
         return [self.dim(i) for i in range(self.max_degree + 1)]
 
     def weights_at(self, degree: int) -> list[int]:
-        return sorted(k for (d, k) in self.entries
-                      if d == degree and k is not None)
+        return sorted(k for (d, k) in self.entries if d == degree)
 
-    def rows(self) -> list[tuple[int, Optional[int], int]]:
-        order = lambda t: (t[0], -1 if t[1] is None else t[1])
-        return [(d, k, self.entries[(d, k)])
-                for (d, k) in sorted(self.entries, key=order)]
+    def rows(self) -> list[tuple[int, int, int]]:
+        return [(d, k, self.entries[d, k]) for d, k in sorted(self.entries)]
 
     def __eq__(self, other):
         return (isinstance(other, CohomologyTable)
@@ -940,15 +917,18 @@ def cohomology(p: Presentation, max_degree: int,
                by_weight: bool = True) -> CohomologyTable:
     """Bigraded cohomology dimensions of the quotient CDGA up to max_degree.
 
-    Computed on ``p.reduced``, which has the same cohomology; the table
-    carries ``p``'s name and parameters.  With ``by_weight`` the
-    computation runs one weight at a time (the differential preserves
-    weights); otherwise whole-degree slices are used and entries carry
-    weight None.  Raises :class:`AlgebraError` when the check of
-    :func:`verify_d_squared` fails, since the ranks rely on d^2 = 0.
+    Computed on ``p.reduced``, which has the same cohomology, one weight
+    at a time (the differential preserves weights); the table carries
+    ``p``'s name and parameters.  Raises :class:`AlgebraError` when the
+    check of :func:`verify_d_squared` fails, since the ranks rely on
+    d^2 = 0, and for ``by_weight=False``: there is no whole-degree
+    computation.  ``by_weight`` stays only because the benchmark passes
+    it; a change to the benchmark can drop it.
     """
     if max_degree < 0:
         raise AlgebraError("cohomology: max_degree must be >= 0")
+    if not by_weight:
+        raise AlgebraError("cohomology: only by_weight=True is supported")
     _certify(p)
     q = p.reduced
     # d^2 = 0 on p gives it on its quotient by a d-stable ideal, and q has
@@ -956,12 +936,12 @@ def cohomology(p: Presentation, max_degree: int,
     q._certificate = p._certificate
     entries: dict = {}
     for d in range(max_degree + 1):
-        for k in _slice_weights(q, d) if by_weight else [None]:
+        for k in _slice_weights(q, d):
             r_out = differential_rank(q, d, k)
             r_in = differential_rank(q, d - 1, k) if d > 0 else 0
             entries[(d, k)] = quotient_slice(q, d, k).dim - r_out - r_in
     model = {"name": p.name, **p.params}
-    return CohomologyTable(entries, max_degree, by_weight, model)
+    return CohomologyTable(entries, max_degree, model)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ tables.
 
 ``unfactored_slice`` eliminates one whole free slice densely, against
 which the engine's slices, factored through the relation-carrying core,
-are compared.
+are compared.  With weight None it, ``ideal_products`` and
+``dense_cohomology_dims`` work on whole-degree slices, which the
+engine's weight slices partition; the engine itself has none.
 
 ``slice_d_squared`` is the slice-by-slice d^2 check that
 ``verify_d_squared``'s generator certificate replaced, and
@@ -136,7 +138,7 @@ def same_matrix(a, b):
     return (a.nrows, a.ncols, a.rows) == (b.nrows, b.ncols, b.rows)
 
 
-def map_matrix(p, phi, degree, weight=None):
+def map_matrix(p, phi, degree, weight):
     """Matrix of a signed monomial permutation on one quotient slice:
     row i holds the coordinates of phi(m_i), m_i basis monomial i."""
     if phi.context is not p.context:
@@ -209,7 +211,7 @@ def free_differential(p, mono):
     return total
 
 
-def reference_differential_matrix(p, degree, weight=None):
+def reference_differential_matrix(p, degree, weight):
     """d from slice (degree, weight) to (degree + 1, weight), one basis
     monomial at a time: row i is the Leibniz expansion of basis monomial
     i in coordinates of the target slice, in the slices' basis order."""
@@ -352,7 +354,7 @@ def suffix_monomials(p, degree):
     return out
 
 
-def rref_slice_basis(p, degree, weight=None):
+def rref_slice_basis(p, degree, weight):
     """The SliceBasis of a presentation that is its own core, from the
     rref of its ideal slice."""
     free = p.context.monomials_of(degree, weight)

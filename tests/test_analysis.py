@@ -6,7 +6,7 @@ import pytest
 from cdgacalc import analysis
 from cdgacalc.algebra import AlgebraError, BaseAlgebra
 from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
-                               character_euler, check_subgroup_closed,
+                               character_euler,
                                compose,
                                configuration_euler,
                                cycle_type, generated_subgroup,
@@ -530,11 +530,11 @@ def test_subgroup_closure_helpers():
     assert len(generated_subgroup([(1, 2, 0)], 3)) == 3
     assert len(generated_subgroup([(1, 0, 2), (0, 2, 1)], 3)) == 6
     with pytest.raises(AlgebraError, match="duplicate"):
-        check_subgroup_closed([(0, 1), (1, 0), (0, 1)])
+        analysis._closed_with_generators([(0, 1), (1, 0), (0, 1)])[0]
     with pytest.raises(AlgebraError, match="not closed"):
-        check_subgroup_closed([(1, 2, 0)])
+        analysis._closed_with_generators([(1, 2, 0)])[0]
     with pytest.raises(AlgebraError, match="not closed"):
-        check_subgroup_closed([(0, 1, 2), (1, 2, 0)])
+        analysis._closed_with_generators([(0, 1, 2), (1, 2, 0)])[0]
     assert cycle_type((1, 0, 2)) == (2, 1)
     assert cycle_type((1, 2, 0)) == (3,)
 
@@ -550,12 +550,12 @@ def test_subgroup_checks_per_generator_match_all_pairs():
             group = [identity, *subset]
             pairs = all(compose(a, b) in group for a in group for b in group)
             if pairs:
-                assert check_subgroup_closed(group) == group
+                assert analysis._closed_with_generators(group)[0] == group
                 assert generated_subgroup(subset, 3) == sorted(group)
                 closed += 1
             else:
                 with pytest.raises(AlgebraError, match="not closed"):
-                    check_subgroup_closed(group)
+                    analysis._closed_with_generators(group)[0]
     assert closed == 6
 
 

@@ -40,31 +40,31 @@ def test_ideal_slice_no_relations():
     base = build_base(parse_space("P1"))
     ctx = AlgebraContext(base, [GeneratorSpec("a", 1, 2)])
     p = Presentation(ctx, [], {}, name="free")
-    assert ideal_slice(p, 3).nrows == 0
+    assert ideal_slice(p, 3, 4).nrows == 0
 
 
 def test_ideal_slice_c2_p1_degree_three():
     p = c2_p1()
-    mat = ideal_slice(p, 3)
-    # free degree-3 monomials are x(x)1*G and 1(x)x*G; the ideal is the
-    # span of their difference
+    mat = ideal_slice(p, 3, 4)
+    # free degree-3 monomials are x(x)1*G and 1(x)x*G, both of weight 4;
+    # the ideal is the span of their difference
     assert mat.ncols == 2
     assert rref(mat).rank == 1
 
 
 def test_ideal_slice_c2_p1_degree_two_empty():
     p = c2_p1()
-    assert rref(ideal_slice(p, 2)).rank == 0
+    assert rref(ideal_slice(p, 2, 2)).rank == 0
 
 
 def test_quotient_slice_dims():
     p = c2_p1()
-    assert quotient_slice(p, 0).dim == 1
-    assert quotient_slice(p, 3).dim == 1
+    assert quotient_slice(p, 0, 0).dim == 1
+    assert quotient_slice(p, 3, 4).dim == 1
     # projector kills each ideal row
-    mat = ideal_slice(p, 3)
-    sl = quotient_slice(p, 3)
-    cols = p.context.monomials_of(3)
+    mat = ideal_slice(p, 3, 4)
+    sl = quotient_slice(p, 3, 4)
+    cols = p.context.monomials_of(3, 4)
     for row in mat.rows:
         terms = {cols[j]: v for j, v in row.items()}
         assert sl.reduce(terms) == {}
@@ -73,36 +73,37 @@ def test_quotient_slice_dims():
 def test_quotient_slice_a2_p2_degree_one():
     base = build_base(parse_space("P2"))
     m = section_model(base, parse_ample_class(base, "1"), 2)
-    sl = quotient_slice(m, 1)
+    sl = quotient_slice(m, 1, 2)
     assert sl.dim == 1
     assert m.context.monomial_label(sl.quotient[0]) == "s[1]"
 
 
 def test_differential_degree_zero_is_zero():
     p = c2_p1()
-    assert is_zero(differential_matrix(p, 0))
+    assert is_zero(differential_matrix(p, 0, 0))
 
 
 def test_differential_c2_p1_rank_one():
     p = c2_p1()
-    mat = differential_matrix(p, 1)
+    mat = differential_matrix(p, 1, 2)
     assert (mat.nrows, mat.ncols) == (1, 2)
     assert mat.rows[0] == {0: ONE, 1: ONE}
-    assert differential_rank(p, 1) == 1
+    assert differential_rank(p, 1, 2) == 1
 
 
 def test_differential_a1_p1():
     base = build_base(parse_space("P1"))
     m = section_model(base, parse_ample_class(base, "1"), 1)
-    # alpha sits in degree 1; d(alpha) = x has rank 1 onto degree 2
-    mat = differential_matrix(m, 1)
-    assert differential_rank(m, 1) >= 1
+    # alpha sits in degree 1, weight 2; d(alpha) = x has rank 1 onto
+    # degree 2
+    mat = differential_matrix(m, 1, 2)
+    assert differential_rank(m, 1, 2) >= 1
     alpha_row = None
-    sl = quotient_slice(m, 1)
+    sl = quotient_slice(m, 1, 2)
     for i, mono in enumerate(sl.quotient):
         if m.context.monomial_label(mono) == "alpha1":
             alpha_row = mat.rows[i]
-    tgt = quotient_slice(m, 2)
+    tgt = quotient_slice(m, 2, 2)
     labels = {j: m.context.monomial_label(mono)
               for j, mono in enumerate(tgt.quotient)}
     assert alpha_row is not None
@@ -117,15 +118,17 @@ def test_cohomology_c2_p1():
 
 def test_merged_equals_by_weight():
     base = build_base(parse_space("P1"))
-    m1 = section_model(base, parse_ample_class(base, "1"), 2)
-    by_w = cohomology(m1, 6, by_weight=True)
-    m2 = section_model(base, parse_ample_class(base, "1"), 2)
-    merged = cohomology(m2, 6, by_weight=False)
-    assert by_w.dims() == merged.dims()
+    m = section_model(base, parse_ample_class(base, "1"), 2)
+    by_w = cohomology(m, 6, by_weight=True)
+    # the dense oracle eliminates whole-degree slices
+    merged = dense_cohomology_dims(m, 6)
+    assert by_w.dims() == [merged[i] for i in range(7)]
     # weight splitting: the per-weight dims sum to the merged dims
     for i in range(7):
-        assert sum(by_w.dim(i, k) for k in by_w.weights_at(i)) \
-            == merged.dim(i)
+        assert sum(by_w.dim(i, k) for k in by_w.weights_at(i)) == merged[i]
+    # there is no whole-degree computation
+    with pytest.raises(AlgebraError, match="by_weight"):
+        cohomology(m, 3, by_weight=False)
 
 
 def test_euler_characteristic_differential_free():
@@ -230,7 +233,8 @@ def test_presentation_rejects_differential_key_past_the_generators():
 def test_slice_caches_keep_their_key_shapes():
     # bench/child.py harvest_keys reads these caches by their key shapes;
     # cohomology runs on the reduced model, which caches its factored
-    # slices, and the core it shares with the model caches its ideal slices
+    # slices, and the core it shares with the model caches its slices but
+    # not the ideal slices they come from
     base = build_base(parse_space("P2"))
     p = section_model(base, parse_ample_class(base, "1"), 2)
     cohomology(p, 4)
@@ -242,7 +246,7 @@ def test_slice_caches_keep_their_key_shapes():
     assert core.context._mono_cache
     assert not p.context._mono_cache and not reduced.context._mono_cache
     for pres, layers in ((reduced, {"slice", "rank"}),
-                         (core, {"ideal", "slice"})):
+                         (core, {"slice"})):
         assert pres._cache
         for key in pres._cache:
             assert isinstance(key, tuple) and len(key) == 3
@@ -255,6 +259,13 @@ def test_slice_caches_keep_their_key_shapes():
             degree, weight = key
             assert isinstance(degree, int)
             assert weight is None or isinstance(weight, int)
+    # no ideal slice outlives the rref that made its core slice
+    q = _section("S1", 3)
+    cohomology(q, 5)
+    isotypic_cohomology(q, all_permutations(3), sign_character(3), 5)
+    for pres in (q, q.reduced, q.core):
+        assert pres._cache
+        assert all(key[0] != "ideal" for key in pres._cache), pres.name
 
 
 def test_dense_oracle_agrees_on_hand_models():
@@ -314,7 +325,8 @@ def test_compiled_leibniz_matches_factorwise_oracle():
     for p, max_degree in models:
         ctx = p.context
         for d in range(max_degree + 1):
-            for mono in quotient_slice(p, d).quotient:
+            for mono in (m for k in _free_weights(p, d)
+                         for m in quotient_slice(p, d, k).quotient):
                 got = p.differential_of(Element(ctx, {mono: ONE}))
                 assert got == free_differential(p, mono), (
                     p.name, ctx.monomial_label(mono))
@@ -367,20 +379,26 @@ def _families(space, r):
 
 
 def _assert_slices_match_unfactored(p, max_degree):
-    """Every slice to max_degree equals the dense whole-slice elimination."""
+    """Every slice to max_degree equals the dense whole-slice elimination,
+    and in each degree the weight slices together equal the dense
+    elimination of the whole-degree free slice."""
     ctx = p.context
     checked = 0
     for d in range(max_degree + 1):
         weights = sorted({ctx.monomial_weight(m) for m in ctx.monomials_of(d)})
+        slices = {k: quotient_slice(p, d, k) for k in weights}
         for k in weights + [None]:
+            # k None: the whole-degree free slice, which the weight slices
+            # partition
             quotient, normal = unfactored_slice(p, d, k)
-            sl = quotient_slice(p, d, k)
+            got = [m for w in (weights if k is None else [k])
+                   for m in slices[w].quotient]
             # a factored slice lists its basis in block order
-            assert len(sl.quotient) == len(quotient), (p.name, d, k)
-            assert set(sl.quotient) == set(quotient), (p.name, d, k)
+            assert len(got) == len(quotient), (p.name, d, k)
+            assert set(got) == set(quotient), (p.name, d, k)
             for m, form in normal.items():
-                assert sl.reduce({m: ONE}) == form, (
-                    p.name, d, k, ctx.monomial_label(m))
+                assert slices[ctx.monomial_weight(m)].reduce({m: ONE}) \
+                    == form, (p.name, d, k, ctx.monomial_label(m))
             checked += 1
     return checked
 
@@ -421,12 +439,12 @@ def test_factored_slices_match_unfactored_on_random_presentations():
 
 
 def _assert_differential_matches_reference(p, max_degree):
-    """Every differential matrix to max_degree, by weight and with
-    weight None, equals the per-monomial reference entry by entry."""
+    """Every differential matrix to max_degree, weight by weight, equals
+    the per-monomial reference entry by entry."""
     ctx = p.context
     nnz = 0
     for d in range(max_degree + 1):
-        for k in _slice_weights(p, d) + [None]:
+        for k in _slice_weights(p, d):
             got = differential_matrix(p, d, k)
             want = reference_differential_matrix(p, d, k)
             assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
@@ -742,7 +760,7 @@ def test_core_slices_equal_the_rref_route(space, r):
         assert all(g.odd for g in ctx.generators)
         top = max(ctx.base.degrees) + sum(g.degree for g in ctx.generators)
         for d in range(top + 1):
-            for k in _free_weights(core, d) + [None]:
+            for k in _free_weights(core, d):
                 assert quotient_slice(core, d, k) \
                     == rref_slice_basis(core, d, k), (core.name, d, k)
                 shapes[bool(ideal_slice(core, d, k).nrows)] += 1
@@ -760,7 +778,7 @@ def _assert_cleared_ranks(p, max_degree):
     clearing left out."""
     weights = {k for d in range(max_degree + 1) for k in _slice_weights(p, d)}
     cleared = 0
-    for k in sorted(weights) + [None]:
+    for k in sorted(weights):
         below = ()
         for d in range(max_degree + 1):
             whole = differential_matrix(p, d, k)

@@ -15,10 +15,10 @@ from cdgacalc.models import (ProjectiveSpace, Surface, Product, build_base,
                              parse_ample_class, parse_space, section_model,
                              symmetric_action, twisted_section_model)
 from cdgacalc.rat import ONE
-from oracle import (check_d_and_relations, check_diagonal_identities,
-                    check_graded_permutation, check_multiplicative,
-                    check_tensor_products, explicit_image, map_matrix,
-                    matmul, same_matrix)
+from oracle import (_free_weights, check_d_and_relations,
+                    check_diagonal_identities, check_graded_permutation,
+                    check_multiplicative, check_tensor_products,
+                    explicit_image, map_matrix, matmul, same_matrix)
 
 
 def test_build_base_presets():
@@ -201,9 +201,10 @@ def test_symmetric_action_identity():
     m = section_model(p1, parse_ample_class(p1, "1"), 2)
     ident = symmetric_action(m, (0, 1))
     for d in range(4):
-        mat = map_matrix(m, ident, d)
-        for i in range(mat.nrows):
-            assert mat.rows[i] == {i: ONE}
+        for k in _free_weights(m, d):
+            mat = map_matrix(m, ident, d, k)
+            for i in range(mat.nrows):
+                assert mat.rows[i] == {i: ONE}
 
 
 def test_symmetric_action_swap_on_configuration():
@@ -367,7 +368,7 @@ def test_map_matrix_rejects_map_on_another_context():
     other = section_model(p1, parse_ample_class(p1, "1"), 2)
     swap = symmetric_action(other, (1, 0))
     with pytest.raises(AlgebraError, match="context mismatch"):
-        map_matrix(m, swap, 2)
+        map_matrix(m, swap, 2, 2)
 
 
 def test_custom_space_pipeline(tmp_path):
