@@ -8,18 +8,32 @@ one-sided products relation*monomial span each graded piece of the
 two-sided ideal, so no Groebner machinery is needed: the normal form in
 every (degree, weight) slice is plain exact linear algebra.
 
-Only a presentation's *core* is eliminated: the sub-presentation over
-the generators up to the last one that occurs in some relation (built
-on first use; the presentation itself when no generator follows).  The
-generators after it form a relation-free suffix, and multiplying by a
-monomial u in them adds no sign, so every ideal slice is block-diagonal
-in u and each block is a core ideal slice of lower (degree, weight).  A
-quotient slice is therefore a view, :class:`FactoredSlice`: blocks
-(u, core slice, offset) with u in suffix order and the core's order
-inside each block.  Its basis as a set and every normal form are those
-of eliminating the whole free slice; the free slices of a model with a
-suffix are never enumerated, and its basis monomials are only made when
-something reads them.  The differential matrix is assembled from
+Only a presentation's *core* needs a normal form: the sub-presentation
+over the generators up to the last one that occurs in some relation
+(built on first use; the presentation itself when no generator
+follows).  The generators after it form a relation-free suffix, and
+multiplying by a monomial u in them adds no sign, so every ideal slice
+is block-diagonal in u and each block is a core ideal slice of lower
+(degree, weight).  A quotient slice is therefore a view,
+:class:`FactoredSlice`: blocks (u, core slice, offset) with u in suffix
+order and the core's order inside each block.  Its basis as a set and
+every normal form are those of eliminating the whole free slice; the
+free slices of a model with a suffix are never enumerated, and its basis
+monomials are only made when something reads them.
+
+A core slice is a :class:`SliceBasis` made one of two ways.  The core of
+every built-in model is the Kriz-Totaro algebra of a configuration
+space, and the model builders attach its closed form
+(``models.ConfigurationCore``): each slice's basis is listed from NBC
+monomials, with no enumeration of the free slice and no elimination, and
+a monomial outside the basis gets its normal form by straightening when
+something first reduces it.  That basis is the set of non-pivot columns
+the rref of the ideal slice would give, in the same order, so every
+coordinate, matrix and rank is the one elimination gives.  Any other
+core, and any presentation built by hand, takes the rref of its ideal
+slice.
+
+The differential matrix is assembled from
 d(m u) = d(m) u + (-1)^|m| m d(u) with cached blocks: d of each core
 slice's basis, d of each suffix monomial, and the core's multiplication
 operators, which a presentation and its reduced model share.
@@ -64,13 +78,14 @@ matrix.
 Slices and ranks are cached per presentation and keyed by (degree,
 weight); the blocks differentials are assembled from, and the pivot
 columns of each chain's top rank until the rank above reads them, are
-cached apart.  Ideal slices are not cached: only the core slice made
-from each one's rref is kept.  Neither ``cohomology`` nor the isotypic
-ranks of :mod:`~cdgacalc.analysis` build a differential matrix: both
-take their rows from the assembler.  :func:`differential_matrix` is for
-library callers, and caches what it builds.  Results are deterministic
-because the reduced row echelon form, the monomial order and the block
-order are canonical.
+cached apart.  A closed-form core slice keeps the normal forms it has
+computed.  Ideal slices are not cached: only the core slice made from
+each one's rref is kept, and a closed-form core builds none.  Neither
+``cohomology`` nor the isotypic ranks of :mod:`~cdgacalc.analysis`
+build a differential matrix: both take their rows from the assembler.
+:func:`differential_matrix` is for library callers, and caches what it
+builds.  Results are deterministic because the reduced row echelon form,
+the monomial order and the block order are canonical.
 """
 
 from __future__ import annotations
@@ -95,7 +110,7 @@ class Presentation:
     __slots__ = ("context", "relations", "differential", "name", "params",
                  "_relation_grades", "_derivations", "_odd_bits", "_cache",
                  "_core", "_suffix", "_weights", "_reduced", "_blocks",
-                 "_certificate")
+                 "_certificate", "_closed_form")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -166,6 +181,9 @@ class Presentation:
         self._blocks: dict = {}
         # verify_d_squared's check of the relations and generators
         self._certificate: Optional[VerificationReport] = None
+        # the closed-form basis and normal form of a configuration core,
+        # which the model builders attach (see models.ConfigurationCore)
+        self._closed_form = None
         self._odd_bits = tuple(1 << i if odd else 0
                                for i, odd in enumerate(context.gen_parities))
         self._derivations = self._derivation_tables()
@@ -185,12 +203,12 @@ class Presentation:
         """The sub-presentation over the generators up to the last one
         that occurs in some relation.
 
-        It has the same base and relations (exponent vectors truncated)
-        and no differential.  The remaining generators are a relation-free
-        suffix, so a monomial u in them multiplies a core slice without
-        sign and every slice of this presentation is a sum of core slices
-        times such u.  Built on first use; with an empty suffix it is this
-        presentation itself.
+        It has the same base and relations (exponent vectors truncated),
+        no differential, and this presentation's closed form, if any.  The
+        remaining generators are a relation-free suffix, so a monomial u in
+        them multiplies a core slice without sign and every slice of this
+        presentation is a sum of core slices times such u.  Built on first
+        use; with an empty suffix it is this presentation itself.
         """
         if self._core is None:
             ngen = 1 + max((i for rel in self.relations for m in rel.terms
@@ -206,6 +224,7 @@ class Presentation:
                 self._core = Presentation.__new__(Presentation)
                 self._core._setup(ctx, rels, self._relation_grades, {},
                                   f"core of {self.name}", {})
+                self._core._closed_form = self._closed_form
         return self._core
 
     def _suffix_monomials(self, degree: int) -> dict[int, list]:
@@ -437,8 +456,11 @@ class SliceBasis:
 
     ``quotient`` lists the free monomials surviving as a basis (the
     non-pivot columns of the rref of the ideal slice), in canonical
-    order; ``rewrite`` is the normal-form projector sending each pivot
-    monomial to its expansion in surviving monomials.  As a slice of the
+    order; ``rewrite`` is the normal-form projector sending a non-basis
+    monomial to its expansion in surviving monomials.  From the rref it
+    holds every pivot monomial.  A core with a closed form (``closed``)
+    lists the same basis without elimination and fills ``rewrite`` from
+    the closed normal form as monomials are reduced.  As a slice of the
     presentation itself it is the one block at the empty suffix
     monomial.
     """
@@ -448,6 +470,7 @@ class SliceBasis:
     quotient: tuple[Monomial, ...]
     rewrite: dict
     index: dict = field(repr=False)
+    closed: object = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -457,6 +480,17 @@ class SliceBasis:
     def blocks(self) -> tuple:
         return (((), self, 0),)
 
+    def rewritten(self, m) -> Optional[dict]:
+        """The closed normal form of a monomial in neither ``rewrite`` nor
+        the basis, memoised in ``rewrite``; None when there is no closed
+        form or m is not a monomial of the slice."""
+        if self.closed is None:
+            return None
+        rw = self.closed.normal_form(m, self.degree, self.weight)
+        if rw is not None:
+            self.rewrite[Monomial(*m)] = rw
+        return rw
+
     def reduce(self, terms: dict) -> dict:
         """Normal form of a free-slice element, as Monomial -> Q."""
         out: dict[Monomial, object] = {}
@@ -464,11 +498,13 @@ class SliceBasis:
             if not c:
                 continue
             rw = self.rewrite.get(m)
-            if rw is None:
-                if m not in self.index:
+            if rw is None and m not in self.index:
+                rw = self.rewritten(m)
+                if rw is None:
                     raise AlgebraError(
                         f"monomial outside slice (degree {self.degree}, "
                         f"weight {self.weight})")
+            if rw is None:
                 v = out.get(m)
                 v = c if v is None else v + c
                 if v:
@@ -555,15 +591,17 @@ class FactoredSlice:
             rw = sl.rewrite.get(m)
             if rw is None:
                 j = sl.index.get(m)
-                if j is None:
+                if j is not None:
+                    j += off
+                    out[j] = out.get(j, 0) + c
+                    continue
+                rw = sl.rewritten(m)
+                if rw is None:
                     raise AlgebraError(f"monomial outside slice (degree "
                                        f"{self.degree}, weight {self.weight})")
-                j += off
-                out[j] = out.get(j, 0) + c
-            else:
-                for m2, c2 in rw.items():
-                    j = off + sl.index[m2]
-                    out[j] = out.get(j, 0) + c * c2
+            for m2, c2 in rw.items():
+                j = off + sl.index[m2]
+                out[j] = out.get(j, 0) + c * c2
         return {j: v for j, v in out.items() if v}
 
     def reduce(self, terms: dict) -> dict:
@@ -604,8 +642,10 @@ def quotient_slice(p: Presentation, degree: int,
                    weight: int) -> SliceBasis | FactoredSlice:
     """Deterministic basis + projector for one slice of the quotient.
 
-    The core's slices are :class:`SliceBasis` objects from the rref of
-    their ideal slice.  Any other presentation's slice is a
+    The core's slices are :class:`SliceBasis` objects: listed by its
+    closed form when it has one (an empty slice costs one lookup), else
+    from the rref of their ideal slice.  Any other presentation's slice
+    is a
     :class:`FactoredSlice`: the union over monomials u in its
     relation-free suffix of the core's slice at (degree - |u|,
     weight - wt u) times u.  The ideal slice is block-diagonal in u with
@@ -616,6 +656,11 @@ def quotient_slice(p: Presentation, degree: int,
     core = p.core
 
     def eliminate():
+        closed = p._closed_form
+        if closed is not None:
+            quotient = closed.basis(degree).get(weight, ())
+            return SliceBasis(degree, weight, quotient, {},
+                              {m: i for i, m in enumerate(quotient)}, closed)
         free = p.context.monomials_of(degree, weight)
         ideal = ideal_slice(p, degree, weight)
         if not ideal.nrows:
@@ -663,7 +708,8 @@ def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
     d(m) = sum_s kappa_s s over suffix monomials s, kappa_s in the core's
     free algebra.  Lists (i, ((s, coordinates of nf(kappa_s) in its core
     slice), ...)) for the basis monomials m_i with d(m_i) != 0 in the
-    quotient.  Cached in p, per core slice.
+    quotient, each coordinate vector as a tuple of (index, value) pairs,
+    which holds less than a dict.  Cached in p, per core slice.
     """
     key = ("d", sl.degree, sl.weight)
     hit = p._blocks.get(key)
@@ -685,7 +731,7 @@ def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
                                      sl.weight - ws)
                 coords = tgt.coords(part)
                 if coords:
-                    terms.append((s, coords))
+                    terms.append((s, tuple(coords.items())))
             if terms:
                 rows.append((i, tuple(terms)))
         hit = p._blocks[key] = tuple(rows)
@@ -710,8 +756,9 @@ def _suffix_differential(p: Presentation, u: tuple) -> tuple:
 def _multiplication(core: Presentation, kappa: Monomial,
                     sl: SliceBasis) -> tuple:
     """(i, coordinates of nf(m_i kappa)) for the basis monomials m_i of
-    the core slice ``sl`` with m_i kappa != 0 in the quotient.  Cached in
-    the core, which a presentation and its reduced model share."""
+    the core slice ``sl`` with m_i kappa != 0 in the quotient, the
+    coordinates as (index, value) pairs.  Cached in the core, which a
+    presentation and its reduced model share."""
     key = ("mul", kappa, sl.degree, sl.weight)
     hit = core._blocks.get(key)
     if hit is None:
@@ -724,7 +771,7 @@ def _multiplication(core: Presentation, kappa: Monomial,
             ctx.mul_term_into(acc, m, 1, kappa, 1)
             coords = tgt.coords(acc)
             if coords:
-                rows.append((i, coords))
+                rows.append((i, tuple(coords.items())))
         hit = core._blocks[key] = tuple(rows)
     return hit
 
@@ -759,6 +806,8 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
     its own core has the one block u = ().
     """
     rows: list[dict] = [{} for _ in range(src.dim)]
+    # one int object per target column, shared by every row
+    cols = list(range(tgt.dim))
     core = p.core
     parities = p.context.gen_parities[len(core.context.generators):]
     offsets = {u: off for u, _, off in tgt.blocks}
@@ -778,8 +827,8 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
                 if shifts[s] is None:
                     continue
                 sign, toff = shifts[s]
-                for j, v in coords.items():
-                    j += toff
+                for j, v in coords:
+                    j = cols[j + toff]
                     row[j] = row.get(j, 0) + (v if sign > 0 else -v)
         odd = sl.degree & 1
         for c, kappa, u2 in _suffix_differential(p, u):
@@ -792,10 +841,18 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
                 if off + i in skip:
                     continue
                 row = rows[off + i]
-                for j, v in coords.items():
-                    j += toff
+                for j, v in coords:
+                    j = cols[j + toff]
                     row[j] = row.get(j, 0) + c * v
     return rows
+
+
+def _drain(rows: list):
+    """Yield the rows of a list, dropping each from it as it goes, so the
+    elimination's copy of a row is the only one left."""
+    for i, row in enumerate(rows):
+        rows[i] = None
+        yield row
 
 
 def differential_matrix(p: Presentation, degree: int,
@@ -844,7 +901,7 @@ def differential_rank(p: Presentation, degree: int, weight: int) -> int:
         skip = p._blocks.pop(("pivots", d - 1, weight), ())
         pivots = ()
         if src.dim and tgt.dim:
-            pivots = pivot_columns(_assemble(p, src, tgt, skip))
+            pivots = pivot_columns(_drain(_assemble(p, src, tgt, skip)))
         if pivots:
             p._blocks[("pivots", d, weight)] = pivots
         hit = p._cache[("rank", d, weight)] = len(pivots)
@@ -893,12 +950,16 @@ def _slice_weights(p: Presentation, degree: int) -> list[int]:
 
     A slice is the sum over suffix monomials u of core slices at
     (degree - |u|, weight - wt u), so it is nonempty exactly when one of
-    those core slices is.
+    those core slices is.  A closed-form core reads its weights off the
+    degree's basis; any other core tries each weight of its free slice.
     """
     hit = p._weights.get(degree)
     if hit is None:
         core = p.core
-        if core is p:
+        if core is p and p._closed_form is not None:
+            # the closed form lists only nonempty slices
+            weights = set(p._closed_form.basis(degree))
+        elif core is p:
             ctx = p.context
             weights = {k for k in {ctx.monomial_weight(m)
                                    for m in ctx.monomials_of(degree)}

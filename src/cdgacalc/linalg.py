@@ -92,7 +92,8 @@ def _eliminate(rows: Iterable[dict], canonical: bool):
     The pivot row is the sparsest row of its column and is not scaled.
     ``canonical`` takes columns left to right and keeps pivot rows live,
     so each pivot column is cleared everywhere (the rref up to one scale
-    per row); otherwise pivot rows retire once used.
+    per row); otherwise pivot rows retire once used, and are dropped
+    (None in the returned rows) to free their fill-in.
     """
     work = [_integral(r) for r in rows if r]
     # column -> live row ids with a nonzero there, kept current
@@ -167,6 +168,8 @@ def _eliminate(rows: Iterable[dict], canonical: bool):
                         orow[c] //= g
         if canonical:
             used.add(ri)
+        else:
+            work[ri] = None
         pivots.append((col, ri))
     return work, pivots
 

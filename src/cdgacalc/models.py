@@ -35,8 +35,9 @@ from math import comb
 from typing import Optional, Sequence, Union
 
 from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, Element,
-                      GeneratorSpec, MonomialPermutation, TensorAlgebra,
-                      load_base_algebra, tensor_many, tensor_power)
+                      GeneratorSpec, Monomial, MonomialPermutation,
+                      TensorAlgebra, load_base_algebra, tensor_many,
+                      tensor_power)
 from .engine import Presentation
 from .linalg import SparseMatrix, rref
 from .rat import ONE, exact, rat_from_str, rat_to_str
@@ -354,6 +355,238 @@ def _configuration_differential(ctx: AlgebraContext, tensor: TensorAlgebra,
     return diff
 
 
+class ConfigurationCore:
+    """Closed-form basis and normal form of the configuration core.
+
+    The core H*(X)^⊗r ⊗ Λ(G_ab) / (Arnold, (p_a^* x - p_b^* x) G_ab) is
+    the Kriz-Totaro model of the configuration space (Kriz, Ann. of Math.
+    139, 1994; Totaro, Topology 35, 1996).  Its basis: the NBC monomials
+    G_{a1 b1}...G_{ak bk} (a_i < b_i, the b_i distinct; Orlik-Solomon,
+    Invent. Math. 56, 1980), each times H*(X) classes on the least point
+    of each connected component of its forest and the unit elsewhere.
+    Any other monomial is the first, in the canonical order, of the
+    terms of an ideal element: the Arnold relation of a broken pair, or
+    a pullback relation moving a class to a lower point, which raises
+    the base index.  So each slice's basis is exactly the set of
+    non-pivot columns of the rref of its ideal slice, in the same order,
+    and the normal form below is that rref's rewrite.  That needs
+    H^0(X) spanned by the unit, and a unit at index 0 and products that
+    raise the basis index, as P^n, the surfaces and their products have;
+    :meth:`of` gives None for any other base, whose core takes the rref.
+
+    Nothing is built up front: a degree's basis is enumerated on first
+    use, and a monomial gets a normal form only when something reduces
+    it (the slices memoise it).
+    """
+
+    def __init__(self, tensor: TensorAlgebra, r: int):
+        base = self.base = tensor.factors[0]
+        self.r = r
+        self.tensor = tensor
+        layout = ModelLayout(r, r * (r - 1) // 2, base.dim, False)
+        self.n_pairs = layout.n_pairs
+        # the points a < b (0-based) of each G, in generator order, and
+        # the generator of each pair of points
+        self.points = [(a, b) for a in range(r) for b in range(a + 1, r)]
+        self.pair = {(a, b): layout.g_index(a + 1, b + 1)
+                     for a, b in self.points}
+        self.stride = [base.dim ** (r - 1 - i) for i in range(r)]
+        self.gen_degree, self.gen_weight = 2 * base.n - 1, 2 * base.n
+        self._bases: dict = {}
+        self._forests: dict = {}
+        self._straight: dict = {}
+
+    @classmethod
+    def of(cls, tensor: TensorAlgebra,
+           r: int) -> Optional["ConfigurationCore"]:
+        """The closed form over ``tensor``, the r-th tensor power of a
+        base, or None when its NBC basis need not be the rref's (see the
+        class docstring)."""
+        base = tensor.factors[0]
+        if base.unit != 0 or base.basis_of_degree(0) != (0,):
+            return None
+        for i in range(base.dim):
+            for j in range(1, base.dim):
+                if any(k <= i for k in base.product(i, j)):
+                    return None
+        return cls(tensor, r)
+
+    # -- basis ---------------------------------------------------------------
+
+    def _forests_up_to(self, kmax: int) -> list:
+        """(mask, roots, k) for the NBC G-monomials with k <= kmax factors:
+        each point b has at most one G_ab with a < b, and the roots (the
+        points with none) are the least points of the components."""
+        hit = self._forests.get(kmax)
+        if hit is None:
+            level = [(0, (0,), 0)]
+            for b in range(1, self.r):
+                grown = []
+                for mask, roots, k in level:
+                    grown.append((mask, roots + (b,), k))
+                    if k < kmax:
+                        grown.extend((mask | 1 << self.pair[a, b], roots,
+                                      k + 1) for a in range(b))
+                level = grown
+            hit = self._forests[kmax] = level
+        return hit
+
+    def _exps(self, mask: int) -> tuple:
+        return tuple(mask >> i & 1 for i in range(self.n_pairs))
+
+    def basis(self, degree: int) -> dict:
+        """Weight -> the basis monomials of (degree, weight), in canonical
+        order (generator degree, exponents, base index); only nonempty
+        slices are listed.  Built once per degree."""
+        hit = self._bases.get(degree)
+        if hit is not None:
+            return hit
+        base = self.base
+        kmax = min(self.r - 1, degree // self.gen_degree)
+        made = []
+        for mask, roots, k in self._forests_up_to(kmax):
+            rem = degree - k * self.gen_degree
+            # (base index, degree used, weight) with classes on the roots
+            placed = [(0, 0, k * self.gen_weight)]
+            for root in roots:
+                placed = [(idx + c * self.stride[root], d + base.degrees[c],
+                           w + base.weights[c])
+                          for idx, d, w in placed for c in range(base.dim)
+                          if d + base.degrees[c] <= rem]
+            exps = self._exps(mask)
+            made.extend((k, exps, idx, w) for idx, d, w in placed if d == rem)
+        made.sort()
+        grouped: dict = {}
+        for _, exps, idx, w in made:
+            grouped.setdefault(w, []).append(Monomial(idx, exps))
+        hit = self._bases[degree] = {w: tuple(v) for w, v in grouped.items()}
+        return hit
+
+    # -- normal form ---------------------------------------------------------
+
+    def normal_form(self, mono, degree: int, weight: int) -> Optional[dict]:
+        """Normal form of a core monomial of slice (degree, weight) as
+        Monomial -> coefficient, or None when it is not in that slice."""
+        b, e = mono
+        tensor = self.tensor
+        if (len(e) != self.n_pairs or not 0 <= b < tensor.dim
+                or any(x not in (0, 1) for x in e)):
+            return None
+        mask = sum(1 << i for i, x in enumerate(e) if x)
+        k = mask.bit_count()
+        if (tensor.degrees[b] + k * self.gen_degree != degree
+                or tensor.weights[b] + k * self.gen_weight != weight):
+            return None
+        out: dict = {}
+        if weight not in self.basis(degree):
+            return out
+        for nbc, c in self._straighten(mask).items():
+            exps = self._exps(nbc)
+            for idx, c2 in self._gather(b, nbc).items():
+                m = Monomial(idx, exps)
+                v = out.get(m, 0) + c * c2
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        return out
+
+    def _straighten(self, mask: int) -> dict:
+        """The G-monomial ``mask`` as NBC masks -> coefficient, memoised.
+
+        A broken pair G_ac G_bc (a < b < c) is rewritten by the Arnold
+        relation G_ab G_ac - G_ab G_bc + G_ac G_bc = 0, which is
+        ``_configuration_relations``' relation with G_ba = G_ab and its
+        terms in generator order; moving the pair next to the other
+        factors costs one sign per odd factor it passes.  The rewritten
+        terms are later in the canonical order, so this ends.
+        """
+        hit = self._straight.get(mask)
+        if hit is not None:
+            return hit
+        broken = self._broken_pair(mask)
+        if broken is None:
+            hit = {mask: 1}
+        else:
+            a, b, c = broken
+            ab, ac, bc = self.pair[a, b], self.pair[a, c], self.pair[b, c]
+            rest = mask & ~(1 << ac | 1 << bc)
+            hit = {}
+            if not rest >> ab & 1:
+                # [G_ac G_bc][rest] = [G_ab G_bc][rest] - [G_ab G_ac][rest]
+                sign = _pair_sign(rest, ac, bc)
+                for x, y, c1 in ((ab, bc, sign), (ab, ac, -sign)):
+                    c1 *= _pair_sign(rest, x, y)
+                    for m, c2 in self._straighten(rest | 1 << x | 1 << y
+                                                  ).items():
+                        v = hit.get(m, 0) + c1 * c2
+                        if v:
+                            hit[m] = v
+                        else:
+                            del hit[m]
+        self._straight[mask] = hit
+        return hit
+
+    def _broken_pair(self, mask: int) -> Optional[tuple]:
+        """(a, b, c) with G_ac and G_bc in ``mask``, a < b < c, or None."""
+        lower = [None] * self.r
+        for i, (a, c) in enumerate(self.points):
+            if mask >> i & 1:
+                if lower[c] is not None:
+                    return lower[c], a, c
+                lower[c] = a
+        return None
+
+    def _gather(self, b: int, mask: int) -> dict:
+        """Base class b times the NBC monomial ``mask``, with every class
+        moved to its component's least point: base index -> coefficient.
+
+        By the pullback relations x_i G_T = x_l G_T when i and l are
+        joined in T's forest.  So b = prod_i p_i^*(b_i), in point order,
+        becomes prod_i p_l(i)^*(b_i), and grouping those factors by least
+        point costs the Koszul sign of the odd classes that change order;
+        each group multiplies out in H*(X) in point order.
+        """
+        base = self.base
+        root = list(range(self.r))
+        for i, (a, c) in enumerate(self.points):
+            if mask >> i & 1:
+                root[c] = a
+        for c in range(self.r):
+            root[c] = root[root[c]]  # parents are lower, so already rooted
+        classes = self.tensor.decode(b)
+        flip = 0
+        odd_roots: list = []
+        groups: dict = {}
+        for i, cls in enumerate(classes):
+            if base.degrees[cls] & 1:
+                flip ^= sum(1 for l in odd_roots if l > root[i]) & 1
+                odd_roots.append(root[i])
+            if cls:
+                prod = groups.get(root[i])
+                groups[root[i]] = {cls: 1} if prod is None else _base_mul(
+                    base, prod, {cls: 1})
+        terms = [(0, -1 if flip else 1)]
+        for l, prod in groups.items():
+            terms = [(idx + k * self.stride[l], c * c2)
+                     for idx, c in terms for k, c2 in prod.items()]
+        return {idx: c for idx, c in terms if c}
+
+
+def _pair_sign(rest: int, x: int, y: int) -> int:
+    """Sign of sorting G_x G_y (x < y) times the sorted product ``rest``
+    into generator order: one per factor of rest before x or before y."""
+    return -1 if ((rest & ((1 << x) - 1)).bit_count()
+                  + (rest & ((1 << y) - 1)).bit_count()) & 1 else 1
+
+
+def _with_closed_core(p: Presentation, r: int) -> Presentation:
+    """Attach the closed-form configuration core over p's base, which
+    the core of p takes over when it is built."""
+    p._closed_form = ConfigurationCore.of(p.context.base, r)
+    return p
+
+
 def configuration_model(base: BaseAlgebra, r: int) -> Presentation:
     """Model for the ordered configuration space of r points on X."""
     if r < 1:
@@ -364,8 +597,10 @@ def configuration_model(base: BaseAlgebra, r: int) -> Presentation:
     relations = _configuration_relations(ctx, tensor, layout)
     triples = _diagonal_triples(base) if r >= 2 else []
     diff = _configuration_differential(ctx, tensor, layout, triples)
-    return Presentation(ctx, relations, diff, name=f"C{r}({base.name})",
-                        params={"model": "C", "r": r, "space": base.name})
+    return _with_closed_core(
+        Presentation(ctx, relations, diff, name=f"C{r}({base.name})",
+                     params={"model": "C", "r": r, "space": base.name}),
+        r)
 
 
 def _marked_generators(base: BaseAlgebra, r: int) -> list[GeneratorSpec]:
@@ -428,9 +663,9 @@ def section_model(base: BaseAlgebra, c: dict, r: int) -> Presentation:
     fund = {base.fundamental: ONE}
     diff = _marked_differential(ctx, tensor, layout, fund, dict(c))
     cname = class_label(base, c)
-    return Presentation(
+    return _with_closed_core(Presentation(
         ctx, relations, diff, name=f"A{r}({base.name}, c={cname})",
-        params={"model": "A", "r": r, "space": base.name, "c": cname})
+        params={"model": "A", "r": r, "space": base.name, "c": cname}), r)
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +799,11 @@ def twisted_section_model(base: BaseAlgebra, chern: ChernData, d: int,
     e, m = euler_class_twist(chern, d)
     scaled_c1 = {k: d * v for k, v in chern.c1_line.items() if d * v}
     diff = _marked_differential(ctx, tensor, layout, e, scaled_c1)
-    return Presentation(
+    return _with_closed_core(Presentation(
         ctx, relations, diff,
         name=f"A{r}({base.name}, L^{d})",
         params={"model": "AL", "r": r, "space": base.name, "d": d,
-                "m": rat_to_str(m)})
+                "m": rat_to_str(m)}), r)
 
 
 # ---------------------------------------------------------------------------

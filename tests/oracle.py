@@ -53,6 +53,10 @@ generator by generator.  ``rref_slice_basis`` is the core slice from
 the rref of its ideal slice, taken also when the ideal slice has no
 rows, which ``quotient_slice`` now skips.
 
+``totaro_series`` is the Poincare series of a configuration core from
+Totaro's formula and the base's degrees and weights alone; the closed
+form's slice dimensions must match its coefficients.
+
 ``kernel_basis``, ``from_dense``, ``to_dense``, ``transpose``,
 ``identity``, ``entry``, ``matmul``, ``is_zero``, ``same_matrix``,
 ``regular_character`` and ``evaluate_at_one`` are helpers only the
@@ -368,6 +372,42 @@ def rref_slice_basis(p, degree, weight):
                                if c != pcol}
     index = {m: i for i, m in enumerate(quotient)}
     return SliceBasis(degree, weight, quotient, rewrite, index)
+
+
+def totaro_series(base, r, t_max):
+    """{(degree, weight): dim} of the configuration core of r points on
+    the base, to degree t_max, from Totaro's formula
+
+        sum_k e_k (t^(2n-1) w^(2n))^k P_X(t, w)^(r-k),
+        sum_k e_k x^k = prod_{j=1}^{r-1} (1 + j x),
+
+    with P_X the base's Poincare polynomial in degree t and weight w: the
+    NBC G-monomials with k factors, times H*(X) on each of the r - k
+    components of their forest."""
+    def times(a, b):
+        out = {}
+        for (d1, w1), c1 in a.items():
+            for (d2, w2), c2 in b.items():
+                if d1 + d2 <= t_max:
+                    key = (d1 + d2, w1 + w2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    poincare = {}
+    for d, w in zip(base.degrees, base.weights):
+        poincare[d, w] = poincare.get((d, w), 0) + 1
+    e = [1]
+    for j in range(1, r):
+        e = [a + j * b for a, b in zip(e + [0], [0] + e)]
+    g = {(2 * base.n - 1, 2 * base.n): 1}
+    total = {}
+    for k, ek in enumerate(e):
+        term = {(0, 0): ek}
+        for factor in [g] * k + [poincare] * (r - k):
+            term = times(term, factor)
+        for key, c in term.items():
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c}
 
 
 def _free_weights(p, degree):

@@ -242,11 +242,18 @@ def test_slice_caches_keep_their_key_shapes():
     core, reduced = p.core, p.reduced
     assert core is not p and reduced is not p
     assert reduced.core is core
-    # only the core enumerates its free slices
-    assert core.context._mono_cache
-    assert not p.context._mono_cache and not reduced.context._mono_cache
+    # the core of a built-in model enumerates nothing: its closed form
+    # lists each slice's basis
+    assert core._closed_form is not None
+    for pres in (p, reduced, core):
+        assert not pres.context._mono_cache, pres.name
+    # a generic presentation still enumerates its free slices
+    generic = c2_p1()
+    cohomology(generic, 4)
+    assert generic.core is generic and generic._closed_form is None
+    assert generic.context._mono_cache
     for pres, layers in ((reduced, {"slice", "rank"}),
-                         (core, {"slice"})):
+                         (core, {"slice"}), (generic, {"slice", "rank"})):
         assert pres._cache
         for key in pres._cache:
             assert isinstance(key, tuple) and len(key) == 3
@@ -254,11 +261,11 @@ def test_slice_caches_keep_their_key_shapes():
             assert layer in layers
             assert isinstance(degree, int) and isinstance(weight, int)
         assert {key[0] for key in pres._cache} == layers
-        for key in pres.context._mono_cache:
-            assert isinstance(key, tuple) and len(key) == 2
-            degree, weight = key
-            assert isinstance(degree, int)
-            assert weight is None or isinstance(weight, int)
+    for key in generic.context._mono_cache:
+        assert isinstance(key, tuple) and len(key) == 2
+        degree, weight = key
+        assert isinstance(degree, int)
+        assert weight is None or isinstance(weight, int)
     # no ideal slice outlives the rref that made its core slice
     q = _section("S1", 3)
     cohomology(q, 5)
@@ -752,17 +759,25 @@ def test_suffix_walk_equals_brute_force_enumeration():
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("space", ["P1", "P2", "S1", "S2", "P1xP1"])
 def test_core_slices_equal_the_rref_route(space, r):
+    # the closed form's basis is the rref's, in the same order, and every
+    # free monomial has the rref's normal form
     shapes = Counter()
     for p in _families(space, r):
         core = p.core
         ctx = core.context
+        assert core._closed_form is not None
         # the core's free algebra is finite: its G_ab are odd
         assert all(g.odd for g in ctx.generators)
         top = max(ctx.base.degrees) + sum(g.degree for g in ctx.generators)
         for d in range(top + 1):
             for k in _free_weights(core, d):
-                assert quotient_slice(core, d, k) \
-                    == rref_slice_basis(core, d, k), (core.name, d, k)
+                sl, ref = quotient_slice(core, d, k), rref_slice_basis(core, d, k)
+                assert (sl.degree, sl.weight, sl.quotient, sl.index) \
+                    == (ref.degree, ref.weight, ref.quotient, ref.index), \
+                    (core.name, d, k)
+                for m in ctx.monomials_of(d, k):
+                    assert sl.reduce({m: 1}) == ref.reduce({m: 1}), \
+                        (core.name, d, k, m)
                 shapes[bool(ideal_slice(core, d, k).nrows)] += 1
     assert shapes[True] and shapes[False]
 
