@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, GeneratorSpec,
                       Monomial)
 from .engine import (CohomologyTable, Presentation, cohomology,
-                     quotient_slice, _assemble, _certify, _slice_weights)
+                     quotient_slice, _assemble, _certify, _drain,
+                     _slice_weights)
 from .linalg import RrefResult, SparseMatrix, pivot_columns, rref
 from .models import symmetric_action
 from .rat import ONE, Rational, exact
@@ -495,7 +496,7 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
     the image of the character-averaging projector on that quotient
     slice, or None when the slice is empty.  See
     :func:`isotypic_cohomology`."""
-    elems, gens = _closed_with_generators(subgroup)
+    elems, _ = _closed_with_generators(subgroup)
     identity = tuple(range(len(elems[0])))
     if character.r != len(identity):
         raise AlgebraError(f"class function is on S_{character.r}, "
@@ -504,10 +505,10 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
     # one cycle type
     chi = {sig: exact(character(sig)) for sig in elems}
     actions = {sig: symmetric_action(p, sig) for sig in elems}
-    # char(a g) = char(a) char(g) for every generator g makes char
-    # multiplicative: each element of a finite group is a word in them
-    linear = chi[identity] == 1 and all(
-        chi[compose(a, g)] == chi[a] * chi[g] for a in elems for g in gens)
+    # the trivial and the sign character are the linear characters of S_r
+    r = character.r
+    linear = character.values in (trivial_character(r).values,
+                                  sign_character(r).values)
 
     bases: dict = {}
 
@@ -645,10 +646,11 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     Each action sends a monomial to one signed monomial, and it maps the
     core's generators to themselves and the suffix's to themselves, so it
     permutes the blocks (u, core slice, offset) of a slice: g(m u) =
-    eps_g(u) g(m) g u.  For a linear character (P g = char(g) P), each
-    orbit of suffix monomials is an induced representation, and P's image
-    on it is induced from the stabiliser H of its first block u (Frobenius
-    reciprocity; Serre, Linear Representations of Finite Groups, 7.2).
+    eps_g(u) g(m) g u.  For a linear character, the trivial or the sign
+    one (P g = char(g) P), each orbit of suffix monomials is an induced
+    representation, and P's image on it is induced from the stabiliser H
+    of its first block u (Frobenius reciprocity; Serre, Linear
+    Representations of Finite Groups, 7.2).
     Only the twisted projector Q = sum_h char(h^{-1}) eps_h(u) h is
     row-reduced, on u's core slice, once per core slice and (H, eps); H
     is trivial for most blocks, and Q then is the identity.  Each rref
@@ -713,7 +715,8 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
                     if t is not None:
                         image[t] = image.get(t, 0) + c * v
             images.append(image)
-        return pivot_columns(images)
+        del d
+        return pivot_columns(_drain(images))
 
     entries: dict = {}
     for d in range(max_degree + 1):

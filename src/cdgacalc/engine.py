@@ -31,7 +31,11 @@ something first reduces it.  That basis is the set of non-pivot columns
 the rref of the ideal slice would give, in the same order, so every
 coordinate, matrix and rank is the one elimination gives.  Any other
 core, and any presentation built by hand, takes the rref of its ideal
-slice.
+slice.  Either way one routine, :meth:`SliceBasis.add_normal_form`,
+reduces every monomial: through the slice's rewrite table, its basis,
+then its closed form.  A :class:`FactoredSlice` splits each monomial
+into its core part and suffix part u and hands the core parts to block
+u's core slice, with the block's offset.
 
 The differential matrix is assembled from
 d(m u) = d(m) u + (-1)^|m| m d(u) with cached blocks: d of each core
@@ -480,51 +484,46 @@ class SliceBasis:
     def blocks(self) -> tuple:
         return (((), self, 0),)
 
-    def rewritten(self, m) -> Optional[dict]:
-        """The closed normal form of a monomial in neither ``rewrite`` nor
-        the basis, memoised in ``rewrite``; None when there is no closed
-        form or m is not a monomial of the slice."""
-        if self.closed is None:
-            return None
-        rw = self.closed.normal_form(m, self.degree, self.weight)
-        if rw is not None:
-            self.rewrite[Monomial(*m)] = rw
-        return rw
-
-    def reduce(self, terms: dict) -> dict:
-        """Normal form of a free-slice element, as Monomial -> Q."""
-        out: dict[Monomial, object] = {}
-        for m, c in terms.items():
+    def add_normal_form(self, out: dict, terms, offset: int = 0) -> dict:
+        """Add the normal form of ``terms``, (monomial, coefficient) pairs
+        of this slice, into ``out`` as basis coordinates from ``offset``
+        on; zeros are left in.  The one place a monomial is reduced: by
+        ``rewrite``, else as a basis monomial, else by the closed form,
+        whose result ``rewrite`` keeps.  A monomial may be a plain
+        (base, exponents) tuple; raises :class:`AlgebraError` for one
+        outside the slice."""
+        rewrite, index = self.rewrite, self.index
+        for m, c in terms:
             if not c:
                 continue
-            rw = self.rewrite.get(m)
-            if rw is None and m not in self.index:
-                rw = self.rewritten(m)
+            rw = rewrite.get(m)
+            if rw is None:
+                j = index.get(m)
+                if j is not None:
+                    j += offset
+                    out[j] = out.get(j, 0) + c
+                    continue
+                if self.closed is not None:
+                    rw = self.closed.normal_form(m, self.degree, self.weight)
                 if rw is None:
                     raise AlgebraError(
                         f"monomial outside slice (degree {self.degree}, "
                         f"weight {self.weight})")
-            if rw is None:
-                v = out.get(m)
-                v = c if v is None else v + c
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-            else:
-                for m2, c2 in rw.items():
-                    v = out.get(m2)
-                    v = c * c2 if v is None else v + c * c2
-                    if v:
-                        out[m2] = v
-                    else:
-                        out.pop(m2, None)
+                rewrite[Monomial(*m)] = rw
+            for m2, c2 in rw.items():
+                j = offset + index[m2]
+                out[j] = out.get(j, 0) + c * c2
         return out
 
     def coords(self, terms: dict) -> dict[int, object]:
         """Normal form in coordinates of the quotient basis."""
-        reduced = self.reduce(terms)
-        return {self.index[m]: c for m, c in reduced.items()}
+        out = self.add_normal_form({}, terms.items())
+        return {j: v for j, v in out.items() if v}
+
+    def reduce(self, terms: dict) -> dict:
+        """Normal form of a free-slice element, as Monomial -> Q."""
+        quotient = self.quotient
+        return {quotient[j]: c for j, c in self.coords(terms).items()}
 
 
 class FactoredSlice:
@@ -559,55 +558,29 @@ class FactoredSlice:
     def index(self) -> dict:
         return {m: i for i, m in enumerate(self.quotient)}
 
-    def _empty_block(self, u: tuple) -> SliceBasis:
-        """The core slice of a suffix monomial u that has no block: an
-        empty one, where every monomial reduces to zero."""
-        du, wu = _suffix_grade(self._context,
-                               len(self._core.context.generators), u)
-        d, w = self.degree - du, self.weight - wu
-        if d < 0 or w < 0:
-            raise AlgebraError(f"monomial outside slice (degree "
-                               f"{self.degree}, weight {self.weight})")
-        return quotient_slice(self._core, d, w)
-
     def coords(self, terms: dict) -> dict[int, object]:
-        """Normal form in coordinates of the quotient basis.
-
-        Each monomial's core part is rewritten in its block's core slice;
-        a Monomial is a NamedTuple, so the plain tuple (b, e) finds it.
-        """
-        n = len(self._core.context.generators)
+        """Normal form in coordinates of the quotient basis: each suffix
+        part is reduced in its block's core slice, from the block's
+        offset on."""
+        core = self._core
+        n = len(core.context.generators)
         out: dict[int, object] = {}
-        for (b, e), c in terms.items():
-            if not c:
-                continue
-            hit = self._at.get(e[n:])
+        for u, part in _split_suffix(terms, n).items():
+            hit = self._at.get(u)
             if hit is None:
-                # checks that the monomial lies in the slice
-                self._empty_block(e[n:]).coords({Monomial(b, e[:n]): c})
-                continue
-            sl, off = hit
-            m = (b, e[:n])
-            rw = sl.rewrite.get(m)
-            if rw is None:
-                j = sl.index.get(m)
-                if j is not None:
-                    j += off
-                    out[j] = out.get(j, 0) + c
-                    continue
-                rw = sl.rewritten(m)
-                if rw is None:
+                du, wu = _suffix_grade(self._context, n, u)
+                d, w = self.degree - du, self.weight - wu
+                if d < 0 or w < 0:
                     raise AlgebraError(f"monomial outside slice (degree "
                                        f"{self.degree}, weight {self.weight})")
-            for m2, c2 in rw.items():
-                j = off + sl.index[m2]
-                out[j] = out.get(j, 0) + c * c2
+                # no block: the core slice is empty and checks the part
+                quotient_slice(core, d, w).coords(part)
+                continue
+            sl, off = hit
+            sl.add_normal_form(out, part.items(), off)
         return {j: v for j, v in out.items() if v}
 
-    def reduce(self, terms: dict) -> dict:
-        """Normal form of a free-slice element, as Monomial -> Q."""
-        quotient = self.quotient
-        return {quotient[j]: c for j, c in self.coords(terms).items()}
+    reduce = SliceBasis.reduce
 
 
 def ideal_slice(p: Presentation, degree: int, weight: int) -> SparseMatrix:
@@ -702,6 +675,16 @@ def _suffix_grade(ctx: AlgebraContext, n: int, u: tuple) -> tuple[int, int]:
             sum(x * w for x, w in zip(u, ctx.gen_weights[n:])))
 
 
+def _split_suffix(terms: dict, n: int) -> dict:
+    """Free monomials -> Q grouped by their suffix part, the exponents
+    after the first n generators: u -> {core part: coefficient}."""
+    parts: dict = {}
+    for (b, e), c in terms.items():
+        if c:
+            parts.setdefault(e[n:], {})[Monomial(b, e[:n])] = c
+    return parts
+
+
 def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
     """d in p of the basis monomials of the core slice ``sl``.
 
@@ -721,11 +704,8 @@ def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
         for i, (b, e) in enumerate(sl.quotient):
             image: dict = {}
             p._leibniz_into(image, Monomial(b, e + pad), 1)
-            parts: dict = {}
-            for (b2, e2), c in image.items():
-                parts.setdefault(e2[n:], {})[Monomial(b2, e2[:n])] = c
             terms = []
-            for s, part in parts.items():
+            for s, part in _split_suffix(image, n).items():
                 ds, ws = _suffix_grade(p.context, n, s)
                 tgt = quotient_slice(core, sl.degree + 1 - ds,
                                      sl.weight - ws)
@@ -1034,12 +1014,8 @@ def _normal_form(p: Presentation, terms: dict) -> dict:
     (degree, weight), so no slice of p is built.
     """
     ctx = p.core.context
-    n = len(ctx.generators)
-    parts: dict = {}
-    for (b, e), c in terms.items():
-        parts.setdefault(e[n:], {})[Monomial(b, e[:n])] = c
     out = {}
-    for u, part in parts.items():
+    for u, part in _split_suffix(terms, len(ctx.generators)).items():
         m = next(iter(part))
         sl = quotient_slice(p.core, ctx.monomial_degree(m),
                             ctx.monomial_weight(m))

@@ -698,14 +698,13 @@ class ChernData:
                 raise AlgebraError("c_1(L) must have degree 2")
 
 
-def cotangent_chern(spec: SpaceSpec,
-                    c1_line: Optional[dict] = None) -> ChernData:
+def cotangent_chern(spec: SpaceSpec) -> ChernData:
     """Cotangent Chern data for the built-in spaces.
 
     P^n: c(T) = (1+x)^{n+1} so c_i(Omega^1) = (-1)^i binom(n+1, i) x^i;
     surfaces: c_1(Omega^1) = (2g - 2)[X]; products by the Whitney formula.
-    The default line class is the ample generator (sum of the factor
-    generators on products).
+    The line class is the ample generator (sum of the factor generators
+    on products).
     """
     base = build_base(spec)
     if isinstance(spec, ProjectiveSpace):
@@ -714,12 +713,12 @@ def cotangent_chern(spec: SpaceSpec,
         for i in range(n + 1):
             coeff = (-1) ** i * comb(n + 1, i)
             cot.append({i: coeff} if coeff else {})
-        default_c1 = {1: ONE}
+        c1 = {1: ONE}
     elif isinstance(spec, Surface):
         chi = 2 - 2 * spec.genus
         cot = [{base.unit: ONE},
                {base.fundamental: -chi} if chi else {}]
-        default_c1 = {base.fundamental: ONE}
+        c1 = {base.fundamental: ONE}
     elif isinstance(spec, Product):
         left = cotangent_chern(spec.left)
         right = cotangent_chern(spec.right)
@@ -736,18 +735,16 @@ def cotangent_chern(spec: SpaceSpec,
                         enc = base.encode((u, v))
                         acc[enc] = acc.get(enc, 0) + cu * cv
             cot.append({kk: c for kk, c in acc.items() if c})
-        default_c1 = {}
+        c1 = {}
         for u, cu in left.c1_line.items():
-            default_c1[base.encode((u, base.factors[1].unit))] = cu
+            c1[base.encode((u, base.factors[1].unit))] = cu
         for v, cv in right.c1_line.items():
             enc = base.encode((base.factors[0].unit, v))
-            default_c1[enc] = default_c1.get(enc, 0) + cv
+            c1[enc] = c1.get(enc, 0) + cv
     else:
         raise AlgebraError(
             "cotangent data for custom spaces must be supplied explicitly")
-    if c1_line is None:
-        c1_line = default_c1
-    return ChernData(base, tuple(cot), dict(c1_line))
+    return ChernData(base, tuple(cot), c1)
 
 
 def euler_class_twist(chern: ChernData, d: int):

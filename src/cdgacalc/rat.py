@@ -6,21 +6,13 @@ when it is not, because the built-in models have integer coefficients and
 ``int`` arithmetic is far cheaper.  :func:`exact` puts a value into that
 form at the model boundary and where a matrix is built; elimination
 clears denominators and runs in ``int`` arithmetic (see ``linalg``), and
-mixed arithmetic elsewhere stays exact.  ``Rational`` is ``gmpy2.mpq``
-when gmpy2 is importable and ``fractions.Fraction`` otherwise; both hash
-like ``int``.
+mixed arithmetic elsewhere stays exact.  ``Rational`` is
+``fractions.Fraction``, which hashes like ``int``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _mpq
-
-    Rational = _mpq
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rational = Fraction
+from fractions import Fraction as Rational
 
 ONE = 1
 
@@ -54,7 +46,7 @@ def rat_from_str(text: str):
 
 
 def rat_to_str(value) -> str:
-    """Canonical ``p/q`` (or ``p``) rendering, shared by both backends."""
+    """Canonical ``p/q`` (or ``p``) rendering."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

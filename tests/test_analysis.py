@@ -429,6 +429,7 @@ def test_cleared_restricted_ranks_match_the_projector_oracle(
         return analysis_assemble(q, src, tgt, skip)
 
     def pivot_columns(images):
+        images = list(images)
         key = at.pop()
         kept[key] = len(images)
         cols = linalg_pivot_columns(images)

@@ -4,7 +4,7 @@ import pytest
 
 from cdgacalc import cli
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, Element,
-                              GeneratorSpec, tensor_power)
+                              GeneratorSpec, Monomial, tensor_power)
 from cdgacalc.analysis import (all_permutations, isotypic_cohomology,
                                sign_character, weightwise_euler)
 from cdgacalc.engine import (Presentation, PresentationError, _slice_weights,
@@ -315,6 +315,31 @@ def test_configuration_r1_is_base_cohomology():
 def _section(space, r, c="1"):
     base = build_base(parse_space(space))
     return section_model(base, parse_ample_class(base, c), r)
+
+
+def test_reducing_a_monomial_outside_its_slice_raises():
+    p = _section("P1", 2)
+    unit = p.context.base.unit
+    g12 = Monomial(unit, (1,))  # the core's generator, degree 1
+    hand = c2_p1()
+    assert p.core._closed_form is not None and hand._closed_form is None
+    factored = quotient_slice(p, 1, 2)
+    blocks = {u: sl for u, sl, _ in factored.blocks}
+    # a present block whose core slice is (0, 0), handed a degree-1 part
+    u = next(u for u, sl in blocks.items() if sl.degree == 0)
+    # a suffix generator of degree above the slice's, which has no block
+    j = next(j for j, d in enumerate(p.context.gen_degrees[1:]) if d > 1)
+    v = tuple(int(i == j) for i in range(len(u)))
+    assert v not in blocks
+    cases = [(quotient_slice(p.core, 0, 0), g12),
+             (quotient_slice(hand, 0, 0), Monomial(hand.context.base.unit,
+                                                   (1,))),
+             (factored, Monomial(unit, (1,) + u)),
+             (factored, Monomial(unit, (0,) + v))]
+    for sl, m in cases:
+        for reduce in (sl.coords, sl.reduce):
+            with pytest.raises(AlgebraError, match="outside slice"):
+                reduce({m: 1})
 
 
 def test_compiled_leibniz_matches_factorwise_oracle():
