@@ -387,7 +387,7 @@ def generated_subgroup(generators: Iterable[Perm], r: int) -> list[Perm]:
 
 def _closed_with_generators(subgroup: Sequence[Perm]):
     """Check that ``subgroup`` is a duplicate-free list of permutations
-    closed under composition; return it and generators taken from it.
+    closed under composition, and return it as a list of tuples.
 
     Generators are taken greedily; each one at least doubles their span,
     and the span must stay inside the list, so the check costs |G|
@@ -408,7 +408,7 @@ def _closed_with_generators(subgroup: Sequence[Perm]):
         if s not in span:
             gens.append(s)
             span = _span(gens, r, seen)
-    return elems, gens
+    return elems
 
 
 @dataclass(frozen=True)
@@ -496,7 +496,7 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
     the image of the character-averaging projector on that quotient
     slice, or None when the slice is empty.  See
     :func:`isotypic_cohomology`."""
-    elems, _ = _closed_with_generators(subgroup)
+    elems = _closed_with_generators(subgroup)
     identity = tuple(range(len(elems[0])))
     if character.r != len(identity):
         raise AlgebraError(f"class function is on S_{character.r}, "

@@ -57,10 +57,15 @@ it vanishes in every degree when it vanishes on each generator.  Each
 such normal form is reduced through the core's slices.  The check is
 cached per presentation; ranks rely on it and raise when it fails.
 
-A presentation normalizes its coefficients once (``rat.exact``), so
-integer models run in ``int`` arithmetic, and compiles d on generators
-into derivation tables, so d of a monomial is table lookups and Koszul
-sign flips in one Leibniz routine.
+A presentation normalizes its coefficients once (``rat.exact``) and
+compiles L d on generators into derivation tables, L the lcm of the
+denominators of d's coefficients, so d of a monomial is table lookups
+and Koszul sign flips in one Leibniz routine, in ``int`` arithmetic
+whenever the relations are integral (every built-in model, whatever its
+class c).  Everything the engine assembles from the tables is L d: the
+rows of a slice share the factor, so ranks, pivot columns and the d^2
+check are those of d, and only :meth:`Presentation.differential_of`,
+:func:`differential_matrix` and a failure witness divide it back.
 
 The cohomology of the quotient in one slice is
 
@@ -96,11 +101,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .algebra import AlgebraContext, AlgebraError, Element, Monomial
 from .linalg import SparseMatrix, pivot_columns, rref
-from .rat import ONE, exact, rat
+from .rat import ONE, rat
 
 
 class PresentationError(AlgebraError):
@@ -112,9 +118,9 @@ class Presentation:
     """Free context + homogeneous relations + generator differential."""
 
     __slots__ = ("context", "relations", "differential", "name", "params",
-                 "_relation_grades", "_derivations", "_odd_bits", "_cache",
-                 "_core", "_suffix", "_weights", "_reduced", "_blocks",
-                 "_certificate", "_closed_form")
+                 "_relation_grades", "_derivations", "_scale", "_odd_bits",
+                 "_cache", "_core", "_suffix", "_weights", "_reduced",
+                 "_blocks", "_certificate", "_closed_form")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -190,7 +196,7 @@ class Presentation:
         self._closed_form = None
         self._odd_bits = tuple(1 << i if odd else 0
                                for i, odd in enumerate(context.gen_parities))
-        self._derivations = self._derivation_tables()
+        self._scale, self._derivations = self._derivation_tables()
 
     # -- caching ------------------------------------------------------------
 
@@ -325,13 +331,18 @@ class Presentation:
     # -- differential -------------------------------------------------------
 
     def _derivation_tables(self) -> tuple:
-        """``(i, terms)`` per generator with d(g_i) != 0.
+        """``(L, tables)`` for L d, with L the lcm of the denominators of
+        d's coefficients on generators (1 for an integer presentation):
+        ``(i, terms)`` per generator with d(g_i) != 0.
 
         A term c b x^f of d(g_i) becomes (b, nonzero (generator, exponent)
-        pairs of f, c, bit mask of f's odd generators, sign mask).
+        pairs of f, the ``int`` L c, bit mask of f's odd generators, sign
+        mask).
         """
         parities = self.context.gen_parities
         base_degrees = self.context.base.degrees
+        scale = lcm(1, *(c.denominator for img in self.differential.values()
+                         for c in img.terms.values()))
         tables = []
         for i in sorted(self.differential):
             below = (1 << i) - 1
@@ -349,12 +360,15 @@ class Presentation:
                         lo, hi = min(q, i), max(q, i)
                         f_odd |= 1 << q
                         sign_mask ^= ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-                terms.append((m.base, f_items, c, f_odd, sign_mask))
+                terms.append((m.base, f_items,
+                              c.numerator * (scale // c.denominator),
+                              f_odd, sign_mask))
             tables.append((i, tuple(terms)))
-        return tuple(tables)
+        return scale, tuple(tables)
 
     def _leibniz_into(self, acc: dict, mono: Monomial, coeff) -> None:
-        """Accumulate ``coeff * d(mono)`` into ``acc`` (Monomial -> Q).
+        """Accumulate ``coeff * L d(mono)`` into ``acc`` (Monomial -> Q),
+        with L = ``self._scale``.
 
         For mono = b P g_i^e S the g_i term is
         (-1)^(|b|+|P|) e b P d(g_i) g_i^(e-1) S.  Sorting a term b' x^f of
@@ -399,15 +413,27 @@ class Presentation:
                     else:
                         del acc[m]
 
+    def _scaled_differential(self, terms: dict) -> dict:
+        """L d of an element's terms (Monomial -> Q), L = ``self._scale``."""
+        acc: dict[Monomial, object] = {}
+        for m, c in terms.items():
+            self._leibniz_into(acc, m, c)
+        return acc
+
     def differential_of(self, e: Element) -> Element:
         """Leibniz extension of the generator differential (d = 0 on base)."""
         if e.context is not self.context:
             raise AlgebraError("context mismatch: element not in this "
                                "presentation's algebra")
-        acc: dict[Monomial, object] = {}
-        for m, c in e.terms.items():
-            self._leibniz_into(acc, m, c)
-        return Element(self.context, acc)
+        return Element(self.context, _unscaled(
+            self._scaled_differential(e.terms), self._scale))
+
+
+def _unscaled(terms: dict, scale: int) -> dict:
+    """``terms`` (key -> Q) divided by ``scale``, zeros dropped, in
+    ``rat.exact`` form."""
+    return {k: v if scale == 1 and type(v) is int else rat(v, scale)
+            for k, v in terms.items() if v}
 
 
 def _contractible_pair(diff: dict, first: int, unit: int):
@@ -686,7 +712,8 @@ def _split_suffix(terms: dict, n: int) -> dict:
 
 
 def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
-    """d in p of the basis monomials of the core slice ``sl``.
+    """L d in p of the basis monomials of the core slice ``sl``, with
+    L = ``p._scale``.
 
     d(m) = sum_s kappa_s s over suffix monomials s, kappa_s in the core's
     free algebra.  Lists (i, ((s, coordinates of nf(kappa_s) in its core
@@ -719,8 +746,9 @@ def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
 
 
 def _suffix_differential(p: Presentation, u: tuple) -> tuple:
-    """d(u) = sum c kappa u' for a suffix monomial u, as (c, kappa, u')
-    with kappa a monomial of the core's free algebra.  Cached in p."""
+    """L d(u) = sum c kappa u' for a suffix monomial u, as (c, kappa, u')
+    with kappa a monomial of the core's free algebra and L = ``p._scale``.
+    Cached in p."""
     key = ("du", u)
     hit = p._blocks.get(key)
     if hit is None:
@@ -774,14 +802,16 @@ def _suffix_product(parities: tuple, s: tuple, u: tuple):
 
 
 def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
-    """Rows of d from the slice ``src`` to the slice ``tgt`` above it.
+    """Rows of L d from the slice ``src`` to the slice ``tgt`` above it,
+    with L = ``p._scale``.
 
-    Row i holds the coordinates of d(basis monomial i) in ``tgt``, with
+    Row i holds the coordinates of L d(basis monomial i) in ``tgt``, with
     explicit zeros and entries not in ``rat.exact`` form; the rows in
-    ``skip`` are left empty.  Each source block is a core slice times a
-    suffix monomial u, and d(m u) = d(m) u + (-1)^|m| m d(u): the first
-    term is the cached d of the core slice moved to the blocks s u, the
-    second the core's cached multiplication by each kappa of
+    ``skip`` are left empty.  Every row carries the one factor L, so
+    ranks and pivot columns are those of d.  Each source block is a core
+    slice times a suffix monomial u, and d(m u) = d(m) u + (-1)^|m| m d(u):
+    the first term is the cached d of the core slice moved to the blocks
+    s u, the second the core's cached multiplication by each kappa of
     d(u) = sum kappa u' placed in the blocks u'.  A presentation that is
     its own core has the one block u = ().
     """
@@ -840,8 +870,9 @@ def differential_matrix(p: Presentation, degree: int,
     """Matrix of d from slice (degree, weight) to (degree+1, weight).
 
     Row i holds the coordinates of d(basis monomial i) in the target
-    quotient basis, in ``rat.exact`` form; see :func:`_assemble`.
-    Cached; neither :func:`cohomology` nor the isotypic ranks use it.
+    quotient basis, in ``rat.exact`` form: the rows of :func:`_assemble`
+    divided by L.  Cached; neither :func:`cohomology` nor the isotypic
+    ranks use it.
     """
 
     def build():
@@ -849,8 +880,7 @@ def differential_matrix(p: Presentation, degree: int,
         tgt = quotient_slice(p, degree + 1, weight)
         mat = SparseMatrix(src.dim, tgt.dim)
         if tgt.dim:
-            mat.rows = [{j: v if type(v) is int else exact(v)
-                         for j, v in row.items() if v}
+            mat.rows = [_unscaled(row, p._scale)
                         for row in _assemble(p, src, tgt)]
         return mat
 
@@ -1034,23 +1064,27 @@ def _generator_check(p: Presentation) -> VerificationReport:
 
 
 def _check_generators(p: Presentation) -> VerificationReport:
+    # on L d, which has d's kernel; a witness is divided back by L, or by
+    # L^2 for (L d)^2
     ctx = p.context
     for i, rel in enumerate(p.relations):
-        drel = p.differential_of(rel)
+        drel = Element(ctx, p._scaled_differential(rel.terms))
         residual = _normal_form(p, drel.terms)
         if residual:
             return VerificationReport(
                 False, i + 1, "relation", drel.degree(), drel.weight(),
                 repr(rel), "d(relation) not in ideal: "
-                + repr(Element(ctx, residual)))
-    for g, dg in sorted(p.differential.items()):
-        residual = _normal_form(p, p.differential_of(dg).terms)
+                + repr(Element(ctx, _unscaled(residual, p._scale))))
+    for g in sorted(p.differential):
+        residual = _normal_form(p, p._scaled_differential(
+            p._scaled_differential(ctx.gen_element(g).terms)))
         if residual:
             spec = ctx.generators[g]
+            witness = Element(ctx, _unscaled(residual, p._scale ** 2))
             return VerificationReport(
                 False, len(p.relations), "d_squared", spec.degree,
                 spec.weight, spec.label,
-                f"d(d({spec.label})) = {Element(ctx, residual)!r}")
+                f"d(d({spec.label})) = {witness!r}")
     return VerificationReport(True, len(p.relations))
 
 

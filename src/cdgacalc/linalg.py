@@ -19,8 +19,10 @@ no shortcut mod p: with small integer entries it costs about as much,
 and half of the differential matrices are rank deficient, where a mod-p
 rank certifies nothing.  The loop is fraction-free (``_eliminate``), so
 it runs in ``int`` arithmetic on integer and rational input alike, and
-``rref`` divides each pivot row by its pivot only at the end.  All
-functions are pure: inputs are never mutated.
+``rref`` divides each pivot row by its pivot only at the end.  Rows
+enter primitive: cleared of denominators and divided by the gcd of
+their entries, so a row given times a constant is eliminated exactly as
+the row itself.  All functions are pure: inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -72,23 +74,31 @@ class SparseMatrix:
 
 
 def _integral(row: dict) -> dict:
-    """``row`` times the lcm of its entries' denominators, in ``int``s,
-    without explicit zeros."""
+    """The primitive ``int`` multiple of ``row``: times the lcm of its
+    entries' denominators, then divided by the gcd of the results, with
+    no explicit zeros."""
     if all(type(v) is int for v in row.values()):
-        return {c: v for c, v in row.items() if v}
-    den = lcm(*(v.denominator for v in row.values()))
-    return {c: int(v.numerator * (den // v.denominator))
-            for c, v in row.items() if v}
+        out = {c: v for c, v in row.items() if v}
+    else:
+        den = lcm(*(v.denominator for v in row.values()))
+        out = {c: int(v.numerator * (den // v.denominator))
+               for c, v in row.items() if v}
+    g = gcd(*out.values())
+    if g > 1:
+        for c in out:
+            out[c] //= g
+    return out
 
 
 def _eliminate(rows: Iterable[dict], canonical: bool):
     """Fraction-free Gauss-Jordan elimination of ``rows`` (column -> Q):
     (rows, [(column, row id)]).
 
-    Each row is first scaled to integer entries, and every row operation
-    keeps it so: a pivot p = ±1 clears its column by subtraction, any
-    other pivot replaces each row r by (p/g)·r − (r[col]/g)·prow, with
-    g = gcd(p, r[col]), and then divides r by the gcd of its entries.
+    Each row is first made primitive (``_integral``), and every row
+    operation keeps it integral: a pivot p = ±1 clears its column by
+    subtraction, any other pivot replaces each row r by
+    (p/g)·r − (r[col]/g)·prow, with g = gcd(p, r[col]), and then divides
+    r by the gcd of its entries.
     The pivot row is the sparsest row of its column and is not scaled.
     ``canonical`` takes columns left to right and keeps pivot rows live,
     so each pivot column is cleared everywhere (the rref up to one scale

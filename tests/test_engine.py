@@ -7,8 +7,8 @@ from cdgacalc.algebra import (AlgebraContext, AlgebraError, Element,
                               GeneratorSpec, Monomial, tensor_power)
 from cdgacalc.analysis import (all_permutations, isotypic_cohomology,
                                sign_character, weightwise_euler)
-from cdgacalc.engine import (Presentation, PresentationError, _slice_weights,
-                             cohomology, differential_matrix,
+from cdgacalc.engine import (Presentation, PresentationError, _assemble,
+                             _slice_weights, cohomology, differential_matrix,
                              differential_rank, ideal_slice, quotient_slice,
                              verify_d_squared)
 from cdgacalc.linalg import SparseMatrix, rank, rref
@@ -528,6 +528,61 @@ def test_assembled_differential_moves_odd_suffix_generators():
     assert p.differential_of(a * y2).is_zero()
     dense = dense_cohomology_dims(p, 6)
     assert cohomology(p, 6).dims() == [dense[d] for d in range(7)]
+
+
+# -- L d: the derivation tables with d's denominators cleared ------------
+
+@pytest.mark.parametrize("space, c, scale", [
+    ("S1", "-1/2", 2), ("P1", "7/3", 3), ("P1xP1", "[2/3:1]", 3)])
+def test_rational_models_assemble_the_scale_times_d_in_ints(space, c, scale):
+    p = _section(space, 2, c)
+    assert p._scale == scale and p.reduced is not p
+    for q in (p, p.reduced):
+        assert q._scale > 1, q.name
+        ctx = q.context
+        rows = 0
+        for d in range(6):
+            for k in _slice_weights(q, d):
+                src = quotient_slice(q, d, k)
+                assembled = _assemble(q, src, quotient_slice(q, d + 1, k))
+                mat = differential_matrix(q, d, k)
+                assert [{j: v for j, v in row.items() if v}
+                        for row in assembled] \
+                    == [{j: q._scale * v for j, v in row.items()}
+                        for row in mat.rows], (q.name, d, k)
+                assert all(type(v) is int
+                           for row in assembled for v in row.values())
+                # differential_of divides L back; the oracle reads
+                # q.differential, not the tables
+                for mono in src.quotient:
+                    assert q.differential_of(Element(ctx, {mono: ONE})) \
+                        == free_differential(q, mono), (q.name, mono)
+                rows += src.dim
+        assert rows > 0
+
+
+@pytest.mark.parametrize("space, c", [
+    ("P1", "-3"), ("S1", "-3"), ("P1xP1", "[2:-1]")])
+def test_integer_models_have_scale_one(space, c):
+    for p in _families(space, 2) + [_section(space, 2, c)]:
+        for q in (p, p.reduced, p.core):
+            assert q._scale == 1, q.name
+
+
+@pytest.mark.parametrize("c, edit, label, kind, detail", [
+    ("-1/2", "dropped", "G12", "relation",
+     "d(relation) not in ideal: -1·x⊗x"),
+    ("-1/2", "moved", "alpha1", "d_squared", "d(d(eta1)) = 1/2·x⊗x"),
+    ("7/3", "moved", "alpha1", "d_squared", "d(d(eta1)) = -7/3·x⊗x")])
+def test_failure_witness_is_divided_back_by_the_scale(c, edit, label, kind,
+                                                      detail):
+    # d^2 is checked on L d; the witness is the normal form of d itself
+    edits = {"dropped": _first_term_dropped,
+             "moved": _pulled_back_at_point_two}
+    bad = _with_differential(_section("P1", 2, c), label, edits[edit], "bad")
+    assert bad._scale > 1
+    rep = verify_d_squared(bad, 4)
+    assert (rep.ok, rep.failure_kind, rep.detail) == (False, kind, detail)
 
 
 def test_relation_free_generator_before_a_relation_generator():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -200,6 +201,36 @@ def test_elimination_keeps_scalars_exact(m):
         for v in row.values():
             assert type(v) is (int if v == int(v) else Rational)
     assert type(rank(m)) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rows_enter_primitive_and_scaling_changes_no_pivot(m):
+    # _integral returns the primitive int multiple of each row, so rows
+    # times 6 (or any nonzero multiple) are eliminated step for step alike
+    for row in m.rows:
+        prim = linalg._integral(row)
+        assert all(type(v) is int for v in prim.values())
+        if prim:
+            assert gcd(*prim.values()) == 1
+            ratio = Fraction(next(iter(row.values())),
+                             next(iter(prim.values())))
+            assert prim == {j: v / ratio for j, v in row.items()}
+        assert linalg._integral({j: 6 * v for j, v in row.items()}) == prim
+    six = SparseMatrix.from_rows(m.nrows, m.ncols, [
+        {j: 6 * v for j, v in row.items()} for row in m.rows])
+    odd = SparseMatrix.from_rows(m.nrows, m.ncols, [
+        {j: v * Fraction(-5, 7 + i) for j, v in row.items()}
+        for i, row in enumerate(m.rows)])
+    for other in (six, odd):
+        assert linalg.pivot_columns(other.rows) \
+            == linalg.pivot_columns(m.rows)
+        for canonical in (True, False):
+            assert linalg._eliminate(other.rows, canonical)[1] \
+                == linalg._eliminate(m.rows, canonical)[1]
+        got, want = rref(other), rref(m)
+        assert (got.rank, got.pivots, got.reduced.rows) \
+            == (want.rank, want.pivots, want.reduced.rows)
 
 
 # -- edge cases of the fraction-free kernel, against the dense textbook rref --
