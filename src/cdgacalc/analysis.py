@@ -490,11 +490,66 @@ def _orbit_sum_rows(sl, group: Sequence[Perm], image: Callable,
     return rows
 
 
+class _LazyRref:
+    """The rref of a projector's image on one slice, its rows built when
+    read: ``rank`` and ``pivots`` as in :class:`RrefResult`,
+    ``rows(skip)`` the rows whose numbers are not in ``skip``, in order,
+    and ``reduced`` every row, as a matrix."""
+
+    __slots__ = ("pivots", "ncols", "rows")
+
+    def __init__(self, pivots: tuple, ncols: int, rows: Callable):
+        self.pivots = pivots
+        self.ncols = ncols
+        self.rows = rows
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def reduced(self) -> SparseMatrix:
+        return SparseMatrix.from_rows(self.rank, self.ncols, self.rows(()))
+
+
+def _suffix_orbit(actions: dict, unit: int, n: int, u: tuple) -> tuple:
+    """(stabiliser ((h, eps_h), ...), cosets ((g u, g, eps_g), ...)) of
+    the suffix monomial u (exponents after the first n generators) under
+    the group acting by ``actions``, sigma -> action, with g(u) =
+    eps_g g u; each coset's g is its first element in the order of
+    ``actions``.  Tuples, which hold less than a list and a dict."""
+    stabiliser, cosets = [], {}
+    mono = Monomial(unit, (0,) * n + u)
+    for g, action in actions.items():
+        (_, e), eps = action.image(mono)
+        if e[n:] == u:
+            stabiliser.append((g, eps))
+        else:
+            cosets.setdefault(e[n:], (g, eps))
+    return (tuple(stabiliser),
+            tuple((v, g, eps) for v, (g, eps) in cosets.items()))
+
+
+def _induced_row(off: int, x: dict, moved: list) -> dict:
+    """Phi(x) = sum over g in G/H of char(g^{-1}) g(x u), for x in the
+    core slice of the block u at ``off``: x on that block, and for each
+    (offset of g u, char(g^{-1}) eps_g, images of g) in ``moved``,
+    char(g^{-1}) eps_g g(x) on block g u."""
+    row = {off + j: c for j, c in x.items()}
+    for voff, w, images in moved:
+        for j, c in x.items():
+            c *= w
+            for t, v in images(j).items():
+                t += voff
+                row[t] = row.get(t, 0) + c * v
+    return row
+
+
 def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
                     character: ClassFunction) -> tuple[Callable, int]:
     """``(basis_at, |G|)``; ``basis_at(degree, weight)`` is the rref of
     the image of the character-averaging projector on that quotient
-    slice, or None when the slice is empty.  See
+    slice, as a :class:`_LazyRref`, or None when the slice is empty.  See
     :func:`isotypic_cohomology`."""
     elems = _closed_with_generators(subgroup)
     identity = tuple(range(len(elems[0])))
@@ -533,31 +588,26 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
                 for rho in elems]
         return hit
 
-    def whole(sl) -> RrefResult:
+    def whole(sl) -> _LazyRref:
         rows = _orbit_sum_rows(
             sl, elems, lambda rho, mono: actions[rho].image(mono),
             lambda shifts: map(shift_weights, shifts.values()))
-        return rref(SparseMatrix.from_rows(len(rows), sl.dim, rows))
+        res = rref(SparseMatrix.from_rows(len(rows), sl.dim, rows))
+        return _LazyRref(res.pivots, sl.dim, lambda skip: [
+            x for i, x in enumerate(res.reduced.rows) if i not in skip])
 
     n = len(p.core.context.generators)
     pad = (0,) * (len(p.context.generators) - n)
-    unit, zeros = p.context.base.unit, (0,) * n
-    orbits: dict = {}
+    unit = p.context.base.unit
+    # u -> its orbit data if u is first in block order, else None; no
+    # character enters, so p keeps them per subgroup
+    orbits = p._blocks.setdefault(("orbits", tuple(elems)), {})
 
     def suffix_orbit(u: tuple):
-        # first in block order: (stabiliser [(h, eps_h)], cosets
-        # {g u: (g, eps_g)}) with g(u) = eps_g g u; later members: None
         hit = orbits.get(u, False)
         if hit is False:
-            stabiliser, cosets = [], {}
-            for g in elems:
-                (_, e), eps = actions[g].image(Monomial(unit, zeros + u))
-                if e[n:] == u:
-                    stabiliser.append((g, eps))
-                else:
-                    cosets.setdefault(e[n:], (g, eps))
-            hit = orbits[u] = stabiliser, cosets
-            orbits.update(dict.fromkeys(cosets))
+            hit = orbits[u] = _suffix_orbit(actions, unit, n, u)
+            orbits.update((v, None) for v, _, _ in hit[1])
         return hit
 
     def core_image(rho: Perm, mono: Monomial):
@@ -595,35 +645,41 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
                 SparseMatrix.from_rows(len(rows), sl.dim, rows))
         return hit
 
-    def induced(sl) -> RrefResult:
-        offsets = {u: off for u, _, off in sl.blocks}
-        rows, pivots = [], []
+    def induced(sl) -> _LazyRref:
+        # per orbit's first block: (offset, core slice, Q's rref rows or
+        # None for the identity, cosets)
+        pivots, firsts = [], []
         for u, core_sl, off in sl.blocks:
             orbit = suffix_orbit(u)
             if orbit is None:
                 continue  # u is in the orbit of an earlier block
             stabiliser, cosets = orbit
             if len(stabiliser) == 1:
-                # Q is the identity
-                basis = ((i, {i: 1}) for i in range(core_sl.dim))
+                xs = None
+                pivots.extend(range(off, off + core_sl.dim))
             else:
                 q = stabiliser_basis(core_sl, stabiliser)
-                basis = zip(q.pivots, q.reduced.rows)
-            moved = [(offsets[v], chi[g] * eps, core_images(g, core_sl))
-                     for v, (g, eps) in cosets.items()]
-            for pivot, x in basis:
-                # Phi(x) = sum over g in G/H of char(g^{-1}) g(x u)
-                row = {off + j: c for j, c in x.items()}
-                for voff, w, images in moved:
-                    for j, c in x.items():
-                        c *= w
-                        for t, v in images(j).items():
-                            t += voff
-                            row[t] = row.get(t, 0) + c * v
-                rows.append(row)
-                pivots.append(off + pivot)
-        return RrefResult(len(rows), tuple(pivots),
-                          SparseMatrix.from_rows(len(rows), sl.dim, rows))
+                xs = q.reduced.rows
+                pivots.extend(off + c for c in q.pivots)
+            firsts.append((off, core_sl, xs, cosets))
+
+        def rows(skip) -> list:
+            offsets = {u: off for u, _, off in sl.blocks}
+            out, i = [], 0
+            for off, core_sl, xs, cosets in firsts:
+                count = core_sl.dim if xs is None else len(xs)
+                wanted = [k for k in range(count) if i + k not in skip]
+                i += count
+                if not wanted:
+                    continue
+                moved = [(offsets[v], chi[g] * eps, core_images(g, core_sl))
+                         for v, g, eps in cosets]
+                for k in wanted:
+                    out.append(_induced_row(
+                        off, {k: 1} if xs is None else xs[k], moved))
+            return out
+
+        return _LazyRref(tuple(pivots), sl.dim, rows)
 
     return basis_at, len(elems)
 
@@ -656,10 +712,17 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     is trivial for most blocks, and Q then is the identity.  Each rref
     row x gives the row Phi(x) = sum_{g in G/H} char(g^{-1}) g(x u),
     which is x on block u and lies in the later blocks of the orbit
-    elsewhere, so the rows are the rref of P's image.  The core images
-    g(m) are cached in p.  Any other class function takes the orbit sums
-    P(sigma m) of free monomials over the whole slice, one per orbit
-    member, before one reduction.
+    elsewhere, so the rows are the rref of P's image.  A basis keeps its
+    pivots and, per orbit's first block, Q's rows (none for the identity)
+    and the cosets; a row Phi(x) is built only when a rank reads it, and
+    a block's coset images only with its first row.  So no row that
+    clearing drops is built, nor any row of a slice of degree
+    max_degree + 1, which serves only as a target.  The core images g(m)
+    are cached in p, and so are the suffix orbits, cosets and signed
+    stabilisers, per subgroup: no character enters them, and a second
+    character on the same subgroup reuses them.  Any other class
+    function takes the orbit sums P(sigma m) of free monomials over the
+    whole slice, one per orbit member, before one reduction.
 
     Each restricted rank is computed once: it is both the rank out of
     (d, k) and the rank into (d + 1, k).  It is computed with clearing,
@@ -696,7 +759,7 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
         tgt = basis_at(degree + 1, weight)
         if src is None or tgt is None or not tgt.rank:
             return frozenset()
-        kept = [x for i, x in enumerate(src.reduced.rows) if i not in cleared]
+        kept = src.rows(cleared)
         if not kept:
             return frozenset()
         sl = quotient_slice(p, degree, weight)

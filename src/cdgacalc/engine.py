@@ -812,8 +812,10 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
     slice times a suffix monomial u, and d(m u) = d(m) u + (-1)^|m| m d(u):
     the first term is the cached d of the core slice moved to the blocks
     s u, the second the core's cached multiplication by each kappa of
-    d(u) = sum kappa u' placed in the blocks u'.  A presentation that is
-    its own core has the one block u = ().
+    d(u) = sum kappa u' placed in the blocks u'.  The first term comes
+    first into an empty row, and distinct s give distinct blocks s u, so
+    its entries are assigned with no merge; the second adds into them.
+    A presentation that is its own core has the one block u = ().
     """
     rows: list[dict] = [{} for _ in range(src.dim)]
     # one int object per target column, shared by every row
@@ -838,8 +840,7 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
                     continue
                 sign, toff = shifts[s]
                 for j, v in coords:
-                    j = cols[j + toff]
-                    row[j] = row.get(j, 0) + (v if sign > 0 else -v)
+                    row[cols[j + toff]] = v if sign > 0 else -v
         odd = sl.degree & 1
         for c, kappa, u2 in _suffix_differential(p, u):
             toff = offsets.get(u2)

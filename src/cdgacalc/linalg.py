@@ -77,13 +77,16 @@ def _integral(row: dict) -> dict:
     """The primitive ``int`` multiple of ``row``: times the lcm of its
     entries' denominators, then divided by the gcd of the results, with
     no explicit zeros."""
-    if all(type(v) is int for v in row.values()):
-        out = {c: v for c, v in row.items() if v}
-    else:
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction entry
         den = lcm(*(v.denominator for v in row.values()))
-        out = {c: int(v.numerator * (den // v.denominator))
+        out = {c: v.numerator * (den // v.denominator)
                for c, v in row.items() if v}
-    g = gcd(*out.values())
+        g = gcd(*out.values())
+    else:
+        out = (dict(row) if 0 not in row.values()
+               else {c: v for c, v in row.items() if v})
     if g > 1:
         for c in out:
             out[c] //= g
@@ -115,7 +118,7 @@ def _eliminate(rows: Iterable[dict], canonical: bool):
     def priority(c: int) -> int:
         return 0 if canonical else len(col_rows[c])
 
-    heap = [(priority(c), c) for c in col_rows]
+    heap = [(0 if canonical else len(s), c) for c, s in col_rows.items()]
     heapify(heap)
     pivots: list[tuple[int, int]] = []
     used: set[int] = set()
@@ -129,7 +132,10 @@ def _eliminate(rows: Iterable[dict], canonical: bool):
         candidates = col_rows[col] - used if canonical else col_rows[col]
         if not candidates:
             continue
-        ri = min(candidates, key=lambda r: (len(work[r]), r))
+        if len(candidates) == 1:
+            ri, = candidates
+        else:
+            ri = min(candidates, key=lambda r: (len(work[r]), r))
         prow = work[ri]
         p = prow[col]
         unit = p == 1 or p == -1

@@ -57,6 +57,10 @@ rows, which ``quotient_slice`` now skips.
 Totaro's formula and the base's degrees and weights alone; the closed
 form's slice dimensions must match its coefficients.
 
+``p1_configuration_table`` and ``p1_configuration_invariants`` are the
+cohomology of r >= 3 ordered points on P^1 and its S_r-invariant part,
+from closed forms alone: F(P^1, r) is PGL_2 times M_{0,r}.
+
 ``kernel_basis``, ``from_dense``, ``to_dense``, ``transpose``,
 ``identity``, ``entry``, ``matmul``, ``is_zero``, ``same_matrix``,
 ``regular_character`` and ``evaluate_at_one`` are helpers only the
@@ -408,6 +412,33 @@ def totaro_series(base, r, t_max):
         for key, c in term.items():
             total[key] = total.get(key, 0) + c
     return {key: c for key, c in total.items() if c}
+
+
+def p1_configuration_table(r, t_max):
+    """{(degree, weight): dim} of H*(F(P^1, r)), r >= 3, to degree t_max:
+
+        (1 + t^3 w^4) prod_{k=2}^{r-2} (1 + k t w^2).
+
+    F(P^1, r) is PGL_2 times M_{0,r}; PGL_2 has the rational cohomology
+    of a 3-sphere, of weight 4, and M_{0,r}, a hyperplane-arrangement
+    complement, has Poincare polynomial prod_{k=2}^{r-2} (1 + k t) with
+    H^i pure of weight 2i (Arnold 1969; Orlik-Solomon 1980)."""
+    table = {(0, 0): 1, (3, 4): 1}
+    for k in range(2, r - 1):
+        step = dict(table)
+        for (d, w), c in table.items():
+            step[d + 1, w + 2] = step.get((d + 1, w + 2), 0) + k * c
+        table = step
+    return {(d, w): c for (d, w), c in table.items() if d <= t_max}
+
+
+def p1_configuration_invariants(r, t_max):
+    """{(degree, weight): dim} of H*(F(P^1, r))^{S_r}, r >= 3, to degree
+    t_max: 1 + t^3 w^4.  S_r acts trivially on H*(PGL_2); the invariants
+    of H*(M_{0,r}) are Q in degree 0 and its sign part is zero, by
+    Getzler's S_n-equivariant Poincare polynomials of M_{0,n} (1995).
+    So the sign-isotypic table is empty."""
+    return {(d, w): 1 for d, w in ((0, 0), (3, 4)) if d <= t_max}
 
 
 def _free_weights(p, degree):

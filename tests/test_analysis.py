@@ -24,7 +24,8 @@ from cdgacalc.models import (build_base, configuration_model,
                              section_model, symmetric_action,
                              twisted_section_model)
 from oracle import (evaluate_at_one, isotypic_projector, isotypic_table,
-                    map_matrix, matmul, regular_character, same_matrix)
+                    map_matrix, matmul, p1_configuration_invariants,
+                    p1_configuration_table, regular_character, same_matrix)
 
 
 def series(coeffs, trunc, var="w"):
@@ -461,6 +462,89 @@ def test_isotypic_ranks_build_no_differential_matrix():
     invariant_cohomology(p, group, 7)
     isotypic_cohomology(p, group, sign_character(3), 7)
     assert not [key for key in p._cache if key[0] == "diff"]
+
+
+def test_isotypic_ranks_build_only_the_rows_they_keep(monkeypatch):
+    # Phi(x) is built for each row a restricted rank keeps, and for no
+    # other: not for the rows clearing drops, and not for the slices of
+    # degree max_degree + 1, which serve only as targets
+    p = _model("A", "S1", 3, "1")
+    group, chi, max_degree = all_permutations(3), sign_character(3), 6
+    pending, built, kept = [], {}, {}
+
+    def induced_row(off, x, moved):
+        pending.append(off)
+        return analysis_induced_row(off, x, moved)
+
+    def assemble(q, src, tgt, skip):
+        # the rows of src are built just before its differential
+        built[(src.degree, src.weight)] = len(pending)
+        pending.clear()
+        return analysis_assemble(q, src, tgt, skip)
+
+    def pivot_columns(images):
+        images = list(images)
+        kept[len(kept)] = len(images)
+        return linalg_pivot_columns(images)
+
+    analysis_induced_row = analysis._induced_row
+    analysis_assemble = analysis._assemble
+    linalg_pivot_columns = analysis.pivot_columns
+    monkeypatch.setattr(analysis, "_induced_row", induced_row)
+    monkeypatch.setattr(analysis, "_assemble", assemble)
+    monkeypatch.setattr(analysis, "pivot_columns", pivot_columns)
+    isotypic_cohomology(p, group, chi, max_degree)
+    monkeypatch.undo()
+    assert not pending
+    assert list(built.values()) == list(kept.values())
+    assert max(d for d, _ in built) <= max_degree
+    bases = isotypic_bases(p, group, chi, max_degree + 1)
+    top = sum(b.rank for (d, _), b in bases.items() if d == max_degree + 1)
+    every = sum(b.rank for (d, _), b in bases.items() if d <= max_degree)
+    assert top > 0 and sum(kept.values()) < every
+
+
+def test_orbit_data_is_kept_per_subgroup(monkeypatch):
+    # suffix orbits, cosets and signed stabilisers do not depend on the
+    # character: a second linear character on the same model and
+    # subgroup computes none, another subgroup its own
+    p = _model("A", "P2", 3, "1")
+    group = all_permutations(3)
+    orbits = []
+
+    def suffix_orbit(actions, unit, n, u):
+        orbits.append(u)
+        return analysis_suffix_orbit(actions, unit, n, u)
+
+    analysis_suffix_orbit = analysis._suffix_orbit
+    monkeypatch.setattr(analysis, "_suffix_orbit", suffix_orbit)
+    trivial = invariant_cohomology(p, group, 6)
+    assert orbits
+    orbits.clear()
+    sign = isotypic_cohomology(p, group, sign_character(3), 6)
+    assert not orbits
+    swap = generated_subgroup([(1, 0, 2)], 3)
+    isotypic_cohomology(p, swap, sign_character(3), 6)
+    assert orbits
+    for table, chi in ((trivial, trivial_character(3)),
+                       (sign, sign_character(3))):
+        assert table.entries == isotypic_table(p, group, chi, 6)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_points_on_p1_match_closed_forms(r):
+    # F(P^1, r) = PGL_2 x M_{0,r}: the oracle's tables call no engine;
+    # the model is its own core, so each isotypic basis is the one
+    # block's stabiliser projector, an orbit sum over up to 5! = 120
+    # permutations at r = 5
+    p = configuration_model(build_base(parse_space("P1")), r)
+    assert cohomology(p, r + 1).entries == p1_configuration_table(r, r + 1)
+    if r <= 5:
+        group = all_permutations(r)
+        assert invariant_cohomology(p, group, r + 1).entries \
+            == p1_configuration_invariants(r, r + 1)
+        assert isotypic_cohomology(p, group, sign_character(r),
+                                   r + 1).entries == {}
 
 
 # Total dims of H^0..H^6 of the trivial and sign pieces under the full

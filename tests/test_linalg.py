@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -231,6 +231,39 @@ def test_rows_enter_primitive_and_scaling_changes_no_pivot(m):
         got, want = rref(other), rref(m)
         assert (got.rank, got.pivots, got.reduced.rows) \
             == (want.rank, want.pivots, want.reduced.rows)
+
+
+def primitive_reference(row):
+    """The primitive int multiple of a row, by the definition: drop the
+    zeros, clear the denominators, divide by the gcd."""
+    nonzero = {c: Fraction(v) for c, v in row.items() if v}
+    den = lcm(*(v.denominator for v in nonzero.values()))
+    ints = {c: int(v * den) for c, v in nonzero.items()}
+    g = gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()}
+
+
+ENTRIES = st.one_of(
+    st.integers(-10 ** 25, 10 ** 25), st.integers(-6, 6),
+    st.fractions(-30, 30, max_denominator=12),
+    st.integers(-9, 9).map(Fraction), st.sampled_from([0, Fraction(0)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.dictionaries(st.integers(0, 12), ENTRIES, max_size=9),
+    st.dictionaries(st.integers(0, 12), st.sampled_from([0, Fraction(0)]),
+                    max_size=5)))
+def test_integral_is_the_primitive_int_multiple(row):
+    # rows mix int and Fraction entries, explicit zeros and zero rows; the
+    # int test is gcd() itself, falling back on a Fraction entry
+    given_row = dict(row)
+    prim = linalg._integral(row)
+    assert row == given_row and prim is not row
+    assert prim == primitive_reference(row)
+    assert all(type(v) is int and v for v in prim.values())
+    if prim:
+        assert gcd(*prim.values()) == 1
 
 
 # -- edge cases of the fraction-free kernel, against the dense textbook rref --
