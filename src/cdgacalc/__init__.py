@@ -10,7 +10,7 @@ constraints, together with the generating functions and symmetric-group
 refinements attached to them.
 """
 
-from .rat import Rational, exact, rat, rat_from_str, rat_to_str
+from .rat import Rational, exact, rat, rat_from_str
 from .linalg import SparseMatrix, RrefResult, rref, rank
 from .algebra import (AlgebraError, BaseAlgebra, GeneratorSpec, Monomial,
                       Element, AlgebraContext, MonomialPermutation,
@@ -23,9 +23,8 @@ from .engine import (Presentation, PresentationError, SliceBasis,
                      cohomology, verify_d_squared)
 from .models import (ProjectiveSpace, Surface, Product, Custom, SpaceSpec,
                      ChernData, parse_space, parse_ample_class, build_base,
-                     degree_two_class, dual_basis, diagonal_class,
-                     configuration_model, section_model,
-                     twisted_section_model, euler_class_twist,
+                     degree_two_class, dual_basis, configuration_model,
+                     section_model, twisted_section_model, euler_class_twist,
                      cotangent_chern, symmetric_action)
 from .analysis import (BigradedSeries, ClassFunction, poincare_series_U,
                        weightwise_euler, configuration_euler,

@@ -12,7 +12,14 @@ element is a finite Q-linear combination of monomials.  Products follow
 the Koszul rule: transposing homogeneous factors u, v costs
 ``(-1)^{|u||v|}``.  The canonical monomial order (generator-degree, then
 exponent vector, then base index) is fixed here once and relied on by
-every other module for determinism.
+every other module for determinism.  :func:`monomial_walk` lists the
+generator parts of each degree once, from the lower degrees, in that
+order; both the free slices of a context and the engine's relation-free
+suffixes are enumerated by it.
+
+:func:`dual_basis` inverts the Poincare pairing block by block; it is
+the pairing check of :meth:`BaseAlgebra.validate` and gives the models
+their diagonal class.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import SparseMatrix, rref
-from .rat import ONE, exact, rat_from_str, rat_to_str
+from .rat import ONE, exact, rat_from_str
 
 
 class AlgebraError(ValueError):
@@ -111,9 +118,6 @@ class BaseAlgebra:
     def betti(self, i: int) -> int:
         return len(self._by_degree.get(i, ()))
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d for d in self.degrees)
-
     def positive_degree_indices(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degrees) if d > 0)
 
@@ -166,7 +170,7 @@ class BaseAlgebra:
                     f"graded commutativity: {lab[i]}*{lab[j]} != "
                     f"(-1)^(|{lab[i]}||{lab[j]}|) {lab[j]}*{lab[i]}")
         self._validate_associativity()
-        self._validate_pairing()
+        dual_basis(self)
 
     def _validate_associativity(self) -> None:
         """(i*j)*k == i*(j*k) for every triple, visiting only nonzero paths.
@@ -213,29 +217,47 @@ class BaseAlgebra:
                 f"associativity: ({lab[i]}*{lab[j]})*{lab[k]} "
                 f"!= {lab[i]}*({lab[j]}*{lab[k]})")
 
-    def _validate_pairing(self) -> None:
-        top = self.fundamental
-        for d in sorted(set(self.degrees)):
-            rows_idx = self.basis_of_degree(d)
-            cols_idx = self.basis_of_degree(2 * self.n - d)
-            if len(rows_idx) != len(cols_idx):
-                raise AlgebraError(
-                    f"Poincaré pairing nondegeneracy: degree block "
-                    f"({d}, {2 * self.n - d}) has sizes "
-                    f"{len(rows_idx)} != {len(cols_idx)}")
-            mat = SparseMatrix(len(rows_idx), len(cols_idx))
-            for a, i in enumerate(rows_idx):
-                for b, j in enumerate(cols_idx):
-                    c = self.product(i, j).get(top)
-                    if c:
-                        mat.rows[a][b] = c
-            if rref(mat).rank != len(rows_idx):
-                raise AlgebraError(
-                    f"Poincaré pairing nondegeneracy: singular pairing on "
-                    f"degree block ({d}, {2 * self.n - d})")
-
     def __repr__(self):
         return f"BaseAlgebra({self.name!r}, n={self.n}, dim={self.dim})"
+
+
+def dual_basis(base: BaseAlgebra) -> list[dict]:
+    """Dual basis under the Poincare pairing: b_i . dual(b_j) = delta_ij [X].
+
+    Entry j is the element dual to basis element j, as coefficients on the
+    complementary-degree basis.  Raises :class:`AlgebraError` naming the
+    first degree block (d, 2n - d) whose pairing is not square, or is
+    singular.
+    """
+    top = base.fundamental
+    duals: list[dict] = [dict() for _ in range(base.dim)]
+    for d in sorted(set(base.degrees)):
+        rows_idx = base.basis_of_degree(d)
+        cols_idx = base.basis_of_degree(2 * base.n - d)
+        m = len(rows_idx)
+        if m != len(cols_idx):
+            raise AlgebraError(
+                f"Poincaré pairing nondegeneracy: degree block "
+                f"({d}, {2 * base.n - d}) has sizes {m} != {len(cols_idx)}")
+        aug = SparseMatrix(m, 2 * m)
+        for a, i in enumerate(rows_idx):
+            for b, j in enumerate(cols_idx):
+                c = base.product(i, j).get(top)
+                if c:
+                    aug.rows[a][b] = c
+            aug.rows[a][m + a] = ONE
+        res = rref(aug)
+        if res.pivots[:m] != tuple(range(m)):
+            raise AlgebraError(
+                f"Poincaré pairing nondegeneracy: singular pairing on "
+                f"degree block ({d}, {2 * base.n - d})")
+        # reduced = [I | P^{-1}]; dual of rows_idx[a] is column a of P^{-1}
+        for a in range(m):
+            for b in range(m):
+                c = res.reduced.rows[b].get(m + a)
+                if c:
+                    duals[rows_idx[a]][cols_idx[b]] = c
+    return duals
 
 
 class TensorAlgebra(BaseAlgebra):
@@ -418,7 +440,7 @@ class AlgebraContext:
     """
 
     __slots__ = ("base", "generators", "gen_degrees", "gen_weights",
-                 "gen_parities", "_label_index", "_mono_cache")
+                 "gen_parities", "_label_index", "_mono_cache", "_walk")
 
     def __init__(self, base: BaseAlgebra, generators: Sequence[GeneratorSpec]):
         self.base = base
@@ -430,6 +452,8 @@ class AlgebraContext:
         if len(self._label_index) != len(self.generators):
             raise AlgebraError("duplicate generator labels")
         self._mono_cache: dict = {}
+        # monomial_walk's memo of the generator monomials per degree
+        self._walk: list = []
 
     # -- basic constructors ----------------------------------------------
 
@@ -534,7 +558,9 @@ class AlgebraContext:
         """All monomials of the given degree (and weight), canonical order.
 
         The list is complete and duplicate-free; it is finite because
-        every generator has degree >= 1.
+        every generator has degree >= 1.  Per generator degree d', the
+        generator parts in :func:`monomial_walk` order, each times the
+        base classes of the rest in index order: the canonical order.
         """
         if degree < 0:
             raise AlgebraError("monomials_of: degree must be >= 0")
@@ -542,37 +568,48 @@ class AlgebraContext:
         cached = self._mono_cache.get(key)
         if cached is not None:
             return cached
-        ngen = len(self.generators)
-        out: list[Monomial] = []
-        exps = [0] * ngen
-
-        def descend(i: int, rem_deg: int, rem_wt):
-            if i == ngen:
-                basis = (self.base.basis_of_degree(rem_deg) if rem_wt is None
-                         else self.base.basis_of_degree(rem_deg, rem_wt))
-                tail = tuple(exps)
-                for b in basis:
-                    out.append(Monomial(b, tail))
-                return
-            d, w = self.gen_degrees[i], self.gen_weights[i]
-            top = rem_deg // d if (self.gen_parities[i] == 0) else min(1, rem_deg // d)
-            for e in range(top + 1):
-                exps[i] = e
-                nw = rem_wt - e * w if rem_wt is not None else None
-                if nw is not None and nw < 0:
-                    break
-                descend(i + 1, rem_deg - e * d, nw)
-            exps[i] = 0
-
-        descend(0, degree, weight)
-        del descend  # the closure refers to itself: free it now, not in gc
-        result = tuple(sorted(out, key=self.monomial_key))
-        self._mono_cache[key] = result
+        basis = self.base.basis_of_degree
+        out = []
+        for d in range(degree + 1):
+            for e, w, _ in monomial_walk(self.generators, self._walk, d)[0]:
+                classes = (basis(degree - d) if weight is None
+                           else basis(degree - d, weight - w))
+                out.extend(Monomial(b, e) for b in classes)
+        result = self._mono_cache[key] = tuple(out)
         return result
 
     def __repr__(self):
         gens = ",".join(g.label for g in self.generators)
         return f"AlgebraContext({self.base.name}; [{gens}])"
+
+
+def monomial_walk(generators: Sequence[GeneratorSpec], memo: list,
+                  degree: int) -> tuple[list, dict]:
+    """``(made, grouped)`` for the monomials of the given degree in the
+    generators: ``made`` lists (exponents, weight, index of the last
+    generator) in lexicographic order of the exponents, ``grouped`` maps
+    each weight, in order of its first monomial, to its exponents.
+
+    ``memo`` holds the degrees built so far and grows to ``degree``.
+    Each degree is built once, from the lower ones: a monomial is reached
+    from its last generator g, as g times a monomial of degree - |g| in
+    the generators before g, or up to g when g is even.
+    """
+    for d in range(len(memo), degree + 1):
+        made = [((0,) * len(generators), 0, -1)] if d == 0 else []
+        for j, g in enumerate(generators):
+            if g.degree > d:
+                continue
+            for e, w, last in memo[d - g.degree][0]:
+                if last < j or (last == j and not g.odd):
+                    made.append((e[:j] + (e[j] + 1,) + e[j + 1:],
+                                 w + g.weight, j))
+        made.sort()
+        grouped: dict = {}
+        for e, w, _ in made:
+            grouped.setdefault(w, []).append(e)
+        memo.append((made, grouped))
+    return memo[degree]
 
 
 class Element:
@@ -659,7 +696,7 @@ class Element:
         for m in sorted(self.terms, key=ctx.monomial_key):
             c = self.terms[m]
             lab = ctx.monomial_label(m)
-            bits.append(f"{rat_to_str(c)}·{lab}" if c != 1 else lab)
+            bits.append(f"{c}·{lab}" if c != 1 else lab)
         return " + ".join(bits)
 
 

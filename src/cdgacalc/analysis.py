@@ -25,15 +25,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, GeneratorSpec,
                       Monomial)
 from .engine import (CohomologyTable, Presentation, cohomology,
-                     quotient_slice, _assemble, _certify, _drain,
-                     _slice_weights)
-from .linalg import RrefResult, SparseMatrix, pivot_columns, rref
+                     quotient_slice, _assemble, _certify, _cleared_rank,
+                     _entries)
+from .linalg import RrefResult, SparseMatrix, rref
 from .models import symmetric_action
 from .rat import ONE, Rational, exact
 
@@ -443,14 +443,14 @@ def _partitions(n: int, largest: Optional[int] = None):
 
 
 def trivial_character(r: int) -> ClassFunction:
-    return ClassFunction(r, {p: Fraction(1) for p in _partitions(r)})
+    return ClassFunction(r, {p: Rational(1) for p in _partitions(r)})
 
 
 def sign_character(r: int) -> ClassFunction:
     vals = {}
     for p in _partitions(r):
         transpositions = sum(c - 1 for c in p)
-        vals[p] = Fraction(-1 if transpositions % 2 else 1)
+        vals[p] = Rational(-1 if transpositions % 2 else 1)
     return ClassFunction(r, vals)
 
 
@@ -724,10 +724,9 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     function takes the orbit sums P(sigma m) of free monomials over the
     whole slice, one per orbit member, before one reduction.
 
-    Each restricted rank is computed once: it is both the rank out of
-    (d, k) and the rank into (d + 1, k).  It is computed with clearing,
-    as in :func:`~cdgacalc.engine.differential_rank`: the basis rows at
-    the pivot columns of the restricted map out of (d - 1, k) are left
+    The restricted ranks are taken by the engine's clearing routine, as
+    :func:`~cdgacalc.engine.differential_rank` takes d's: the basis rows
+    at the pivot columns of the restricted map out of (d - 1, k) are left
     out.  d of each kept row x is sum_j x_j d(m_j), with d(m_j) from the
     engine's assembler, which builds only the rows some kept x touches;
     since d(x) lies in the target's rref span, its coordinates there are
@@ -739,29 +738,15 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
         raise AlgebraError("isotypic_cohomology: max_degree must be >= 0")
     basis_at, order = _isotypic_bases(p, subgroup, character)
     _certify(p)
-    ranks: dict = {}
-    # pivot columns of the restricted matrices whose rank above is not
-    # computed yet
-    pivots: dict = {}
 
-    def restricted_rank(degree: int, weight: int) -> int:
-        key = (degree, weight)
-        if key not in ranks:
-            cols = restrict(degree, weight)
-            ranks[key] = len(cols)
-            if cols:
-                pivots[key] = cols
-        return ranks[key]
+    def size(degree: int, weight: int) -> int:
+        return getattr(basis_at(degree, weight), "rank", 0)
 
-    def restrict(degree: int, weight: int) -> frozenset:
-        cleared = pivots.pop((degree - 1, weight), ())
-        src = basis_at(degree, weight)
-        tgt = basis_at(degree + 1, weight)
-        if src is None or tgt is None or not tgt.rank:
-            return frozenset()
-        kept = src.rows(cleared)
+    def rows(degree: int, weight: int, skip) -> list:
+        src, tgt = basis_at(degree, weight), basis_at(degree + 1, weight)
+        kept = src.rows(skip) if src and tgt and tgt.rank else ()
         if not kept:
-            return frozenset()
+            return []
         sl = quotient_slice(p, degree, weight)
         touched = set().union(*kept)
         d = _assemble(p, sl, quotient_slice(p, degree + 1, weight),
@@ -778,22 +763,10 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
                     if t is not None:
                         image[t] = image.get(t, 0) + c * v
             images.append(image)
-        del d
-        return pivot_columns(_drain(images))
+        return images
 
-    entries: dict = {}
-    for d in range(max_degree + 1):
-        for k in _slice_weights(p, d):
-            src = basis_at(d, k)
-            q = 0 if src is None else src.rank
-            if q == 0:
-                continue
-            # bottom-up, so the pivots below are known when (d, k) is ranked
-            r_in = restricted_rank(d - 1, k) if d > 0 else 0
-            r_out = restricted_rank(d, k)
-            value = q - r_out - r_in
-            if value:
-                entries[(d, k)] = value
+    entries = _entries(p, max_degree, size,
+                       partial(_cleared_rank, {}, {}, size, rows))
     model = {"name": p.name, **p.params, "subgroup_order": order}
     return CohomologyTable(entries, max_degree, model)
 

@@ -19,7 +19,9 @@ is block-diagonal in u and each block is a core ideal slice of lower
 order and the core's order inside each block.  Its basis as a set and
 every normal form are those of eliminating the whole free slice; the
 free slices of a model with a suffix are never enumerated, and its basis
-monomials are only made when something reads them.
+monomials are only made when something reads them.  The suffix
+monomials u come from :func:`~cdgacalc.algebra.monomial_walk`, the walk
+that also lists the free slices of a context.
 
 A core slice is a :class:`SliceBasis` made one of two ways.  The core of
 every built-in model is the Kriz-Totaro algebra of a configuration
@@ -81,7 +83,11 @@ chain D(0, k), D(1, k), ...: the rows of D(d, k) at the pivot columns
 of D(d-1, k) are left out before elimination.  d^2 = 0 puts the image
 of D(d-1, k) in the kernel of D(d, k), and that image maps
 isomorphically onto those coordinates, so the rank does not change.
-The rows are assembled straight into the elimination, without a
+One routine, ``_cleared_rank``, ranks every chain and one loop,
+``_entries``, reads the table off the ranks: :func:`differential_rank`
+and :func:`cohomology` hand them the assembler's rows, and the
+isotypic ranks of :mod:`~cdgacalc.analysis` the rows of their
+restricted maps.  The rows go straight into the elimination, without a
 matrix.
 
 Slices and ranks are cached per presentation and keyed by (degree,
@@ -104,7 +110,8 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .algebra import AlgebraContext, AlgebraError, Element, Monomial
+from .algebra import (AlgebraContext, AlgebraError, Element, Monomial,
+                      monomial_walk)
 from .linalg import SparseMatrix, pivot_columns, rref
 from .rat import ONE, rat
 
@@ -180,8 +187,7 @@ class Presentation:
         self._relation_grades = grades
         self._cache: dict = {}
         self._core: Optional[Presentation] = None
-        # per suffix degree: its monomials as (exponents, weight, last
-        # generator), and their exponents grouped by weight
+        # monomial_walk's memo of the suffix monomials per degree
         self._suffix: list = []
         self._weights: dict = {}
         self._reduced: Optional[Presentation] = None
@@ -239,34 +245,13 @@ class Presentation:
 
     def _suffix_monomials(self, degree: int) -> dict[int, list]:
         """Exponent vectors of the monomials of the given degree in the
-        generators after the core, grouped by weight; the weights in
-        order of their first monomial, each list in lexicographic order.
-
-        Each degree is built once, from the lower ones: a monomial is
-        reached from its last generator g, as g times a monomial of
-        degree - |g| in the generators before g, or up to g when g is
-        even.
-        """
-        walk = self._suffix
-        if degree < len(walk):
-            return walk[degree][1]
-        gens = self.context.generators[len(self.core.context.generators):]
-        for d in range(len(walk), degree + 1):
-            # (exponents, weight, index of the last generator)
-            made = [((0,) * len(gens), 0, -1)] if d == 0 else []
-            for j, g in enumerate(gens):
-                if g.degree > d:
-                    continue
-                for e, w, last in walk[d - g.degree][0]:
-                    if last < j or (last == j and not g.odd):
-                        made.append((e[:j] + (e[j] + 1,) + e[j + 1:],
-                                     w + g.weight, j))
-            made.sort()
-            grouped: dict = {}
-            for e, w, _ in made:
-                grouped.setdefault(w, []).append(e)
-            walk.append((made, grouped))
-        return walk[degree][1]
+        generators after the core, grouped by weight: the weights in
+        order of their first monomial, each list in lexicographic order
+        (:func:`~cdgacalc.algebra.monomial_walk`)."""
+        if degree >= len(self._suffix):
+            gens = self.context.generators[len(self.core.context.generators):]
+            monomial_walk(gens, self._suffix, degree)
+        return self._suffix[degree][1]
 
     # -- contractible pairs --------------------------------------------------
 
@@ -889,34 +874,65 @@ def differential_matrix(p: Presentation, degree: int,
 
 
 def differential_rank(p: Presentation, degree: int, weight: int) -> int:
-    """Rank of d from slice (degree, weight) to (degree + 1, weight).
-
-    Computed bottom-up along the weight's chain with clearing (see the
-    module docstring), once d^2 = 0 is certified (raises
-    :class:`AlgebraError` if it fails).  Only the rank is cached, not the
-    matrix; the pivot columns are kept until the rank above reads them.
-    """
+    """Rank of d from slice (degree, weight) to (degree + 1, weight), by
+    :func:`_cleared_rank` once d^2 = 0 is certified (raises
+    :class:`AlgebraError` if it fails).  No matrix is kept."""
     hit = p._cache.get(("rank", degree, weight))
     if hit is not None:
         return hit
     _certify(p)
-    # the lowest degree of the chain whose rank is missing, stopping at an
-    # empty slice, below which nothing is cleared
+
+    def rows(d: int, k: int, skip) -> list:
+        src, tgt = quotient_slice(p, d, k), quotient_slice(p, d + 1, k)
+        return _assemble(p, src, tgt, skip) if src.dim and tgt.dim else []
+
+    return _cleared_rank(p._cache, p._blocks,
+                         lambda d, k: quotient_slice(p, d, k).dim, rows,
+                         degree, weight)
+
+
+def _cleared_rank(ranks: dict, pivots: dict, size: Callable, rows: Callable,
+                  degree: int, weight: int) -> int:
+    """Rank of the map out of slice (degree, weight), with clearing.
+
+    ``size(d, k)`` is the dimension of slice (d, k), ``rows(d, k, skip)``
+    the rows of the map out of it with those in ``skip`` left empty or
+    out.  The chain is ranked bottom-up from its lowest missing rank;
+    the walk down stops at an empty slice, as a map into or out of one
+    clears nothing, and no rank depends on the order of the calls.
+    Ranks are cached in ``ranks`` as ("rank", d, k), and the pivot
+    columns in ``pivots`` as ("pivots", d, k) until the rank above pops
+    them.
+    """
+    hit = ranks.get(("rank", degree, weight))
+    if hit is not None:
+        return hit
     low = degree
-    while (low > 0 and ("rank", low - 1, weight) not in p._cache
-           and quotient_slice(p, low - 1, weight).dim):
+    while (low > 0 and size(low, weight)
+           and ("rank", low - 1, weight) not in ranks
+           and size(low - 1, weight)):
         low -= 1
     for d in range(low, degree + 1):
-        src = quotient_slice(p, d, weight)
-        tgt = quotient_slice(p, d + 1, weight)
-        skip = p._blocks.pop(("pivots", d - 1, weight), ())
-        pivots = ()
-        if src.dim and tgt.dim:
-            pivots = pivot_columns(_drain(_assemble(p, src, tgt, skip)))
-        if pivots:
-            p._blocks[("pivots", d, weight)] = pivots
-        hit = p._cache[("rank", d, weight)] = len(pivots)
+        made = rows(d, weight, pivots.pop(("pivots", d - 1, weight), ()))
+        cols = pivot_columns(_drain(made)) if made else ()
+        if cols:
+            pivots[("pivots", d, weight)] = cols
+        hit = ranks[("rank", d, weight)] = len(cols)
     return hit
+
+
+def _entries(p: Presentation, max_degree: int, size: Callable,
+             rank: Callable) -> dict:
+    """(d, k) -> size(d, k) - rank(d, k) - rank(d - 1, k) over p's
+    nonempty slices up to max_degree, rank(d, k) the rank out of (d, k)."""
+    entries: dict = {}
+    for d in range(max_degree + 1):
+        for k in _slice_weights(p, d):
+            dim = size(d, k)
+            if dim:
+                entries[(d, k)] = (dim - rank(d, k)
+                                   - (rank(d - 1, k) if d > 0 else 0))
+    return entries
 
 
 class CohomologyTable:
@@ -1006,12 +1022,9 @@ def cohomology(p: Presentation, max_degree: int,
     # d^2 = 0 on p gives it on its quotient by a d-stable ideal, and q has
     # p's relations
     q._certificate = p._certificate
-    entries: dict = {}
-    for d in range(max_degree + 1):
-        for k in _slice_weights(q, d):
-            r_out = differential_rank(q, d, k)
-            r_in = differential_rank(q, d - 1, k) if d > 0 else 0
-            entries[(d, k)] = quotient_slice(q, d, k).dim - r_out - r_in
+    entries = _entries(
+        q, max_degree, lambda d, k: quotient_slice(q, d, k).dim,
+        lambda d, k: differential_rank(q, d, k))
     model = {"name": p.name, **p.params}
     return CohomologyTable(entries, max_degree, model)
 

@@ -36,11 +36,10 @@ from typing import Optional, Sequence, Union
 
 from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, Element,
                       GeneratorSpec, Monomial, MonomialPermutation,
-                      TensorAlgebra, load_base_algebra, tensor_many,
-                      tensor_power)
+                      TensorAlgebra, dual_basis, load_base_algebra,
+                      tensor_many, tensor_power)
 from .engine import Presentation
-from .linalg import SparseMatrix, rref
-from .rat import ONE, exact, rat_from_str, rat_to_str
+from .rat import ONE, exact, rat_from_str
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def class_label(base: BaseAlgebra, coeffs: dict) -> str:
     for idx in sorted(coeffs):
         c = coeffs[idx]
         lab = base.label(idx)
-        bits.append(lab if c == 1 else f"{rat_to_str(c)}{lab}")
+        bits.append(lab if c == 1 else f"{c}{lab}")
     return "+".join(bits)
 
 
@@ -199,56 +198,16 @@ def _base_mul(base: BaseAlgebra, u: dict, v: dict) -> dict:
 # Poincare duality data
 # ---------------------------------------------------------------------------
 
-def dual_basis(base: BaseAlgebra) -> list[dict]:
-    """Dual basis under the Poincare pairing: b_i . dual(b_j) = delta_ij [X].
-
-    Entry j is the element dual to basis element j, as coefficients on the
-    complementary-degree basis.
-    """
-    top = base.fundamental
-    duals: list[dict] = [dict() for _ in range(base.dim)]
-    for d in sorted(set(base.degrees)):
-        rows_idx = base.basis_of_degree(d)
-        cols_idx = base.basis_of_degree(2 * base.n - d)
-        m = len(rows_idx)
-        aug = SparseMatrix(m, 2 * m)
-        for a, i in enumerate(rows_idx):
-            for b, j in enumerate(cols_idx):
-                c = base.product(i, j).get(top)
-                if c:
-                    aug.rows[a][b] = c
-            aug.rows[a][m + a] = ONE
-        res = rref(aug)
-        if res.pivots[:m] != tuple(range(m)):
-            raise AlgebraError(
-                f"singular pairing block at degree ({d}, {2 * base.n - d})")
-        # reduced = [I | P^{-1}]; dual of rows_idx[a] is column a of P^{-1}
-        for a in range(m):
-            for b in range(m):
-                c = res.reduced.rows[b].get(m + a)
-                if c:
-                    duals[rows_idx[a]][cols_idx[b]] = c
-    return duals
-
-
-def _diagonal_triples(base: BaseAlgebra) -> list[tuple[int, int, object]]:
-    duals = dual_basis(base)
+def _diagonal_triples(base: BaseAlgebra,
+                      duals: list[dict]) -> list[tuple[int, int, object]]:
+    """(j, i, c) for the terms c b_j (x) b_i of the diagonal class, from
+    ``duals = dual_basis(base)``."""
     triples = []
     for j in range(base.dim):
         sign = -ONE if base.degrees[j] % 2 else ONE
         for idx, c in duals[j].items():
             triples.append((j, idx, sign * c))
     return triples
-
-
-def diagonal_class(base: BaseAlgebra) -> Element:
-    """The diagonal class as an element of base (x) base (no generators)."""
-    square = tensor_many([base, base], name=f"{base.name}^⊗2")
-    terms = {}
-    for p, q, c in _diagonal_triples(base):
-        k = square.encode((p, q))
-        terms[k] = terms.get(k, 0) + c
-    return AlgebraContext(square, []).base_element(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +554,7 @@ def configuration_model(base: BaseAlgebra, r: int) -> Presentation:
     layout = ModelLayout(r, r * (r - 1) // 2, base.dim, False)
     ctx = AlgebraContext(tensor, _configuration_generators(base, r))
     relations = _configuration_relations(ctx, tensor, layout)
-    triples = _diagonal_triples(base) if r >= 2 else []
+    triples = _diagonal_triples(base, dual_basis(base)) if r >= 2 else []
     diff = _configuration_differential(ctx, tensor, layout, triples)
     return _with_closed_core(
         Presentation(ctx, relations, diff, name=f"C{r}({base.name})",
@@ -629,7 +588,7 @@ def _marked_differential(ctx: AlgebraContext, tensor: TensorAlgebra,
     """d(alpha_i) = pi_i^*(alpha_image); d(eta_i) = eps_i - pi_i^*(c) alpha_i."""
     base = tensor.factors[0]
     duals = dual_basis(base)
-    triples = _diagonal_triples(base) if layout.r >= 2 else []
+    triples = _diagonal_triples(base, duals) if layout.r >= 2 else []
     diff = _configuration_differential(ctx, tensor, layout, triples)
     for i in range(1, layout.r + 1):
         slot = i - 1
@@ -720,27 +679,15 @@ def cotangent_chern(spec: SpaceSpec) -> ChernData:
                {base.fundamental: -chi} if chi else {}]
         c1 = {base.fundamental: ONE}
     elif isinstance(spec, Product):
-        left = cotangent_chern(spec.left)
-        right = cotangent_chern(spec.right)
-        assert isinstance(base, TensorAlgebra)
-        cot = []
-        for k in range(base.n + 1):
-            acc: dict[int, object] = {}
-            for i in range(len(left.cotangent)):
-                j = k - i
-                if not (0 <= j < len(right.cotangent)):
-                    continue
-                for u, cu in left.cotangent[i].items():
-                    for v, cv in right.cotangent[j].items():
-                        enc = base.encode((u, v))
-                        acc[enc] = acc.get(enc, 0) + cu * cv
-            cot.append({kk: c for kk, c in acc.items() if c})
-        c1 = {}
-        for u, cu in left.c1_line.items():
-            c1[base.encode((u, base.factors[1].unit))] = cu
-        for v, cv in right.c1_line.items():
-            enc = base.encode((base.factors[0].unit, v))
-            c1[enc] = c1.get(enc, 0) + cv
+        left, right = cotangent_chern(spec.left), cotangent_chern(spec.right)
+        # Whitney: c(Omega^1) is the product of the factors' total classes
+        u, v = ({k: c for ci in f.cotangent for k, c in ci.items()}
+                for f in (left, right))
+        total = _base_mul(base, base.pullback(0, u), base.pullback(1, v))
+        cot = [{k: c for k, c in total.items() if base.degrees[k] == 2 * i}
+               for i in range(base.n + 1)]
+        c1 = {**base.pullback(0, left.c1_line),
+              **base.pullback(1, right.c1_line)}
     else:
         raise AlgebraError(
             "cotangent data for custom spaces must be supplied explicitly")
@@ -800,7 +747,7 @@ def twisted_section_model(base: BaseAlgebra, chern: ChernData, d: int,
         ctx, relations, diff,
         name=f"A{r}({base.name}, L^{d})",
         params={"model": "AL", "r": r, "space": base.name, "d": d,
-                "m": rat_to_str(m)}), r)
+                "m": str(m)}), r)
 
 
 # ---------------------------------------------------------------------------

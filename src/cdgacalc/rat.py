@@ -44,9 +44,3 @@ def rat_from_str(text: str):
         return exact(Rational(int(num), d))
     return int(s)
 
-
-def rat_to_str(value) -> str:
-    """Canonical ``p/q`` (or ``p``) rendering."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"

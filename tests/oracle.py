@@ -36,7 +36,9 @@ by slice, from its ranks alone.
 
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
-replaced with sparse and lazy ones; tests compare the two.
+replaced with sparse and lazy ones; tests compare the two.  Both check
+the Poincare pairing with ``dual_basis``, which inverts each degree
+block.
 ``dense_tensor_algebra`` validates that table as a ``BaseAlgebra``, and
 ``check_tensor_products`` compares a tensor's products with it on every
 pair.
@@ -46,12 +48,13 @@ that ``differential_matrix``'s assembly from cached core blocks
 replaced: the Leibniz expansion of each basis monomial, reduced in the
 target slice.
 
-``suffix_monomials`` is the enumeration that
-``Presentation._suffix_monomials``'s walk from the lower degrees
-replaced: every exponent vector of degree <= the target, rebuilt
-generator by generator.  ``rref_slice_basis`` is the core slice from
-the rref of its ideal slice, taken also when the ideal slice has no
-rows, which ``quotient_slice`` now skips.
+``suffix_monomials`` is the enumeration that ``monomial_walk``, the
+walk from the lower degrees behind ``Presentation._suffix_monomials``
+and ``AlgebraContext.monomials_of``, replaced: every exponent vector of
+degree <= the target, rebuilt generator by generator.
+``rref_slice_basis`` is the core slice from the rref of its ideal
+slice, taken also when the ideal slice has no rows, which
+``quotient_slice`` now skips.
 
 ``totaro_series`` is the Poincare series of a configuration core from
 Totaro's formula and the base's degrees and weights alone; the closed
@@ -69,6 +72,10 @@ SparseMatrix defines no ``==``.  ``map_matrix`` is the matrix of a
 signed monomial permutation on one quotient slice, whose traces
 ``character_euler`` now reads one diagonal entry at a time.
 
+``diagonal_class`` is the diagonal class of a base as an element of
+base (x) base, and ``euler_characteristic`` the alternating sum of a
+base's degrees; the library uses neither.
+
 ``check_graded_permutation``, ``check_multiplicative``,
 ``check_d_and_relations`` and ``check_diagonal_identities`` state the
 laws that the symmetric-group actions and the diagonal class satisfy by
@@ -83,12 +90,12 @@ import math
 from fractions import Fraction
 
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
-                              Element, Monomial)
+                              Element, Monomial, dual_basis, tensor_many)
 from cdgacalc.analysis import ClassFunction, inverse, trivial_character
 from cdgacalc.engine import (SliceBasis, VerificationReport, _slice_weights,
                              differential_matrix, ideal_slice, quotient_slice)
 from cdgacalc.linalg import SparseMatrix, rank, rref
-from cdgacalc.models import symmetric_action
+from cdgacalc.models import _diagonal_triples, symmetric_action
 from cdgacalc.rat import ONE, Rational
 
 
@@ -605,7 +612,7 @@ def dense_validate(self):
                     raise AlgebraError(
                         f"associativity: ({lab[i]}*{lab[j]})*{lab[k]} "
                         f"!= {lab[i]}*({lab[j]}*{lab[k]})")
-    self._validate_pairing()
+    dual_basis(self)
 
 
 def _slotwise_product(self, u, v):
@@ -771,6 +778,20 @@ def check_d_and_relations(p, maps):
                 f"relation not preserved: {rel!r}"
 
 
+def euler_characteristic(base):
+    return sum((-1) ** d for d in base.degrees)
+
+
+def diagonal_class(base):
+    """The diagonal class as an element of base (x) base (no generators)."""
+    square = tensor_many([base, base], name=f"{base.name}^⊗2")
+    terms = {}
+    for p, q, c in _diagonal_triples(base, dual_basis(base)):
+        k = square.encode((p, q))
+        terms[k] = terms.get(k, 0) + c
+    return AlgebraContext(square, []).base_element(terms)
+
+
 def check_diagonal_identities(base, delta):
     """Assert the two identities that pin the sign convention of Delta.
 
@@ -787,5 +808,5 @@ def check_diagonal_identities(base, delta):
             f"(x⊗1 - 1⊗x)·Δ != 0 for x = {base.labels[x]}"
     top = Monomial(square.encode((base.fundamental, base.fundamental)), ())
     coeff = (delta * delta).terms.get(top, 0)
-    chi = base.euler_characteristic()
+    chi = euler_characteristic(base)
     assert coeff == chi, f"Δ·Δ has [X]⊗[X]-coefficient {coeff}, not {chi}"

@@ -1,8 +1,11 @@
 import gc
+import itertools
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgacalc.algebra import (AlgebraError, AlgebraContext, BaseAlgebra,
                               GeneratorSpec, Monomial, MonomialPermutation,
@@ -12,7 +15,7 @@ from cdgacalc.models import (build_base, parse_ample_class, parse_space,
                              section_model)
 from cdgacalc.rat import ONE, Rational
 from oracle import (check_multiplicative, check_tensor_products,
-                    dense_tensor_algebra, dense_validate)
+                    dense_tensor_algebra, dense_validate, euler_characteristic)
 
 
 def p1_algebra():
@@ -47,11 +50,11 @@ def test_base_algebra_validation_accepts_presets():
 
 
 def test_euler_characteristics():
-    assert p1_algebra().euler_characteristic() == 2
-    assert p2_algebra().euler_characteristic() == 3
-    assert genus1_algebra().euler_characteristic() == 0
+    assert euler_characteristic(p1_algebra()) == 2
+    assert euler_characteristic(p2_algebra()) == 3
+    assert euler_characteristic(genus1_algebra()) == 0
     sq = tensor_power(p1_algebra(), 2)
-    assert sq.euler_characteristic() == 4
+    assert euler_characteristic(sq) == 4
 
 
 def test_multiply_unit_law_and_odd_squares():
@@ -114,6 +117,36 @@ def test_monomials_partition_by_weight():
         assert sorted(concat, key=ctx.monomial_key) == list(all_monos)
         total = sum(len(ctx.monomials_of(d, k)) for k in weights)
         assert total == len(all_monos)
+
+
+def _brute_force_monomials(ctx, degree):
+    """Every monomial of the degree, from all exponent vectors at once,
+    sorted by the canonical key."""
+    ranges = [range(2) if g.odd else range(degree // g.degree + 1)
+              for g in ctx.generators]
+    out = []
+    for exps in itertools.product(*ranges):
+        rest = degree - sum(e * g.degree for e, g in zip(exps, ctx.generators))
+        out.extend(Monomial(b, exps) for b in range(ctx.base.dim)
+                   if ctx.base.degrees[b] == rest)
+    return sorted(out, key=ctx.monomial_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=st.sampled_from(["P1", "S1", "P1xP1"]),
+       gens=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)),
+                     max_size=4))
+def test_monomials_of_equals_a_brute_force_enumeration(space, gens):
+    ctx = AlgebraContext(build_base(parse_space(space)), [
+        GeneratorSpec(f"g{i}", d, d + extra)
+        for i, (d, extra) in enumerate(gens)])
+    for d in range(7):
+        want = _brute_force_monomials(ctx, d)
+        assert ctx.monomials_of(d) == tuple(want), d
+        weights = {ctx.monomial_weight(m) for m in want}
+        for k in sorted(weights | {max(weights, default=0) + 1}):
+            assert ctx.monomials_of(d, k) == tuple(
+                m for m in want if ctx.monomial_weight(m) == k), (d, k)
 
 
 def test_monomials_of_leaves_no_reference_cycles():
@@ -296,6 +329,21 @@ def test_loader_rejects_degenerate_pairing():
         ],
     }
     with pytest.raises(AlgebraError, match="pairing.*degree block \\(1, 1\\)"):
+        base_algebra_from_dict(doc)
+
+
+def test_loader_rejects_pairing_blocks_of_different_sizes():
+    doc = {
+        "name": "lopsided", "n": 2,
+        "basis": [{"label": "1", "degree": 0}, {"label": "u", "degree": 1},
+                  {"label": "v", "degree": 3}, {"label": "w", "degree": 3},
+                  {"label": "X", "degree": 4}],
+        "unit": "1", "fundamental": "X",
+        "products": [{"left": "u", "right": "v", "value": [["X", "1"]]}],
+    }
+    with pytest.raises(AlgebraError, match=re.escape(
+            "Poincaré pairing nondegeneracy: degree block (1, 3) has sizes "
+            "1 != 2")):
         base_algebra_from_dict(doc)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdgacalc import analysis
+from cdgacalc import analysis, engine
 from cdgacalc.algebra import AlgebraError, BaseAlgebra
 from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                character_euler,
@@ -441,9 +441,9 @@ def test_cleared_restricted_ranks_match_the_projector_oracle(
         return cols
 
     analysis_assemble = analysis._assemble
-    linalg_pivot_columns = analysis.pivot_columns
+    linalg_pivot_columns = engine.pivot_columns
     monkeypatch.setattr(analysis, "_assemble", assemble)
-    monkeypatch.setattr(analysis, "pivot_columns", pivot_columns)
+    monkeypatch.setattr(engine, "pivot_columns", pivot_columns)
     isotypic_cohomology(p, sub, chi, max_degree)
     cleared = 0
     for d in range(max_degree + 1):
@@ -489,10 +489,10 @@ def test_isotypic_ranks_build_only_the_rows_they_keep(monkeypatch):
 
     analysis_induced_row = analysis._induced_row
     analysis_assemble = analysis._assemble
-    linalg_pivot_columns = analysis.pivot_columns
+    linalg_pivot_columns = engine.pivot_columns
     monkeypatch.setattr(analysis, "_induced_row", induced_row)
     monkeypatch.setattr(analysis, "_assemble", assemble)
-    monkeypatch.setattr(analysis, "pivot_columns", pivot_columns)
+    monkeypatch.setattr(engine, "pivot_columns", pivot_columns)
     isotypic_cohomology(p, group, chi, max_degree)
     monkeypatch.undo()
     assert not pending

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -905,6 +906,22 @@ def test_clearing_leaves_out_nonzero_rows():
     # rows that d^2 = 0 accounts for, yet which d does not send to zero
     p = _section("S1", 2)
     assert _assert_cleared_ranks(p.reduced, 6) > 0
+
+
+def test_cleared_ranks_do_not_depend_on_call_order():
+    # a rank asked before the ranks below it walks down its chain first;
+    # the keys include empty slices, above and below which it stops
+    for q, shuffled in ((_section("S1", 2).reduced, False),
+                        (_section("P2", 3).reduced, True)):
+        weights = {k for d in range(8) for k in _slice_weights(q, d)}
+        keys = [(d, k) for d in range(8) for k in sorted(weights)]
+        if shuffled:
+            random.Random(7).shuffle(keys)
+        else:
+            keys.reverse()
+        for d, k in keys:
+            assert differential_rank(q, d, k) \
+                == rank(differential_matrix(q, d, k)), (q.name, d, k)
 
 
 def test_cohomology_refuses_a_differential_that_does_not_square_to_zero():
