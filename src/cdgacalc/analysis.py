@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, GeneratorSpec,
@@ -494,13 +495,15 @@ class _LazyRref:
     """The rref of a projector's image on one slice, its rows built when
     read: ``rank`` and ``pivots`` as in :class:`RrefResult`,
     ``rows(skip)`` the rows whose numbers are not in ``skip``, in order,
-    and ``reduced`` every row, as a matrix."""
+    and ``reduced`` every row, as a matrix.  ``view`` is the slice, or a
+    view of it with its ``dim`` and only the blocks the pivots lie in:
+    the target :func:`~cdgacalc.engine._assemble` needs to reach them."""
 
-    __slots__ = ("pivots", "ncols", "rows")
+    __slots__ = ("pivots", "view", "rows")
 
-    def __init__(self, pivots: tuple, ncols: int, rows: Callable):
+    def __init__(self, pivots: tuple, view, rows: Callable):
         self.pivots = pivots
-        self.ncols = ncols
+        self.view = view
         self.rows = rows
 
     @property
@@ -509,7 +512,8 @@ class _LazyRref:
 
     @property
     def reduced(self) -> SparseMatrix:
-        return SparseMatrix.from_rows(self.rank, self.ncols, self.rows(()))
+        return SparseMatrix.from_rows(self.rank, self.view.dim,
+                                      self.rows(()))
 
 
 def _suffix_orbit(actions: dict, unit: int, n: int, u: tuple) -> tuple:
@@ -593,7 +597,7 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
             sl, elems, lambda rho, mono: actions[rho].image(mono),
             lambda shifts: map(shift_weights, shifts.values()))
         res = rref(SparseMatrix.from_rows(len(rows), sl.dim, rows))
-        return _LazyRref(res.pivots, sl.dim, lambda skip: [
+        return _LazyRref(res.pivots, sl, lambda skip: [
             x for i, x in enumerate(res.reduced.rows) if i not in skip])
 
     n = len(p.core.context.generators)
@@ -648,11 +652,13 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
     def induced(sl) -> _LazyRref:
         # per orbit's first block: (offset, core slice, Q's rref rows or
         # None for the identity, cosets)
-        pivots, firsts = [], []
-        for u, core_sl, off in sl.blocks:
+        pivots, firsts, blocks = [], [], []
+        for block in sl.blocks:
+            u, core_sl, off = block
             orbit = suffix_orbit(u)
             if orbit is None:
                 continue  # u is in the orbit of an earlier block
+            blocks.append(block)
             stabiliser, cosets = orbit
             if len(stabiliser) == 1:
                 xs = None
@@ -679,7 +685,9 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
                         off, {k: 1} if xs is None else xs[k], moved))
             return out
 
-        return _LazyRref(tuple(pivots), sl.dim, rows)
+        # every pivot lies in an orbit's first block
+        view = SimpleNamespace(dim=sl.dim, blocks=tuple(blocks))
+        return _LazyRref(tuple(pivots), view, rows)
 
     return basis_at, len(elems)
 
@@ -730,9 +738,11 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     out.  d of each kept row x is sum_j x_j d(m_j), with d(m_j) from the
     engine's assembler, which builds only the rows some kept x touches;
     since d(x) lies in the target's rref span, its coordinates there are
-    its entries at the target's pivot columns.  No differential matrix
-    of the slices is made.  d^2 = 0 is certified first (raises
-    :class:`AlgebraError` if it fails).
+    its entries at the target's pivot columns.  For a linear character
+    those lie in the first blocks of the target's orbits, and only they
+    are assembled.  No differential matrix of the slices is made.
+    d^2 = 0 is certified first (raises :class:`AlgebraError` if it
+    fails).
     """
     if max_degree < 0:
         raise AlgebraError("isotypic_cohomology: max_degree must be >= 0")
@@ -749,10 +759,10 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
             return []
         sl = quotient_slice(p, degree, weight)
         touched = set().union(*kept)
-        d = _assemble(p, sl, quotient_slice(p, degree + 1, weight),
+        d = _assemble(p, sl, tgt.view,
                       {j for j in range(sl.dim) if j not in touched})
         # d(x) lies in the target's rref span, where its coordinates are
-        # its entries at the pivot columns
+        # its entries at the pivot columns, which the view holds
         slot = {c: t for t, c in enumerate(tgt.pivots)}
         images = []
         for x in kept:

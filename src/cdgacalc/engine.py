@@ -748,24 +748,23 @@ def _suffix_differential(p: Presentation, u: tuple) -> tuple:
 
 def _multiplication(core: Presentation, kappa: Monomial,
                     sl: SliceBasis) -> tuple:
-    """(i, coordinates of nf(m_i kappa)) for the basis monomials m_i of
-    the core slice ``sl`` with m_i kappa != 0 in the quotient, the
-    coordinates as (index, value) pairs.  Cached in the core, which a
-    presentation and its reduced model share."""
+    """The nonzero entries (i, j, v) of multiplication by ``kappa`` on the
+    core slice ``sl``: coordinate j of nf(m_i kappa) is v, for the basis
+    monomials m_i in order.  A flat tuple of triples, as almost every row
+    has one entry.  Cached in the core, which a presentation and its
+    reduced model share."""
     key = ("mul", kappa, sl.degree, sl.weight)
     hit = core._blocks.get(key)
     if hit is None:
         ctx = core.context
         tgt = quotient_slice(core, sl.degree + ctx.monomial_degree(kappa),
                              sl.weight + ctx.monomial_weight(kappa))
-        rows = []
+        entries = []
         for i, m in enumerate(sl.quotient):
             acc: dict = {}
             ctx.mul_term_into(acc, m, 1, kappa, 1)
-            coords = tgt.coords(acc)
-            if coords:
-                rows.append((i, tuple(coords.items())))
-        hit = core._blocks[key] = tuple(rows)
+            entries.extend((i, j, v) for j, v in tgt.coords(acc).items())
+        hit = core._blocks[key] = tuple(entries)
     return hit
 
 
@@ -801,6 +800,9 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
     first into an empty row, and distinct s give distinct blocks s u, so
     its entries are assigned with no merge; the second adds into them.
     A presentation that is its own core has the one block u = ().
+    ``tgt`` may be a view of the target slice, with its ``dim`` and only
+    some of its ``blocks``: terms in the blocks it leaves out are not
+    built.
     """
     rows: list[dict] = [{} for _ in range(src.dim)]
     # one int object per target column, shared by every row
@@ -820,7 +822,8 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
             for s, coords in terms:
                 if s not in shifts:
                     prod = _suffix_product(parities, s, u)
-                    shifts[s] = prod and (prod[0], offsets[prod[1]])
+                    toff = prod and offsets.get(prod[1])
+                    shifts[s] = None if toff is None else (prod[0], toff)
                 if shifts[s] is None:
                     continue
                 sign, toff = shifts[s]
@@ -833,13 +836,13 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
                 continue  # the core slice of m kappa is empty
             if odd:
                 c = -c
-            for i, coords in _multiplication(core, kappa, sl):
-                if off + i in skip:
+            for i, j, v in _multiplication(core, kappa, sl):
+                i += off
+                if i in skip:
                     continue
-                row = rows[off + i]
-                for j, v in coords:
-                    j = cols[j + toff]
-                    row[j] = row.get(j, 0) + c * v
+                row = rows[i]
+                j = cols[j + toff]
+                row[j] = row.get(j, 0) + c * v
     return rows
 
 

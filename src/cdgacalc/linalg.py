@@ -9,7 +9,7 @@ policies of one elimination loop:
   given row space; every module downstream relies on that for
   determinism.  Pivot columns are therefore taken left to right.
 * ``rank`` pivots in the live column with the fewest live rows
-  (Markowitz 1957), popped from a lazy heap, to limit fill-in on the
+  (Markowitz 1957), as last counted in a lazy heap, to limit fill-in on the
   wide differential matrices.  ``pivot_columns`` returns the columns it
   pivots in, on rows given without a matrix; the engine clears the next
   differential's rows with them, and ``rank`` is their count.
@@ -102,21 +102,37 @@ def _eliminate(rows: Iterable[dict], canonical: bool):
     subtraction, any other pivot replaces each row r by
     (p/g)·r − (r[col]/g)·prow, with g = gcd(p, r[col]), and then divides
     r by the gcd of its entries.
-    The pivot row is the sparsest row of its column and is not scaled.
+    Rows are numbered after those with no entries are dropped; a row of
+    explicit zeros keeps its number.  The pivot row is the sparsest row
+    of its column, ties to the lowest row id, and is not scaled.
     ``canonical`` takes columns left to right and keeps pivot rows live,
     so each pivot column is cleared everywhere (the rref up to one scale
     per row); otherwise pivot rows retire once used, and are dropped
-    (None in the returned rows) to free their fill-in.
+    (None in the returned rows) to free their fill-in.  There the heap
+    holds (count of live rows, column) as last counted: a popped column
+    whose count has changed is pushed back with its current count, and
+    one that fill-in brings back from no live row is pushed with count 0.
+    ``tests/oracle.py``'s ``markowitz_pivots`` states the same policy
+    without a heap.
+
+    The loop makes no call or object it can do without: the column index
+    is built and grown without a throwaway set per entry, a heap pop
+    reads its column's live set once, the sparsest row is picked by a
+    plain loop with no key tuple per candidate, and a column's rows are
+    copied only when some row besides the pivot row must be cleared.
+    The pivot order and its tie-breaks are those of the policies above,
+    and the input rows are never mutated.
     """
     work = [_integral(r) for r in rows if r]
     # column -> live row ids with a nonzero there, kept current
     col_rows: dict[int, set[int]] = {}
     for ri, row in enumerate(work):
         for c in row:
-            col_rows.setdefault(c, set()).add(ri)
-
-    def priority(c: int) -> int:
-        return 0 if canonical else len(col_rows[c])
+            s = col_rows.get(c)
+            if s is None:
+                col_rows[c] = {ri}
+            else:
+                s.add(ri)
 
     heap = [(0 if canonical else len(s), c) for c, s in col_rows.items()]
     heapify(heap)
@@ -124,18 +140,29 @@ def _eliminate(rows: Iterable[dict], canonical: bool):
     used: set[int] = set()
     while heap:
         key, col = heappop(heap)
-        if col not in col_rows:
+        live = col_rows.get(col)
+        if live is None:
             continue
-        if key != priority(col):
-            heappush(heap, (priority(col), col))
-            continue
-        candidates = col_rows[col] - used if canonical else col_rows[col]
-        if not candidates:
-            continue
+        if canonical:
+            candidates = live - used
+            if not candidates:
+                continue
+        else:
+            if key != len(live):
+                heappush(heap, (len(live), col))
+                continue
+            candidates = live
         if len(candidates) == 1:
             ri, = candidates
         else:
-            ri = min(candidates, key=lambda r: (len(work[r]), r))
+            # the sparsest row, ties to the lowest row id
+            it = iter(candidates)
+            ri = next(it)
+            best = len(work[ri])
+            for r in it:
+                n = len(work[r])
+                if n < best or (n == best and r < ri):
+                    ri, best = r, n
         prow = work[ri]
         p = prow[col]
         unit = p == 1 or p == -1
@@ -145,7 +172,11 @@ def _eliminate(rows: Iterable[dict], canonical: bool):
                 s.discard(ri)
                 if not s:
                     del col_rows[c]
-        for other in list(col_rows.get(col, ())):
+        # rows to clear: the column's live rows but ri, which canonical
+        # mode keeps in its sets
+        live = col_rows.get(col)
+        others = list(live) if live and len(live) > canonical else ()
+        for other in others:
             if other == ri:
                 continue
             orow = work[other]
@@ -163,9 +194,10 @@ def _eliminate(rows: Iterable[dict], canonical: bool):
                 if nv is None:
                     s = col_rows.get(c)
                     if s is None:
-                        s = col_rows[c] = set()
+                        col_rows[c] = {other}
                         heappush(heap, (0, c))
-                    s.add(other)
+                    else:
+                        s.add(other)
                     orow[c] = -factor * v
                     continue
                 nv -= factor * v

@@ -64,6 +64,10 @@ form's slice dimensions must match its coefficients.
 cohomology of r >= 3 ordered points on P^1 and its S_r-invariant part,
 from closed forms alone: F(P^1, r) is PGL_2 times M_{0,r}.
 
+``markowitz_pivots`` is the pivot sequence of ``linalg._eliminate``
+from its documented policy alone: Fraction elimination with a plain
+queue, and no heap or column index.
+
 ``kernel_basis``, ``from_dense``, ``to_dense``, ``transpose``,
 ``identity``, ``entry``, ``matmul``, ``is_zero``, ``same_matrix``,
 ``regular_character`` and ``evaluate_at_one`` are helpers only the
@@ -281,6 +285,76 @@ def rank_of(rows):
     for row in rows:
         ech.insert(row)
     return ech.rank
+
+
+def markowitz_pivots(rows, canonical):
+    """The pivots [(column, row id)] of ``linalg._eliminate``'s policy,
+    by plain Fraction elimination: no heap, no column index.
+
+    Rows are numbered after those with no entries are dropped; a row of
+    explicit zeros keeps its number.  A pivot row is the sparsest
+    candidate, ties to the lowest row id.  Canonical (rref) mode takes
+    columns left to right, each on a row not yet used as a pivot row.
+    Rank mode keeps a queue of (count, column): it takes the smallest
+    entry, skips it if the column has no live row, queues it again if
+    the column's count of live rows has changed, and else pivots there
+    and retires the pivot row; a column that fill-in brings back from no
+    live row is queued with count 0.  Rows are cleared in order of row
+    id.
+    """
+    work = [{c: Fraction(v) for c, v in row.items() if v}
+            for row in rows if row]
+    live = set(range(len(work)))  # rank mode retires pivot rows
+    pivots, queue = [], []
+
+    def count(c):
+        return sum(1 for i in live if c in work[i])
+
+    def sparsest(candidates):
+        return min(candidates, key=lambda i: (len(work[i]), i))
+
+    def clear(ri, col, others):
+        prow = work[ri]
+        for i in others:
+            factor = work[i][col] / prow[col]
+            for c, v in prow.items():
+                if not canonical and c not in work[i] and not count(c):
+                    queue.append((0, c))
+                nv = work[i].get(c, 0) - factor * v
+                if nv:
+                    work[i][c] = nv
+                else:
+                    work[i].pop(c, None)
+
+    if canonical:
+        used = set()
+        while True:
+            free = [i for i in range(len(work)) if i not in used]
+            cols = [c for i in free for c in work[i]]
+            if not cols:
+                return pivots
+            col = min(cols)
+            ri = sparsest([i for i in free if col in work[i]])
+            clear(ri, col, [i for i in range(len(work))
+                            if i != ri and col in work[i]])
+            used.add(ri)
+            pivots.append((col, ri))
+
+    queue.extend((count(c), c) for c in {c for row in work for c in row})
+    while queue:
+        key, col = entry = min(queue)
+        queue.remove(entry)
+        n = count(col)
+        if not n:
+            continue
+        if key != n:
+            queue.append((n, col))
+            continue
+        ri = sparsest([i for i in live if col in work[i]])
+        live.remove(ri)
+        clear(ri, col, sorted(i for i in live if col in work[i]))
+        pivots.append((col, ri))
+    return pivots
 
 
 def ideal_products(p, degree, weight=None):

@@ -190,6 +190,16 @@ def test_bad_space_exits_2(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("space", ["P99999999", "S1xP99", "S64", "P127xP1"])
+def test_oversized_space_exits_2_before_building(space):
+    # dim H*(X) is read off the specification; a base this large would
+    # take minutes to hours to build
+    code, err = _run_quietly(["cohomology", "--space", space, "--r", "2",
+                              "--max-degree", "2"])
+    _assert_rejected(code, err)
+    assert "above the limit of 128" in err
+
+
 def test_invalid_custom_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from cdgacalc import linalg
 from cdgacalc.linalg import SparseMatrix, rref, rank
 from cdgacalc.rat import Rational
-from oracle import (entry, from_dense, identity, kernel_basis, matmul,
-                    same_matrix, to_dense, transpose)
+from oracle import (entry, from_dense, identity, kernel_basis,
+                    markowitz_pivots, matmul, rank_of, same_matrix, to_dense,
+                    transpose)
 
 
 def dense(rows):
@@ -231,6 +233,48 @@ def test_rows_enter_primitive_and_scaling_changes_no_pivot(m):
         got, want = rref(other), rref(m)
         assert (got.rank, got.pivots, got.reduced.rows) \
             == (want.rank, want.pivots, want.reduced.rows)
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of up to 7 (column -> scalar) dicts, as the engine hands them
+    to the kernel: int, rational or mixed entries, often rank deficient,
+    with explicit zeros and empty rows."""
+    rows = []
+    for row in draw(sparse_matrices()).rows:
+        row = dict(row)
+        for j in draw(st.lists(st.integers(0, 8), max_size=3)):
+            row.setdefault(j, draw(st.sampled_from([0, Fraction(0)])))
+        rows.append(row)
+    return rows
+
+
+# The oracle clears rows in order of row id.  The kernel clears them in
+# the order of a column's set of row ids, which is the same while every
+# id is below 8, the size of a new set's hash table; so at most 7 rows.
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_pivot_order_is_the_documented_policy(rows):
+    for canonical in (True, False):
+        assert linalg._eliminate(rows, canonical)[1] \
+            == markowitz_pivots(rows, canonical)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists())
+def test_pivot_columns_carry_the_rank_and_leave_the_input_alone(rows):
+    # clearing keeps only the coordinates at the pivot columns, so the
+    # rows restricted to them must keep the whole rank
+    given_rows = copy.deepcopy(rows)
+    cols = sorted(linalg.pivot_columns(rows))
+    ncols = 1 + max((j for row in rows for j in row), default=0)
+    full = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    at = [[Fraction(row.get(j, 0)) for j in cols] for row in rows]
+    assert rank_of(at) == rank_of(full) == len(cols)
+    m = SparseMatrix(len(rows), ncols)
+    m.rows = rows
+    assert rank(m) == rref(m).rank == len(cols)
+    assert rows == given_rows and m.rows is rows
 
 
 def primitive_reference(row):

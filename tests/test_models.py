@@ -51,6 +51,17 @@ def test_parse_space_products_and_errors():
         parse_space("P0")
 
 
+def test_base_dimension_is_predicted_from_the_specification():
+    for text in ("P1", "P3", "S0", "S2", "P1xP1", "S1xS3", "S2xP2xP1",
+                 "P127"):
+        spec = parse_space(text)
+        assert models._base_dim(spec) == build_base(spec).dim, text
+    assert models._base_dim(parse_space("P127")) == models.MAX_BASE_DIM
+    for text in ("P128", "S64", "P1xP64", "P99999999xS1"):
+        with pytest.raises(AlgebraError, match="above the limit"):
+            build_base(parse_space(text))
+
+
 def test_parse_ample_class():
     pp = build_base(parse_space("P1xP1"))
     c = parse_ample_class(pp, "[1:0]")
