@@ -333,7 +333,7 @@ def all_permutations(r: int) -> list[Perm]:
 
 def compose(sigma: Perm, tau: Perm) -> Perm:
     """(sigma . tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[tau[i]] for i in range(len(sigma)))
+    return tuple(map(sigma.__getitem__, tau))
 
 
 def inverse(sigma: Perm) -> Perm:
@@ -359,9 +359,16 @@ def cycle_type(sigma: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
+# The largest subgroup order the group code enumerates: |S_9|, so that
+# every subgroup of S_9 is admitted.
+MAX_GROUP_ORDER = math.factorial(9)
+
+
 def _span(generators: Sequence[Perm], r: int, inside=None) -> set:
     """The group the generators generate, each element composed once with
-    each generator.  With ``inside``, a product outside it raises."""
+    each generator.  With ``inside``, a product outside it raises; so does
+    a group of more than ``MAX_GROUP_ORDER`` elements, at the first element
+    past the limit."""
     identity = tuple(range(r))
     elems = {identity}
     queue = [identity]
@@ -372,6 +379,10 @@ def _span(generators: Sequence[Perm], r: int, inside=None) -> set:
                 if inside is not None and c not in inside:
                     raise AlgebraError(
                         f"subgroup not closed: {a} . {g} missing")
+                if len(elems) == MAX_GROUP_ORDER:
+                    raise AlgebraError(
+                        "the subgroup has more elements than the limit "
+                        f"of {MAX_GROUP_ORDER}")
                 elems.add(c)
                 queue.append(c)
     return elems
@@ -460,14 +471,15 @@ def sign_character(r: int) -> ClassFunction:
 # ---------------------------------------------------------------------------
 
 def _orbit_sum_rows(sl, group: Sequence[Perm], image: Callable,
-                    weights_of: Callable) -> list[dict]:
-    """Rows spanning the image of a group-averaging projector on ``sl``.
+                    weights: Sequence, per_orbit: bool = True) -> list[dict]:
+    """Rows spanning the image of P = sum_rho w[rho] rho on ``sl``.
 
     ``image(rho, m)`` is (m', c) with rho(m) = c m' for a free monomial
-    m.  Each orbit of free monomials meeting the basis of ``sl`` is
-    imaged once; ``weights_of`` maps its members, as {sigma m: sigma},
-    to the weight lists w for which sum_rho w[rho] rho(m) = P(sigma m)
-    is a row, each reduced once into the slice's coordinates.
+    m.  The row P(m) of each basis monomial m of ``sl`` is reduced once
+    into the slice's coordinates; with ``per_orbit``, only the first
+    basis monomial of each orbit gives one, which spans P's image when
+    P(rho m) is a multiple of P(m), as for a linear twisted projector on
+    a stabiliser.
     """
     seen: set = set()
     rows = []
@@ -475,19 +487,15 @@ def _orbit_sum_rows(sl, group: Sequence[Perm], image: Callable,
         if mono in seen:
             continue
         images = [image(rho, mono) for rho in group]
-        # one shift sigma per distinct orbit member sigma m
-        shifts: dict = {}
-        for rho, (target, _) in zip(group, images):
-            shifts.setdefault(target, rho)
-        seen.update(shifts)
-        for weights in weights_of(shifts):
-            orbit_sum: dict = {}
-            for (target, c), w in zip(images, weights):
-                if w:
-                    orbit_sum[target] = orbit_sum.get(target, 0) + w * c
-            row = sl.coords(orbit_sum)
-            if row:
-                rows.append(row)
+        if per_orbit:
+            seen.update(target for target, _ in images)
+        orbit_sum: dict = {}
+        for (target, c), w in zip(images, weights):
+            if w:
+                orbit_sum[target] = orbit_sum.get(target, 0) + w * c
+        row = sl.coords(orbit_sum)
+        if row:
+            rows.append(row)
     return rows
 
 
@@ -581,21 +589,12 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
                 bases[key] = induced(sl) if linear else whole(sl)
         return bases[key]
 
-    shifted: dict = {}
-
-    def shift_weights(sig: Perm) -> list:
-        # P(sigma m) = sum_rho char(1) char(sigma rho^{-1}) rho m
-        hit = shifted.get(sig)
-        if hit is None:
-            hit = shifted[sig] = [
-                exact(chi[identity] * chi[compose(sig, inverse(rho))])
-                for rho in elems]
-        return hit
-
     def whole(sl) -> _LazyRref:
+        # P(m) = char(1) sum_rho char(rho^{-1}) rho m for each basis m
+        weights = [exact(chi[identity] * chi[rho]) for rho in elems]
         rows = _orbit_sum_rows(
-            sl, elems, lambda rho, mono: actions[rho].image(mono),
-            lambda shifts: map(shift_weights, shifts.values()))
+            sl, elems, lambda rho, mono: actions[rho].image(mono), weights,
+            per_orbit=False)
         res = rref(SparseMatrix.from_rows(len(rows), sl.dim, rows))
         return _LazyRref(res.pivots, sl, lambda skip: [
             x for i, x in enumerate(res.reduced.rows) if i not in skip])
@@ -641,10 +640,8 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
         key = ("isotypic", sl.degree, sl.weight, twisted)
         hit = p._blocks.get(key)
         if hit is None:
-            group = [h for h, _ in twisted]
-            weights = [w for _, w in twisted]
-            rows = _orbit_sum_rows(sl, group, core_image,
-                                   lambda shifts: [weights])
+            rows = _orbit_sum_rows(sl, [h for h, _ in twisted], core_image,
+                                   [w for _, w in twisted])
             hit = p._blocks[key] = rref(
                 SparseMatrix.from_rows(len(rows), sl.dim, rows))
         return hit
@@ -729,8 +726,8 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     are cached in p, and so are the suffix orbits, cosets and signed
     stabilisers, per subgroup: no character enters them, and a second
     character on the same subgroup reuses them.  Any other class
-    function takes the orbit sums P(sigma m) of free monomials over the
-    whole slice, one per orbit member, before one reduction.
+    function takes the rows P(m) over the basis monomials m of the whole
+    slice, which span P's image, before one reduction.
 
     The restricted ranks are taken by the engine's clearing routine, as
     :func:`~cdgacalc.engine.differential_rank` takes d's: the basis rows

@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import factorial
 from typing import Optional
 
 from .algebra import AlgebraError
-from .analysis import (BigradedSeries, all_permutations,
+from .analysis import (MAX_GROUP_ORDER, BigradedSeries, all_permutations,
                        generated_subgroup, invariant_cohomology,
                        isotypic_cohomology, p_r_closed_form,
                        poincare_series_U, r1_stable_series, rho_series,
@@ -187,6 +188,11 @@ def cmd_series(args) -> int:
 def _parse_subgroup(text: str, r: int):
     s = text.strip().lower()
     if s == "full":
+        # r! >= 2^(r - 1), so capping r keeps the test exact and cheap
+        if factorial(min(r, MAX_GROUP_ORDER.bit_length() + 1)) \
+                > MAX_GROUP_ORDER:
+            raise AlgebraError(f"S_{r} has {r}! elements, above the limit "
+                               f"of {MAX_GROUP_ORDER}")
         return all_permutations(r)
     if s == "trivial":
         return [tuple(range(r))]

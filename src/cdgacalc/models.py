@@ -104,6 +104,10 @@ def parse_space(text: str) -> SpaceSpec:
 # a 2.0 GHz Xeon, and the largest space in the tests, table1, the bench
 # and the ladder is S1xS3, of dimension 32.
 MAX_BASE_DIM = 128
+# The largest dim H*(X)^r a model may have.  P1^17 (2^17 classes) builds in
+# about 0.07 s on the same machine; the largest power in the tests,
+# table1, the bench and the ladder is P2^8, and P2^10 has 59,049 classes.
+MAX_TENSOR_DIM = 2 ** 17
 
 
 def _base_dim(spec: SpaceSpec) -> int:
@@ -288,57 +292,6 @@ def _layout(p: Presentation) -> ModelLayout:
     return layout
 
 
-def _configuration_generators(base: BaseAlgebra, r: int) -> list[GeneratorSpec]:
-    n = base.n
-    return [GeneratorSpec(_gen_label(a, b, r), 2 * n - 1, 2 * n)
-            for a in range(1, r + 1) for b in range(a + 1, r + 1)]
-
-
-def _configuration_relations(ctx: AlgebraContext, tensor: TensorAlgebra,
-                             layout: ModelLayout) -> list[Element]:
-    base = tensor.factors[0]
-    r = layout.r
-
-    def gelem(a: int, b: int) -> Element:
-        return ctx.gen_element(layout.g_index(a, b))
-
-    def pull(slot: int, idx: int) -> Element:
-        return ctx.base_element(tensor.pullback(slot - 1, {idx: ONE}))
-
-    relations: list[Element] = []
-    for a in range(1, r + 1):
-        for b in range(a + 1, r + 1):
-            for c in range(b + 1, r + 1):
-                rel = (gelem(a, b) * gelem(a, c)
-                       + gelem(b, c) * gelem(b, a)
-                       + gelem(c, a) * gelem(c, b))
-                relations.append(rel)
-    for a in range(1, r + 1):
-        for b in range(a + 1, r + 1):
-            gab = gelem(a, b)
-            for idx in base.positive_degree_indices():
-                relations.append((pull(a, idx) - pull(b, idx)) * gab)
-    return relations
-
-
-def _configuration_differential(ctx: AlgebraContext, tensor: TensorAlgebra,
-                                layout: ModelLayout,
-                                triples) -> dict[int, Element]:
-    units = [f.unit for f in tensor.factors]
-    diff: dict[int, Element] = {}
-    for a in range(1, layout.r + 1):
-        for b in range(a + 1, layout.r + 1):
-            terms: dict[int, object] = {}
-            for p_idx, q_idx, c in triples:
-                combo = list(units)
-                combo[a - 1] = p_idx
-                combo[b - 1] = q_idx
-                enc = tensor.encode(tuple(combo))
-                terms[enc] = terms.get(enc, 0) + c
-            diff[layout.g_index(a, b)] = ctx.base_element(terms)
-    return diff
-
-
 class ConfigurationCore:
     """Closed-form basis and normal form of the configuration core.
 
@@ -480,9 +433,9 @@ class ConfigurationCore:
 
         A broken pair G_ac G_bc (a < b < c) is rewritten by the Arnold
         relation G_ab G_ac - G_ab G_bc + G_ac G_bc = 0, which is
-        ``_configuration_relations``' relation with G_ba = G_ab and its
-        terms in generator order; moving the pair next to the other
-        factors costs one sign per odd factor it passes.  The rewritten
+        ``_model``'s Arnold relation with G_ba = G_ab and its terms in
+        generator order; moving the pair next to the other factors costs
+        one sign per odd factor it passes.  The rewritten
         terms are later in the canonical order, so this ends.
         """
         hit = self._straight.get(mask)
@@ -564,10 +517,70 @@ def _pair_sign(rest: int, x: int, y: int) -> int:
                   + (rest & ((1 << y) - 1)).bit_count()) & 1 else 1
 
 
-def _with_closed_core(p: Presentation, r: int) -> Presentation:
-    """Attach the closed-form configuration core over p's base, which
-    the core of p takes over when it is built."""
-    p._closed_form = ConfigurationCore.of(p.context.base, r)
+def _model(base: BaseAlgebra, r: int, marks: Optional[tuple], name: str,
+           params: dict) -> Presentation:
+    """The Kriz-Totaro configuration model of r points on X, and with
+    ``marks = (a, c)``, two base classes, the marked model over it:
+    generators s[b], alpha_i and eta_i with d(alpha_i) = pi_i^*(a) and
+    d(eta_i) = sum_j pi_i^*(b_j^dual) s[b_j] - pi_i^*(c) alpha_i.  The
+    closed-form core over the tensor power is attached, which the core of
+    the presentation takes over when it is built.  Raises
+    :class:`AlgebraError` before building anything when dim(B)^r would
+    exceed ``MAX_TENSOR_DIM``."""
+    # dim(B) >= 2, so dim(B)^bit_length(MAX) > MAX already: capping r
+    # keeps the test exact and cheap
+    if base.dim ** min(r, MAX_TENSOR_DIM.bit_length()) > MAX_TENSOR_DIM:
+        raise AlgebraError(f"dim H* of X^{r} is {base.dim}^{r}, above the "
+                           f"limit of {MAX_TENSOR_DIM}")
+    tensor = tensor_power(base, r)
+    layout = ModelLayout(r, r * (r - 1) // 2, base.dim, marks is not None)
+    n = base.n
+    gens = [GeneratorSpec(_gen_label(a, b, r), 2 * n - 1, 2 * n)
+            for a in range(1, r + 1) for b in range(a + 1, r + 1)]
+    if marks:
+        gens += [GeneratorSpec(f"s[{base.label(j)}]", base.degrees[j] + 1,
+                               base.weights[j] + 2) for j in range(base.dim)]
+        gens += [GeneratorSpec(f"alpha{i}", 2 * n - 1, 2 * n)
+                 for i in range(1, r + 1)]
+        gens += [GeneratorSpec(f"eta{i}", 2 * n, 2 * n + 2)
+                 for i in range(1, r + 1)]
+    ctx = AlgebraContext(tensor, gens)
+    duals = dual_basis(base)
+
+    def g(a: int, b: int) -> Element:
+        return ctx.gen_element(layout.g_index(a, b))
+
+    def pull(i: int, cls: dict) -> Element:
+        return ctx.base_element(tensor.pullback(i - 1, cls))
+
+    diagonal = _diagonal_triples(base, duals)
+    diff: dict[int, Element] = {}
+    for a in range(1, r + 1):
+        for b in range(a + 1, r + 1):
+            terms: dict[int, object] = {}
+            for j, k, c in diagonal:
+                combo = [base.unit] * r
+                combo[a - 1], combo[b - 1] = j, k
+                enc = tensor.encode(combo)
+                terms[enc] = terms.get(enc, 0) + c
+            diff[layout.g_index(a, b)] = ctx.base_element(terms)
+    if marks:
+        a_class, c_class = marks
+        for i in range(1, r + 1):
+            alpha = ctx.gen_element(layout.alpha_index(i))
+            diff[layout.alpha_index(i)] = pull(i, a_class)
+            eps = sum((pull(i, duals[j]) * ctx.gen_element(layout.s_index(j))
+                       for j in range(base.dim)), ctx.zero())
+            diff[layout.eta_index(i)] = eps - pull(i, c_class) * alpha
+    # the Arnold relations, then (pi_a^* x - pi_b^* x) G_ab
+    relations = [g(a, b) * g(a, c) + g(b, c) * g(b, a) + g(c, a) * g(c, b)
+                 for a in range(1, r + 1) for b in range(a + 1, r + 1)
+                 for c in range(b + 1, r + 1)]
+    relations += [(pull(a, {x: ONE}) - pull(b, {x: ONE})) * g(a, b)
+                  for a in range(1, r + 1) for b in range(a + 1, r + 1)
+                  for x in base.positive_degree_indices()]
+    p = Presentation(ctx, relations, diff, name=name, params=params)
+    p._closed_form = ConfigurationCore.of(tensor, r)
     return p
 
 
@@ -575,58 +588,8 @@ def configuration_model(base: BaseAlgebra, r: int) -> Presentation:
     """Model for the ordered configuration space of r points on X."""
     if r < 1:
         raise AlgebraError("configuration model needs r >= 1")
-    tensor = tensor_power(base, r)
-    layout = ModelLayout(r, r * (r - 1) // 2, base.dim, False)
-    ctx = AlgebraContext(tensor, _configuration_generators(base, r))
-    relations = _configuration_relations(ctx, tensor, layout)
-    triples = _diagonal_triples(base, dual_basis(base)) if r >= 2 else []
-    diff = _configuration_differential(ctx, tensor, layout, triples)
-    return _with_closed_core(
-        Presentation(ctx, relations, diff, name=f"C{r}({base.name})",
-                     params={"model": "C", "r": r, "space": base.name}),
-        r)
-
-
-def _marked_generators(base: BaseAlgebra, r: int) -> list[GeneratorSpec]:
-    n = base.n
-    gens = _configuration_generators(base, r)
-    for j in range(base.dim):
-        gens.append(GeneratorSpec(f"s[{base.label(j)}]",
-                                  base.degrees[j] + 1, base.weights[j] + 2))
-    gens.extend(GeneratorSpec(f"alpha{i}", 2 * n - 1, 2 * n)
-                for i in range(1, r + 1))
-    gens.extend(GeneratorSpec(f"eta{i}", 2 * n, 2 * n + 2)
-                for i in range(1, r + 1))
-    return gens
-
-
-def _marked_context(base: BaseAlgebra, r: int):
-    tensor = tensor_power(base, r)
-    layout = ModelLayout(r, r * (r - 1) // 2, base.dim, True)
-    ctx = AlgebraContext(tensor, _marked_generators(base, r))
-    return tensor, layout, ctx
-
-
-def _marked_differential(ctx: AlgebraContext, tensor: TensorAlgebra,
-                         layout: ModelLayout, alpha_image: dict,
-                         eta_class: dict) -> dict[int, Element]:
-    """d(alpha_i) = pi_i^*(alpha_image); d(eta_i) = eps_i - pi_i^*(c) alpha_i."""
-    base = tensor.factors[0]
-    duals = dual_basis(base)
-    triples = _diagonal_triples(base, duals) if layout.r >= 2 else []
-    diff = _configuration_differential(ctx, tensor, layout, triples)
-    for i in range(1, layout.r + 1):
-        slot = i - 1
-        diff[layout.alpha_index(i)] = ctx.base_element(
-            tensor.pullback(slot, alpha_image))
-        eps = ctx.zero()
-        for j in range(base.dim):
-            dual_j = ctx.base_element(tensor.pullback(slot, duals[j]))
-            eps = eps + dual_j * ctx.gen_element(layout.s_index(j))
-        c_alpha = ctx.base_element(tensor.pullback(slot, eta_class)) \
-            * ctx.gen_element(layout.alpha_index(i))
-        diff[layout.eta_index(i)] = eps - c_alpha
-    return diff
+    return _model(base, r, None, f"C{r}({base.name})",
+                  {"model": "C", "r": r, "space": base.name})
 
 
 def section_model(base: BaseAlgebra, c: dict, r: int) -> Presentation:
@@ -642,14 +605,10 @@ def section_model(base: BaseAlgebra, c: dict, r: int) -> Presentation:
             raise AlgebraError(
                 f"c must be homogeneous of degree 2; {base.label(idx)} "
                 f"has degree {base.degrees[idx]}")
-    tensor, layout, ctx = _marked_context(base, r)
-    relations = _configuration_relations(ctx, tensor, layout)
-    fund = {base.fundamental: ONE}
-    diff = _marked_differential(ctx, tensor, layout, fund, dict(c))
     cname = class_label(base, c)
-    return _with_closed_core(Presentation(
-        ctx, relations, diff, name=f"A{r}({base.name}, c={cname})",
-        params={"model": "A", "r": r, "space": base.name, "c": cname}), r)
+    return _model(base, r, ({base.fundamental: ONE}, dict(c)),
+                  f"A{r}({base.name}, c={cname})",
+                  {"model": "A", "r": r, "space": base.name, "c": cname})
 
 
 # ---------------------------------------------------------------------------
@@ -763,16 +722,11 @@ def twisted_section_model(base: BaseAlgebra, chern: ChernData, d: int,
         raise AlgebraError("section model needs r >= 1")
     if chern.base is not base and chern.base.labels != base.labels:
         raise AlgebraError("Chern data belongs to a different base algebra")
-    tensor, layout, ctx = _marked_context(base, r)
-    relations = _configuration_relations(ctx, tensor, layout)
     e, m = euler_class_twist(chern, d)
     scaled_c1 = {k: d * v for k, v in chern.c1_line.items() if d * v}
-    diff = _marked_differential(ctx, tensor, layout, e, scaled_c1)
-    return _with_closed_core(Presentation(
-        ctx, relations, diff,
-        name=f"A{r}({base.name}, L^{d})",
-        params={"model": "AL", "r": r, "space": base.name, "d": d,
-                "m": str(m)}), r)
+    return _model(base, r, (e, scaled_c1), f"A{r}({base.name}, L^{d})",
+                  {"model": "AL", "r": r, "space": base.name, "d": d,
+                   "m": str(m)})
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,18 @@ def test_subgroup_closure_helpers():
     assert cycle_type((1, 2, 0)) == (3,)
 
 
+def test_closure_stops_at_the_group_order_limit(monkeypatch):
+    # the closure raises at the first element past the limit, whichever
+    # route reaches it; the limit itself is admitted
+    assert analysis.MAX_GROUP_ORDER == 362880
+    monkeypatch.setattr(analysis, "MAX_GROUP_ORDER", 3)
+    assert len(generated_subgroup([(1, 2, 0)], 3)) == 3
+    with pytest.raises(AlgebraError, match="than the limit of 3"):
+        generated_subgroup([(1, 0, 2), (0, 2, 1)], 3)
+    with pytest.raises(AlgebraError, match="than the limit of 3"):
+        analysis._closed_with_generators(all_permutations(3))
+
+
 def test_subgroup_checks_per_generator_match_all_pairs():
     # closure is checked on products with a generating set; every subset
     # of S_3 holding the identity is judged as the all-pairs check does

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,22 @@ def test_eight_points_on_p2_match_the_eager_output_lazily(capsys,
     tensor = built[0].context.base
     assert tensor.dim == 3 ** 8
     assert len(tensor.table) < 5000
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("p1_r3_configuration_cohomology.json",
+     "cohomology --space P1 --r 3 --model C --max-degree 5 --format json"),
+    ("p2_r2_twisted_d2_cohomology_by_weight.txt",
+     "cohomology --space P2 --r 2 --model AL --d 2 --max-degree 6 "
+     "--by-weight"),
+    ("s1_r3_verify.txt", "verify --space S1 --r 3 --max-degree 6"),
+])
+def test_model_families_print_their_golden_stdout(capsys, golden, argv):
+    # the model line and the JSON model fields, not only the dims
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and not err
+    assert out == (Path(__file__).parent / "data" / golden).read_text(
+        encoding="utf-8")
 
 
 def test_cohomology_json_output(capsys):
@@ -198,6 +215,25 @@ def test_oversized_space_exits_2_before_building(space):
                               "--max-degree", "2"])
     _assert_rejected(code, err)
     assert "above the limit of 128" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # dim H*(X)^r is read off the base before the tensor power is built
+    "cohomology --space P2 --r 30 --max-degree 2",
+    "cohomology --space P1 --r 40 --max-degree 2",
+    # S_12 is refused by its order; the two words generate S_10, which is
+    # refused as soon as the closure passes 9! elements
+    "invariants --space P1 --r 12 --max-degree 1",
+    "invariants --space P1 --r 12 --max-degree 1 --subgroup full",
+    "invariants --space P1 --r 10 --max-degree 1 --subgroup "
+    "2.1.3.4.5.6.7.8.9.10,2.3.4.5.6.7.8.9.10.1",
+])
+def test_oversized_power_or_group_exits_2_at_once(argv):
+    start = time.perf_counter()
+    code, err = _run_quietly(argv.split())
+    _assert_rejected(code, err)
+    assert "above the limit" in err or "than the limit" in err
+    assert time.perf_counter() - start < 2
 
 
 def test_invalid_custom_file_exits_2(tmp_path, capsys):

@@ -62,6 +62,22 @@ def test_base_dimension_is_predicted_from_the_specification():
             build_base(parse_space(text))
 
 
+def test_tensor_power_is_bounded_before_it_is_built(monkeypatch):
+    p2 = build_base(parse_space("P2"))
+    assert 3 ** 10 <= models.MAX_TENSOR_DIM < 3 ** 11
+    built = []
+    monkeypatch.setattr(models, "tensor_power",
+                        lambda base, r: built.append(r))
+    for make in (lambda r: configuration_model(p2, r),
+                 lambda r: section_model(p2, {}, r),
+                 lambda r: twisted_section_model(
+                     p2, cotangent_chern(parse_space("P2")), 1, r)):
+        for r in (11, 30, 10 ** 9):
+            with pytest.raises(AlgebraError, match="above the limit"):
+                make(r)
+    assert not built
+
+
 def test_parse_ample_class():
     pp = build_base(parse_space("P1xP1"))
     c = parse_ample_class(pp, "[1:0]")
@@ -122,6 +138,62 @@ def test_g_index_enumerates_pairs_lexicographically():
             assert layout.g_index(a, b) == layout.g_index(b, a) == i
         with pytest.raises(AlgebraError):
             layout.g_index(r, r)
+
+
+def _pinned_models():
+    p1 = build_base(parse_space("P1"))
+    pp = build_base(parse_space("P1xP1"))
+    spec = parse_space("P2")
+    p2 = build_base(spec)
+    return [configuration_model(p1, 3),
+            section_model(pp, parse_ample_class(pp, "[2/3:-5/2]"), 2),
+            twisted_section_model(p2, cotangent_chern(spec), 2, 2)]
+
+
+# name, params, generator labels, relations and d of each generator of the
+# three model families, as the builders made them when this was written
+PINNED_MODELS = [
+    ("C3(P1)", {"model": "C", "r": 3, "space": "P1"},
+     ["G12", "G13", "G23"],
+     ["G13·G23 + -1·G12·G23 + G12·G13", "-1·1⊗x⊗1·G12 + x⊗1⊗1·G12",
+      "-1·1⊗1⊗x·G13 + x⊗1⊗1·G13", "-1·1⊗1⊗x·G23 + 1⊗x⊗1·G23"],
+     {"G12": "1⊗x⊗1 + x⊗1⊗1", "G13": "1⊗1⊗x + x⊗1⊗1",
+      "G23": "1⊗1⊗x + 1⊗x⊗1"}),
+    ("A2(P1xP1, c=2/31⊗x+-5/2x⊗1)",
+     {"model": "A", "r": 2, "space": "P1xP1", "c": "2/31⊗x+-5/2x⊗1"},
+     ["G12", "s[1⊗1]", "s[1⊗x]", "s[x⊗1]", "s[x⊗x]", "alpha1", "alpha2",
+      "eta1", "eta2"],
+     ["-1·(1⊗1)⊗(1⊗x)·G12 + (1⊗x)⊗(1⊗1)·G12",
+      "-1·(1⊗1)⊗(x⊗1)·G12 + (x⊗1)⊗(1⊗1)·G12",
+      "-1·(1⊗1)⊗(x⊗x)·G12 + (x⊗x)⊗(1⊗1)·G12"],
+     {"G12": "(1⊗1)⊗(x⊗x) + (1⊗x)⊗(x⊗1) + (x⊗1)⊗(1⊗x) + (x⊗x)⊗(1⊗1)",
+      "alpha1": "(x⊗x)⊗(1⊗1)",
+      "eta1": "(x⊗x)⊗(1⊗1)·s[1⊗1] + -2/3·(1⊗x)⊗(1⊗1)·alpha1 + "
+              "5/2·(x⊗1)⊗(1⊗1)·alpha1 + (1⊗x)⊗(1⊗1)·s[x⊗1] + "
+              "(x⊗1)⊗(1⊗1)·s[1⊗x] + s[x⊗x]",
+      "alpha2": "(1⊗1)⊗(x⊗x)",
+      "eta2": "(1⊗1)⊗(x⊗x)·s[1⊗1] + -2/3·(1⊗1)⊗(1⊗x)·alpha2 + "
+              "5/2·(1⊗1)⊗(x⊗1)·alpha2 + (1⊗1)⊗(1⊗x)·s[x⊗1] + "
+              "(1⊗1)⊗(x⊗1)·s[1⊗x] + s[x⊗x]"}),
+    ("A2(P2, L^2)", {"model": "AL", "r": 2, "space": "P2", "d": 2, "m": "1"},
+     ["G12", "s[1]", "s[x]", "s[x^2]", "alpha1", "alpha2", "eta1", "eta2"],
+     ["-1·1⊗x·G12 + x⊗1·G12", "-1·1⊗x^2·G12 + x^2⊗1·G12"],
+     {"G12": "1⊗x^2 + x⊗x + x^2⊗1", "alpha1": "x^2⊗1",
+      "eta1": "x^2⊗1·s[1] + -2·x⊗1·alpha1 + x⊗1·s[x] + s[x^2]",
+      "alpha2": "1⊗x^2",
+      "eta2": "1⊗x^2·s[1] + -2·1⊗x·alpha2 + 1⊗x·s[x] + s[x^2]"}),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_MODELS)))
+def test_model_builders_keep_their_presentations(index):
+    p = _pinned_models()[index]
+    name, params, labels, relations, diff = PINNED_MODELS[index]
+    assert (p.name, p.params) == (name, params)
+    assert [g.label for g in p.context.generators] == labels
+    assert [repr(rel) for rel in p.relations] == relations
+    assert {labels[g]: repr(img) for g, img in p.differential.items()} == diff
+    assert p._closed_form is not None
 
 
 def test_section_model_generator_degrees():
