@@ -29,14 +29,12 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import (AlgebraContext, AlgebraError, BaseAlgebra, GeneratorSpec,
-                      Monomial)
-from .engine import (CohomologyTable, Presentation, cohomology,
-                     quotient_slice, _assemble, _certify, _cleared_rank,
-                     _entries)
+from .algebra import AlgebraError, BaseAlgebra, Monomial
+from .engine import (CohomologyTable, Presentation, quotient_slice,
+                     _assemble, _certify, _cleared_rank, _entries)
 from .linalg import RrefResult, SparseMatrix, rref
 from .models import symmetric_action
-from .rat import ONE, Rational, exact
+from .rat import Rational, exact
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +299,24 @@ def rho_series(base: BaseAlgebra, t_max: int) -> BigradedSeries:
 def r1_stable_series(base: BaseAlgebra, t_max: int) -> BigradedSeries:
     """Poincare series of the one-marked-point stable cohomology.
 
-    Computed as (series of the nonvanishing-derivative factor) times
-    (series of the free algebra on shifted classes below the top degree).
-    The first factor is the cohomology of the one-generator model
-    (H^*(X)[alpha], d(alpha) = [X]), the generic nonvanishing Euler class
-    normalized to the fundamental class; its dimensions are read off the
-    engine rather than from a formula.
+    The product of the nonvanishing-derivative factor and the series of
+    the free algebra on shifted classes below the top degree.  The factor
+    is the cohomology of the one-generator model (H^*(X)[alpha],
+    d(alpha) = [X]), |alpha| = 2n - 1: d kills the fundamental class, and
+    alpha times each class of positive degree is a cocycle that no class
+    hits, so it is P_X(t) - t^{2n} + t^{2n-1} (P_X(t) - 1).
     """
-    n = base.n
-    ctx = AlgebraContext(base, [GeneratorSpec("alpha", 2 * n - 1, 2 * n)])
-    pres = Presentation(
-        ctx, [], {0: ctx.base_element({base.fundamental: ONE})},
-        name=f"punctured-derivative({base.name})",
-        params={"model": "omega", "space": base.name})
-    table = cohomology(pres, t_max)
-    factor = BigradedSeries(
-        {i: table.dim(i) for i in range(t_max + 1)}, t_max, "t")
-    return factor * poincare_series_U(base, t_max, "t")
+    top = 2 * base.n
+    factor: dict[int, int] = {}
+    for i in range(top + 1):
+        for k in (i, i + top - 1):
+            if k <= t_max:
+                factor[k] = factor.get(k, 0) + base.betti(i)
+    for k in (top, top - 1):
+        if k <= t_max:
+            factor[k] -= 1
+    return (BigradedSeries(factor, t_max, "t")
+            * poincare_series_U(base, t_max, "t"))
 
 
 # ---------------------------------------------------------------------------

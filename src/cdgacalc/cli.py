@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import factorial
 from typing import Optional
@@ -361,7 +362,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(
         _attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at
+        # exit cannot fail again (the SIGPIPE note of CPython's signal
+        # module), and exit 128 + SIGPIPE, as a shell reports a process
+        # that the signal killed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except VerificationFailure as err:
         print(f"cdgacalc: verification failed: {_one_line(err)}",
               file=sys.stderr)

@@ -40,9 +40,19 @@ into its core part and suffix part u and hands the core parts to block
 u's core slice, with the block's offset.
 
 The differential matrix is assembled from
-d(m u) = d(m) u + (-1)^|m| m d(u) with cached blocks: d of each core
-slice's basis, d of each suffix monomial, and the core's multiplication
-operators, which a presentation and its reduced model share.
+d(m u) = d(m) u + (-1)^|m| m d(u), one source block at a time, from
+three cached tables.  d of each core slice's basis is cached per slice.
+d(u) of a suffix monomial comes from suffix-local derivation tables,
+compiled once per presentation: each term of d of a suffix generator
+keeps its core monomial kappa, its suffix exponents, and its odd and
+sign masks shifted past the core's generators, so d(u) is sign and
+exponent arithmetic on u alone.  Each core slice keeps a table kappa ->
+multiplication operator, which the assembler reads once per source
+block and which a presentation and its reduced model share through the
+core.  The weights of a degree's slices need no suffix monomial: a
+reachability table gives the weights the suffix monomials of each
+degree reach, each odd generator used at most once, and it grows only
+when a higher degree is asked for.
 
 Cohomology is computed on a presentation's *reduced* model: every pair
 of suffix generators (x, y) with d x = c y + phi, c a nonzero scalar and
@@ -62,7 +72,8 @@ cached per presentation; ranks rely on it and raise when it fails.
 A presentation normalizes its coefficients once (``rat.exact``) and
 compiles L d on generators into derivation tables, L the lcm of the
 denominators of d's coefficients, so d of a monomial is table lookups
-and Koszul sign flips in one Leibniz routine, in ``int`` arithmetic
+and Koszul sign flips in one Leibniz routine (d of a suffix monomial in
+its suffix-local copy), in ``int`` arithmetic
 whenever the relations are integral (every built-in model, whatever its
 class c).  Everything the engine assembles from the tables is L d: the
 rows of a slice share the factor, so ranks, pivot columns and the d^2
@@ -126,8 +137,9 @@ class Presentation:
 
     __slots__ = ("context", "relations", "differential", "name", "params",
                  "_relation_grades", "_derivations", "_scale", "_odd_bits",
-                 "_cache", "_core", "_suffix", "_weights", "_reduced",
-                 "_blocks", "_certificate", "_closed_form")
+                 "_cache", "_core", "_suffix", "_support", "_suffix_terms",
+                 "_weights", "_reduced", "_blocks", "_certificate",
+                 "_closed_form")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -187,8 +199,12 @@ class Presentation:
         self._relation_grades = grades
         self._cache: dict = {}
         self._core: Optional[Presentation] = None
-        # monomial_walk's memo of the suffix monomials per degree
+        # monomial_walk's memo of the suffix monomials per degree, and
+        # _suffix_support's table of the weights they reach
         self._suffix: list = []
+        self._support: list = []
+        # _suffix_tables: d on the suffix generators, local to the suffix
+        self._suffix_terms = None
         self._weights: dict = {}
         self._reduced: Optional[Presentation] = None
         # d of core slices, d of suffix monomials, multiplication operators,
@@ -635,8 +651,13 @@ def quotient_slice(p: Presentation, degree: int,
     weight - wt u) times u.  The ideal slice is block-diagonal in u with
     those blocks, so the basis as a set and every normal form are the
     ones the rref of the whole ideal slice would give; the basis is in
-    block order, not in canonical order.
+    block order, not in canonical order.  Cached in p; a cached slice
+    is returned before anything else is read.
     """
+    key = ("slice", degree, weight)
+    hit = p._cache.get(key)
+    if hit is not None:
+        return hit
     core = p.core
 
     def eliminate():
@@ -675,8 +696,8 @@ def quotient_slice(p: Presentation, degree: int,
                         offset += sl.dim
         return FactoredSlice(degree, weight, core, p.context, tuple(blocks))
 
-    return p._cached(("slice", degree, weight),
-                     eliminate if core is p else factor)
+    hit = p._cache[key] = eliminate() if core is p else factor()
+    return hit
 
 
 def _suffix_grade(ctx: AlgebraContext, n: int, u: tuple) -> tuple[int, int]:
@@ -730,19 +751,84 @@ def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
     return hit
 
 
+def _suffix_tables(p: Presentation) -> tuple:
+    """``(odd bits, tables)``: p's derivation tables on its suffix
+    generators, local to the suffix.
+
+    A suffix monomial u has no core part and the base unit, so a term
+    c b x^f of d(y_j) enters d(u) as the core monomial kappa = (unit b,
+    f's core exponents) times the suffix exponents of f, and only the
+    suffix generators' bits of its odd and sign masks can meet u's: the
+    masks are shifted down by the core's generator count.  ``tables``
+    holds (j, terms) per suffix generator y_j with d(y_j) != 0, a term
+    being (kappa, suffix (generator, exponent) pairs, the ``int`` L c,
+    odd mask, sign mask); ``odd bits`` has bit j for each odd y_j.
+    Built once per presentation.
+    """
+    if p._suffix_terms is None:
+        n = len(p.core.context.generators)
+        base = p.context.base
+        tables = []
+        for i, terms in p._derivations:
+            if i < n:
+                continue
+            local = []
+            for tb, f_items, c, f_odd, sign_mask in terms:
+                kappa = [0] * n
+                items = []
+                for q, x in f_items:
+                    if q < n:
+                        kappa[q] = x
+                    else:
+                        items.append((q - n, x))
+                for k, cb in base.product(base.unit, tb).items():
+                    local.append((Monomial(k, tuple(kappa)), tuple(items),
+                                  c * cb, f_odd >> n, sign_mask >> n))
+            tables.append((i - n, tuple(local)))
+        p._suffix_terms = (tuple(bit >> n for bit in p._odd_bits[n:]),
+                           tuple(tables))
+    return p._suffix_terms
+
+
 def _suffix_differential(p: Presentation, u: tuple) -> tuple:
     """L d(u) = sum c kappa u' for a suffix monomial u, as (c, kappa, u')
-    with kappa a monomial of the core's free algebra and L = ``p._scale``.
-    Cached in p."""
+    with kappa a monomial of the core's free algebra and L = ``p._scale``,
+    in the order and with the signs of the Leibniz rule
+    (:meth:`Presentation._leibniz_into`) on the padded monomial, from
+    the suffix-local tables of :func:`_suffix_tables`.  Cached in p."""
     key = ("du", u)
     hit = p._blocks.get(key)
     if hit is None:
-        n = len(p.core.context.generators)
-        image: dict = {}
-        p._leibniz_into(image, Monomial(p.context.base.unit,
-                                        (0,) * n + u), 1)
-        hit = p._blocks[key] = tuple((c, Monomial(b, e[:n]), e[n:])
-                                     for (b, e), c in image.items())
+        odd_bits, tables = _suffix_tables(p)
+        odd = sum(bit for bit, x in zip(odd_bits, u) if x)
+        acc: dict = {}
+        for j, terms in tables:
+            ej = u[j]
+            if not ej:
+                continue
+            rest_odd = odd & ~(1 << j)
+            rest = u[:j] + (ej - 1,) + u[j + 1:]
+            for kappa, items, c, f_odd, sign_mask in terms:
+                if rest_odd & f_odd:
+                    continue
+                if items:
+                    exps = list(rest)
+                    for q, x in items:
+                        exps[q] += x
+                    exps = tuple(exps)
+                else:
+                    exps = rest
+                t = ej * c
+                if (rest_odd & sign_mask).bit_count() & 1:
+                    t = -t
+                k = (kappa, exps)
+                v = acc.get(k, 0) + t
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+        hit = p._blocks[key] = tuple((c, kappa, u2)
+                                     for (kappa, u2), c in acc.items())
     return hit
 
 
@@ -751,27 +837,26 @@ def _multiplication(core: Presentation, kappa: Monomial,
     """The nonzero entries (i, j, v) of multiplication by ``kappa`` on the
     core slice ``sl``: coordinate j of nf(m_i kappa) is v, for the basis
     monomials m_i in order.  A flat tuple of triples, as almost every row
-    has one entry.  Cached in the core, which a presentation and its
-    reduced model share."""
-    key = ("mul", kappa, sl.degree, sl.weight)
-    hit = core._blocks.get(key)
-    if hit is None:
-        ctx = core.context
-        tgt = quotient_slice(core, sl.degree + ctx.monomial_degree(kappa),
-                             sl.weight + ctx.monomial_weight(kappa))
-        entries = []
-        for i, m in enumerate(sl.quotient):
-            acc: dict = {}
-            ctx.mul_term_into(acc, m, 1, kappa, 1)
-            entries.extend((i, j, v) for j, v in tgt.coords(acc).items())
-        hit = core._blocks[key] = tuple(entries)
-    return hit
+    has one entry.  :func:`_assemble` keeps them per core slice, as
+    kappa -> entries under ("mul", degree, weight) in the core, which a
+    presentation and its reduced model share."""
+    ctx = core.context
+    tgt = quotient_slice(core, sl.degree + ctx.monomial_degree(kappa),
+                         sl.weight + ctx.monomial_weight(kappa))
+    entries = []
+    for i, m in enumerate(sl.quotient):
+        acc: dict = {}
+        ctx.mul_term_into(acc, m, 1, kappa, 1)
+        entries.extend((i, j, v) for j, v in tgt.coords(acc).items())
+    return tuple(entries)
 
 
 def _suffix_product(parities: tuple, s: tuple, u: tuple):
     """``(sign, exponents)`` with s u = sign * y^exponents for suffix
     monomials s and u (parities of the suffix generators), or None when
     an odd generator repeats."""
+    if not any(s):
+        return 1, u
     sign = 0
     odd_after = 0
     for i in range(len(s) - 1, -1, -1):
@@ -830,13 +915,17 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
                 for j, v in coords:
                     row[cols[j + toff]] = v if sign > 0 else -v
         odd = sl.degree & 1
+        muls = core._blocks.setdefault(("mul", sl.degree, sl.weight), {})
         for c, kappa, u2 in _suffix_differential(p, u):
             toff = offsets.get(u2)
             if toff is None:
                 continue  # the core slice of m kappa is empty
             if odd:
                 c = -c
-            for i, j, v in _multiplication(core, kappa, sl):
+            entries = muls.get(kappa)
+            if entries is None:
+                entries = muls[kappa] = _multiplication(core, kappa, sl)
+            for i, j, v in entries:
                 i += off
                 if i in skip:
                     continue
@@ -997,11 +1086,34 @@ def _slice_weights(p: Presentation, degree: int) -> list[int]:
         else:
             weights = set()
             for du in range(degree + 1):
-                for wu in p._suffix_monomials(du):
-                    weights.update(k + wu
-                                   for k in _slice_weights(core, degree - du))
+                below = _slice_weights(core, degree - du)
+                for wu in _suffix_support(p, du):
+                    weights.update(k + wu for k in below)
         hit = p._weights[degree] = sorted(weights)
     return hit
+
+
+def _suffix_support(p: Presentation, degree: int) -> set:
+    """The weights of p's suffix monomials of the given degree, with no
+    monomial made: ``p._support[d][j]`` is the set of weights that the
+    monomials of degree d in the first j suffix generators reach, each
+    odd generator at most once.  Each degree is built once, from the
+    lower ones, when it is first asked for."""
+    gens = p.context.generators[len(p.core.context.generators):]
+    table = p._support
+    for d in range(len(table), degree + 1):
+        row = [{0} if d == 0 else set()]
+        for j, g in enumerate(gens):
+            reach = set(row[j])
+            e = d - g.degree
+            if e >= 0:
+                # an odd y_j joins a monomial without it, an even one may
+                # join one that has it already
+                reach.update(w + g.weight for w in table[e][j if g.odd
+                                                            else j + 1])
+            row.append(reach)
+        table.append(row)
+    return table[degree][-1]
 
 
 def cohomology(p: Presentation, max_degree: int,

@@ -200,14 +200,22 @@ def parse_ample_class(base: BaseAlgebra, text: str) -> dict:
 
 
 def class_label(base: BaseAlgebra, coeffs: dict) -> str:
+    """The name of a base element in model names: its terms in index
+    order, a coefficient of 1 left out.  A product base's labels begin
+    with a factor's label, which may be a digit, so there a coefficient
+    is joined to its label by '·' and a negative term follows the one
+    before it with its own '-': 2/3·1⊗x-5/2·x⊗1."""
     if not coeffs:
         return "0"
-    bits = []
+    product = isinstance(base, TensorAlgebra)
+    text = ""
     for idx in sorted(coeffs):
         c = coeffs[idx]
         lab = base.label(idx)
-        bits.append(lab if c == 1 else f"{c}{lab}")
-    return "+".join(bits)
+        if text and not (product and c < 0):
+            text += "+"
+        text += lab if c == 1 else f"{c}·{lab}" if product else f"{c}{lab}"
+    return text
 
 
 def _base_mul(base: BaseAlgebra, u: dict, v: dict) -> dict:

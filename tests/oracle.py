@@ -52,6 +52,11 @@ target slice.
 walk from the lower degrees behind ``Presentation._suffix_monomials``
 and ``AlgebraContext.monomials_of``, replaced: every exponent vector of
 degree <= the target, rebuilt generator by generator.
+``suffix_differential`` is d of a suffix monomial by the Leibniz
+routine on the padded full monomial, which the suffix-local tables of
+``engine._suffix_tables`` replaced, and ``slice_weights`` a degree's
+slice weights from the suffix monomials ``suffix_monomials`` lists,
+which ``engine._suffix_support``'s reachability table replaced.
 ``rref_slice_basis`` is the core slice from the rref of its ideal
 slice, taken also when the ideal slice has no rows, which
 ``quotient_slice`` now skips.
@@ -441,6 +446,27 @@ def suffix_monomials(p, degree):
         if d == degree:
             out.setdefault(w, []).append(e)
     return out
+
+
+def suffix_differential(p, u):
+    """L d(u) for a suffix monomial u of p as (c, kappa, u') triples, in
+    the order the Leibniz routine ``Presentation._leibniz_into`` gives on
+    the padded monomial (0, ..., 0, u)."""
+    n = len(p.core.context.generators)
+    image = {}
+    p._leibniz_into(image, Monomial(p.context.base.unit, (0,) * n + u), 1)
+    return tuple((c, Monomial(b, e[:n]), e[n:])
+                 for (b, e), c in image.items())
+
+
+def slice_weights(p, degree):
+    """The weights of p's nonempty slices of one degree: the core's
+    weights at degree - |u| shifted by wt u, over the suffix monomials u
+    that ``suffix_monomials`` lists."""
+    core = p.core
+    return sorted({k + wu for du in range(degree + 1)
+                   for wu in suffix_monomials(p, du)
+                   for k in _slice_weights(core, degree - du)})
 
 
 def rref_slice_basis(p, degree, weight):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cdgacalc import analysis, engine
-from cdgacalc.algebra import AlgebraError, BaseAlgebra
+from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
+                              GeneratorSpec)
 from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                character_euler,
                                compose,
@@ -16,8 +17,8 @@ from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                rho_bracket, rho_series, sign_character,
                                stable_range_bound, trivial_character,
                                weightwise_euler)
-from cdgacalc.engine import (_slice_weights, cohomology, differential_matrix,
-                             quotient_slice)
+from cdgacalc.engine import (Presentation, _slice_weights, cohomology,
+                             differential_matrix, quotient_slice)
 from cdgacalc.linalg import rank, rref
 from cdgacalc.models import (build_base, configuration_model,
                              cotangent_chern, parse_ample_class, parse_space,
@@ -183,6 +184,41 @@ def test_r1_stable_series_matches_engine_all_builtins():
             c = parse_ample_class(base, coeffs)
             dims = cohomology(section_model(base, c, 1), 7).dims()
             assert dims == expect, (space, coeffs)
+
+
+@pytest.mark.parametrize(
+    "space", ["P1", "P2", "P3", "S1", "S2", "P1xP1", "S1xP1"])
+def test_r1_stable_series_closed_form_matches_the_one_generator_model(space):
+    # (H^*(X)[alpha], d(alpha) = [X]) by the engine, times the free factor
+    base = build_base(parse_space(space))
+    n = base.n
+    ctx = AlgebraContext(base, [GeneratorSpec("alpha", 2 * n - 1, 2 * n)])
+    model = Presentation(ctx, [], {0: ctx.base_element({base.fundamental: 1})})
+    table = cohomology(model, 12)
+    factor = series({i: table.dim(i) for i in range(13)}, 12, "t")
+    assert r1_stable_series(base, 12) \
+        == factor * poincare_series_U(base, 12, "t")
+
+
+@pytest.mark.parametrize("space", ["P1", "P2", "S1", "P1xP1"])
+def test_tables_do_not_change_when_c_is_rescaled_by_a_unit(space):
+    # s[b] -> lam s[b], eta_i -> lam eta_i maps A(X, c) onto A(X, lam c)
+    # and commutes with S_r; lam c takes the scaled int path of a rational
+    # class, c = 1 the integer one
+    base = build_base(parse_space(space))
+    coeffs = (1, 2) if space == "P1xP1" else (1,)
+    for r, top in ((2, 8), (3, 7)):
+        group = all_permutations(r)
+        tables = []
+        for lam in (1, Fraction(7, 3), Fraction(-1, 2), 3):
+            scaled = [lam * v for v in coeffs]
+            text = (str(scaled[0]) if len(scaled) == 1
+                    else f"[{scaled[0]}:{scaled[1]}]")
+            p = section_model(base, parse_ample_class(base, text), r)
+            tables.append([cohomology(p, top).entries] + [
+                isotypic_cohomology(p, group, chi(r), top).entries
+                for chi in (trivial_character, sign_character)])
+        assert all(t == tables[0] for t in tables[1:]), (space, r)
 
 
 def test_invariant_trivial_subgroup_is_plain():

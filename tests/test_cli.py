@@ -199,6 +199,24 @@ def test_negative_c_as_separate_token(capsys):
     assert separate[:2] == joined[:2]
 
 
+def test_product_class_name_reads_one_way(capsys):
+    # on a product base a coefficient meets a label that starts with a
+    # digit: 2/3 times 1⊗x, not 2/31 times ⊗x
+    code, out, err = run_cli(capsys, "cohomology", "--space", "P1xP1",
+                             "--r", "2", "--c=[2/3:-5/2]", "--max-degree", "1",
+                             "--format", "json")
+    assert code == 0 and not err
+    model = json.loads(out)["model"]
+    assert model["c"] == "2/3·1⊗x-5/2·x⊗1"
+    assert model["name"] == "A2(P1xP1, c=2/3·1⊗x-5/2·x⊗1)"
+    # unit coefficients and single-factor bases print as they did
+    for space, c, name in (("P1xP1", "[1:1]", "A2(P1xP1, c=1⊗x+x⊗1)"),
+                           ("P2", "-1/2", "A2(P2, c=-1/2x)")):
+        code, out, _ = run_cli(capsys, "cohomology", "--space", space,
+                               "--r", "2", f"--c={c}", "--max-degree", "0")
+        assert code == 0 and out.splitlines()[0] == f"model: {name}"
+
+
 def test_bad_space_exits_2(capsys):
     code, out, err = run_cli(capsys, "cohomology", "--space", "nope",
                              "--r", "2", "--max-degree", "4")
@@ -399,6 +417,22 @@ def test_package_entrypoint_subprocess():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("model: space=P1, kind=pu-weight\n"
                            "1 - w^2 - w^4\n")
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    # the reader goes away before the first write, as `| head -c 0` would:
+    # not invalid input, and nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cdgacalc", "table1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+        proc.kill()
+    assert (code, err) == (141, b"")
 
 
 def test_verify_negative_max_degree_exits_2():

@@ -9,7 +9,8 @@ from cdgacalc.algebra import (AlgebraContext, AlgebraError, Element,
 from cdgacalc.analysis import (all_permutations, isotypic_cohomology,
                                sign_character, weightwise_euler)
 from cdgacalc.engine import (Presentation, PresentationError, _assemble,
-                             _slice_weights, cohomology, differential_matrix,
+                             _slice_weights, _suffix_differential,
+                             cohomology, differential_matrix,
                              differential_rank, ideal_slice, quotient_slice,
                              verify_d_squared)
 from cdgacalc.linalg import SparseMatrix, rank, rref
@@ -19,8 +20,8 @@ from cdgacalc.rat import ONE, Rational
 
 from oracle import (_free_weights, dense_cohomology_dims, free_differential,
                     is_zero, reference_differential_matrix, rref_slice_basis,
-                    slice_d_squared, suffix_monomials, unfactored_slice,
-                    unreduced_cohomology)
+                    slice_d_squared, slice_weights, suffix_differential,
+                    suffix_monomials, unfactored_slice, unreduced_cohomology)
 from test_acceptance import random_presentation
 
 
@@ -835,6 +836,70 @@ def test_suffix_walk_equals_brute_force_enumeration():
             assert got == list(suffix_monomials(p, d).items()), (p.name, d)
             nonempty += bool(got) and d > 0
     assert nonempty > 0
+
+
+def _models_with_suffix_to(max_degree):
+    """The C, A and AL models over P1, P2, S1, S2 and P1xP1 at r = 2, 3,
+    and the random presentations, each with its reduced model, and the
+    degree to check each to."""
+    for space in ("P1", "P2", "S1", "S2", "P1xP1"):
+        for r in (2, 3):
+            for p in _families(space, r):
+                for q in {p: None, p.reduced: None}:
+                    yield q, max_degree
+    for seed in range(24):
+        p, top = random_presentation(seed)
+        for q in {p: None, p.reduced: None}:
+            yield q, top + 1
+
+
+def test_suffix_differential_equals_the_leibniz_route():
+    # the suffix-local tables give d(u) with the Leibniz routine's terms,
+    # order and signs, on every suffix monomial a block can carry
+    checked = Counter()
+    for p, top in _models_with_suffix_to(8):
+        for d in range(top + 1):
+            for suffix in p._suffix_monomials(d).values():
+                for u in suffix:
+                    got = _suffix_differential(p, u)
+                    assert got == suffix_differential(p, u), (p.name, u)
+                    checked[len(got) > 1] += 1
+    assert checked[True] > 1000 and checked[False]
+
+
+def test_slice_weights_equal_the_suffix_walk():
+    # the reachability table of the suffix's weights, with each odd
+    # generator at most once and each even one as often as it fits
+    for p, top in _models_with_suffix_to(8):
+        for d in range(top + 1):
+            assert _slice_weights(p, d) == slice_weights(p, d), (p.name, d)
+
+
+def test_multiplication_tables_equal_products_in_the_target_slice():
+    # each core slice's table of operators, as _assemble filled it
+    checked = 0
+    for space in ("P2", "S1", "P1xP1"):
+        for p in _families(space, 2)[1:]:
+            cohomology(p, 7)
+            core = p.core
+            ctx = core.context
+            for key, table in core._blocks.items():
+                if key[0] != "mul":
+                    continue
+                sl = quotient_slice(core, key[1], key[2])
+                for kappa, entries in table.items():
+                    tgt = quotient_slice(
+                        core, sl.degree + ctx.monomial_degree(kappa),
+                        sl.weight + ctx.monomial_weight(kappa))
+                    expect = []
+                    for i, m in enumerate(sl.quotient):
+                        acc = {}
+                        ctx.mul_term_into(acc, m, 1, kappa, 1)
+                        expect.extend((i, j, v)
+                                      for j, v in tgt.coords(acc).items())
+                    assert entries == tuple(expect), (p.name, key, kappa)
+                    checked += bool(entries)
+    assert checked > 50
 
 
 @pytest.mark.parametrize("r", [2, 3])

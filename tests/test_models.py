@@ -159,8 +159,8 @@ PINNED_MODELS = [
       "-1·1⊗1⊗x·G13 + x⊗1⊗1·G13", "-1·1⊗1⊗x·G23 + 1⊗x⊗1·G23"],
      {"G12": "1⊗x⊗1 + x⊗1⊗1", "G13": "1⊗1⊗x + x⊗1⊗1",
       "G23": "1⊗1⊗x + 1⊗x⊗1"}),
-    ("A2(P1xP1, c=2/31⊗x+-5/2x⊗1)",
-     {"model": "A", "r": 2, "space": "P1xP1", "c": "2/31⊗x+-5/2x⊗1"},
+    ("A2(P1xP1, c=2/3·1⊗x-5/2·x⊗1)",
+     {"model": "A", "r": 2, "space": "P1xP1", "c": "2/3·1⊗x-5/2·x⊗1"},
      ["G12", "s[1⊗1]", "s[1⊗x]", "s[x⊗1]", "s[x⊗x]", "alpha1", "alpha2",
       "eta1", "eta2"],
      ["-1·(1⊗1)⊗(1⊗x)·G12 + (1⊗x)⊗(1⊗1)·G12",
