@@ -750,6 +750,13 @@ class MonomialPermutation:
         hit = self.base_to[b] = (target, -1 if flip else 1)
         return hit
 
+    def restricted(self, context: AlgebraContext) -> "MonomialPermutation":
+        """This map on ``context``, whose generators are the first ones of
+        this map's context, with the same base, and which this map sends
+        to each other."""
+        return MonomialPermutation(context, self.slots,
+                                   self.gen_to[:len(context.generators)])
+
     def image(self, mono: Monomial) -> tuple[Monomial, int]:
         """``(m', c)`` with phi(mono) = c m', for a monomial of the
         context (every odd exponent at most 1)."""

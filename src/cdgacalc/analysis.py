@@ -29,7 +29,8 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import AlgebraError, BaseAlgebra, Monomial
+from .algebra import (AlgebraError, BaseAlgebra, Monomial,
+                      MonomialPermutation)
 from .engine import (CohomologyTable, Presentation, quotient_slice,
                      _assemble, _certify, _cleared_rank, _entries)
 from .linalg import RrefResult, SparseMatrix, rref
@@ -304,9 +305,13 @@ def r1_stable_series(base: BaseAlgebra, t_max: int) -> BigradedSeries:
     is the cohomology of the one-generator model (H^*(X)[alpha],
     d(alpha) = [X]), |alpha| = 2n - 1: d kills the fundamental class, and
     alpha times each class of positive degree is a cocycle that no class
-    hits, so it is P_X(t) - t^{2n} + t^{2n-1} (P_X(t) - 1).
+    hits, so it is P_X(t) - t^{2n} + t^{2n-1} (P_X(t) - 1).  Raises
+    :class:`AlgebraError` on a point (n = 0), where alpha has no degree.
     """
     top = 2 * base.n
+    if not top:
+        raise AlgebraError("r1 series: alpha would have degree 2n - 1 = -1 "
+                           "on a base of dimension n = 0")
     factor: dict[int, int] = {}
     for i in range(top + 1):
         for k in (i, i + top - 1):
@@ -469,12 +474,13 @@ def sign_character(r: int) -> ClassFunction:
 # Invariants and isotypic pieces
 # ---------------------------------------------------------------------------
 
-def _orbit_sum_rows(sl, group: Sequence[Perm], image: Callable,
-                    weights: Sequence, per_orbit: bool = True) -> list[dict]:
-    """Rows spanning the image of P = sum_rho w[rho] rho on ``sl``.
+def _orbit_sum_rows(sl, terms: Sequence[tuple], per_orbit: bool = True
+                    ) -> list[dict]:
+    """Rows spanning the image of P = sum w rho over ``terms``, (rho, w)
+    pairs with rho a :class:`~cdgacalc.algebra.MonomialPermutation` of
+    the slice's context, on ``sl``.
 
-    ``image(rho, m)`` is (m', c) with rho(m) = c m' for a free monomial
-    m.  The row P(m) of each basis monomial m of ``sl`` is reduced once
+    The row P(m) of each basis monomial m of ``sl`` is reduced once
     into the slice's coordinates; with ``per_orbit``, only the first
     basis monomial of each orbit gives one, which spans P's image when
     P(rho m) is a multiple of P(m), as for a linear twisted projector on
@@ -485,11 +491,11 @@ def _orbit_sum_rows(sl, group: Sequence[Perm], image: Callable,
     for mono in sl.quotient:
         if mono in seen:
             continue
-        images = [image(rho, mono) for rho in group]
+        images = [rho.image(mono) for rho, _ in terms]
         if per_orbit:
             seen.update(target for target, _ in images)
         orbit_sum: dict = {}
-        for (target, c), w in zip(images, weights):
+        for (target, c), (_, w) in zip(images, terms):
             if w:
                 orbit_sum[target] = orbit_sum.get(target, 0) + w * c
         row = sl.coords(orbit_sum)
@@ -590,16 +596,14 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
 
     def whole(sl) -> _LazyRref:
         # P(m) = char(1) sum_rho char(rho^{-1}) rho m for each basis m
-        weights = [exact(chi[identity] * chi[rho]) for rho in elems]
         rows = _orbit_sum_rows(
-            sl, elems, lambda rho, mono: actions[rho].image(mono), weights,
-            per_orbit=False)
+            sl, [(actions[rho], exact(chi[identity] * chi[rho]))
+                 for rho in elems], per_orbit=False)
         res = rref(SparseMatrix.from_rows(len(rows), sl.dim, rows))
         return _LazyRref(res.pivots, sl, lambda skip: [
             x for i, x in enumerate(res.reduced.rows) if i not in skip])
 
     n = len(p.core.context.generators)
-    pad = (0,) * (len(p.context.generators) - n)
     unit = p.context.base.unit
     # u -> its orbit data if u is first in block order, else None; no
     # character enters, so p keeps them per subgroup
@@ -612,9 +616,15 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
             orbits.update((v, None) for v, _, _ in hit[1])
         return hit
 
-    def core_image(rho: Perm, mono: Monomial):
-        (b, e), c = actions[rho].image(Monomial(mono.base, mono.exps + pad))
-        return Monomial(b, e[:n]), c
+    # each action maps the core's generators to themselves, so its
+    # restriction to the core images core monomials directly
+    core_actions: dict = {}
+
+    def core_action(rho: Perm) -> MonomialPermutation:
+        hit = core_actions.get(rho)
+        if hit is None:
+            hit = core_actions[rho] = actions[rho].restricted(p.core.context)
+        return hit
 
     def core_images(sig: Perm, sl) -> Callable:
         # images(i): coordinates in sl of sig(m_i), m_i its basis monomial
@@ -627,7 +637,7 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
         def images(i: int) -> dict:
             hit = cache.get(i)
             if hit is None:
-                target, c = core_image(sig, sl.quotient[i])
+                target, c = core_action(sig).image(sl.quotient[i])
                 hit = cache[i] = sl.coords({target: c})
             return hit
 
@@ -639,8 +649,8 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
         key = ("isotypic", sl.degree, sl.weight, twisted)
         hit = p._blocks.get(key)
         if hit is None:
-            rows = _orbit_sum_rows(sl, [h for h, _ in twisted], core_image,
-                                   [w for _, w in twisted])
+            rows = _orbit_sum_rows(
+                sl, [(core_action(h), w) for h, w in twisted])
             hit = p._blocks[key] = rref(
                 SparseMatrix.from_rows(len(rows), sl.dim, rows))
         return hit

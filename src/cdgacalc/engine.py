@@ -41,18 +41,18 @@ u's core slice, with the block's offset.
 
 The differential matrix is assembled from
 d(m u) = d(m) u + (-1)^|m| m d(u), one source block at a time, from
-three cached tables.  d of each core slice's basis is cached per slice.
-d(u) of a suffix monomial comes from suffix-local derivation tables,
-compiled once per presentation: each term of d of a suffix generator
-keeps its core monomial kappa, its suffix exponents, and its odd and
-sign masks shifted past the core's generators, so d(u) is sign and
-exponent arithmetic on u alone.  Each core slice keeps a table kappa ->
-multiplication operator, which the assembler reads once per source
-block and which a presentation and its reduced model share through the
-core.  The weights of a degree's slices need no suffix monomial: a
-reachability table gives the weights the suffix monomials of each
-degree reach, each odd generator used at most once, and it grows only
-when a higher degree is asked for.
+three cached tables.  d of each core slice's basis is cached per slice,
+as flat (i, j, v) entries per suffix monomial.  d(u) of a suffix
+monomial comes from suffix-local derivation tables, compiled once per
+presentation: each term of d of a suffix generator keeps its core
+monomial kappa, its suffix exponents, and its odd and sign masks shifted
+past the core's generators.  Each core slice keeps a table kappa ->
+multiplication operator, in the same entries, which a presentation and
+its reduced model share through the core.  One loop adds both terms
+into the rows.  The weights of a degree's slices need no suffix
+monomial: a reachability table gives the weights the suffix monomials
+of each degree reach, each odd generator used at most once, and it
+grows only when a higher degree is asked for.
 
 Cohomology is computed on a presentation's *reduced* model: every pair
 of suffix generators (x, y) with d x = c y + phi, c a nonzero scalar and
@@ -72,13 +72,14 @@ cached per presentation; ranks rely on it and raise when it fails.
 A presentation normalizes its coefficients once (``rat.exact``) and
 compiles L d on generators into derivation tables, L the lcm of the
 denominators of d's coefficients, so d of a monomial is table lookups
-and Koszul sign flips in one Leibniz routine (d of a suffix monomial in
-its suffix-local copy), in ``int`` arithmetic
-whenever the relations are integral (every built-in model, whatever its
-class c).  Everything the engine assembles from the tables is L d: the
-rows of a slice share the factor, so ranks, pivot columns and the d^2
-check are those of d, and only :meth:`Presentation.differential_of`,
-:func:`differential_matrix` and a failure witness divide it back.
+and Koszul sign flips in one Leibniz loop, ``_leibniz``, which reads
+the whole tables for a free monomial and the suffix-local ones for a
+suffix monomial, in ``int`` arithmetic whenever the relations are
+integral (every built-in model, whatever its class c).  Everything the
+engine assembles from the tables is L d: the rows of a slice share the
+factor, so ranks, pivot columns and the d^2 check are those of d, and
+only :meth:`Presentation.differential_of`, :func:`differential_matrix`
+and a failure witness divide it back.
 
 The cohomology of the quotient in one slice is
 
@@ -369,50 +370,23 @@ class Presentation:
 
     def _leibniz_into(self, acc: dict, mono: Monomial, coeff) -> None:
         """Accumulate ``coeff * L d(mono)`` into ``acc`` (Monomial -> Q),
-        with L = ``self._scale``.
-
-        For mono = b P g_i^e S the g_i term is
-        (-1)^(|b|+|P|) e b P d(g_i) g_i^(e-1) S.  Sorting a term b' x^f of
-        d(g_i) into place costs (-1)^(|b'||P|) plus one sign per odd
-        generator an odd generator of f passes: the parity of the odd
-        generators of the rest of mono under the term's sign mask.
-        """
+        with L = ``self._scale``: each term of :func:`_leibniz` times the
+        product of mono's base class and the term's."""
         b, e = mono
         base = self.context.base
-        b_par = base.degrees[b] & 1
-        odd = sum(bit for bit, x in zip(self._odd_bits, e) if x)
-        for i, terms in self._derivations:
-            ei = e[i]
-            if not ei:
-                continue
-            rest_odd = odd & ~(1 << i)
-            rest = e[:i] + (ei - 1,) + e[i + 1:]
-            scale = coeff * ei
-            for tb, f_items, c, f_odd, sign_mask in terms:
-                if rest_odd & f_odd:
-                    continue
-                prod = base.table.get((b, tb))
-                if prod is None:
-                    prod = base.product(b, tb)
-                if not prod:
-                    continue
-                if f_items:
-                    exps = list(rest)
-                    for q, x in f_items:
-                        exps[q] += x
-                    exps = tuple(exps)
+        for t, tb, exps in _leibniz(self._derivations, self._odd_bits, e,
+                                    base.degrees[b] & 1):
+            prod = base.table.get((b, tb))
+            if prod is None:
+                prod = base.product(b, tb)
+            t *= coeff
+            for k, cb in prod.items():
+                m = Monomial(k, exps)
+                v = acc.get(m, 0) + t * cb
+                if v:
+                    acc[m] = v
                 else:
-                    exps = rest
-                t = scale * c
-                if (b_par + (rest_odd & sign_mask).bit_count()) & 1:
-                    t = -t
-                for k, cb in prod.items():
-                    m = Monomial(k, exps)
-                    v = acc.get(m, 0) + t * cb
-                    if v:
-                        acc[m] = v
-                    else:
-                        del acc[m]
+                    del acc[m]
 
     def _scaled_differential(self, terms: dict) -> dict:
         """L d of an element's terms (Monomial -> Q), L = ``self._scale``."""
@@ -428,6 +402,41 @@ class Presentation:
                                "presentation's algebra")
         return Element(self.context, _unscaled(
             self._scaled_differential(e.terms), self._scale))
+
+
+def _leibniz(tables: tuple, odd_bits: tuple, e: tuple, flip: int):
+    """Yield (t, head, exponents) for the terms of L d(b x^e), from
+    tables laid out as ``Presentation._derivation_tables``' (a head is a
+    base class there, a core monomial in :func:`_suffix_tables`), with
+    ``odd_bits`` bit i set for each odd generator i and ``flip`` = |b|.
+
+    For b x^e = b P g_i^k S the g_i term is
+    (-1)^(|b|+|P|) k b P d(g_i) g_i^(k-1) S.  Sorting a term h x^f of
+    d(g_i) into place costs (-1)^(|h||P|) plus one sign per odd generator
+    an odd generator of f passes: with (-1)^|P|, the parity of the rest's
+    odd generators under the term's sign mask.  A term whose odd
+    generators meet the rest's is zero."""
+    odd = sum(bit for bit, x in zip(odd_bits, e) if x)
+    for i, terms in tables:
+        ei = e[i]
+        if not ei:
+            continue
+        rest_odd = odd & ~(1 << i)
+        rest = e[:i] + (ei - 1,) + e[i + 1:]
+        for head, f_items, c, f_odd, sign_mask in terms:
+            if rest_odd & f_odd:
+                continue
+            if f_items:
+                exps = list(rest)
+                for q, x in f_items:
+                    exps[q] += x
+                exps = tuple(exps)
+            else:
+                exps = rest
+            t = ei * c
+            if (flip + (rest_odd & sign_mask).bit_count()) & 1:
+                t = -t
+            yield t, head, exps
 
 
 def _unscaled(terms: dict, scale: int) -> dict:
@@ -717,47 +726,55 @@ def _split_suffix(terms: dict, n: int) -> dict:
     return parts
 
 
+def _core_parts(p: Presentation, terms: dict):
+    """Yield (u, core slice, coordinates) for each suffix part u of a
+    homogeneous element of p's free algebra (Monomial -> Q): the part's
+    core monomials reduced in the core slice of their (degree, weight),
+    so no slice of p is built."""
+    core = p.core
+    ctx = core.context
+    for u, part in _split_suffix(terms, len(ctx.generators)).items():
+        m = next(iter(part))
+        sl = quotient_slice(core, ctx.monomial_degree(m),
+                            ctx.monomial_weight(m))
+        yield u, sl, sl.coords(part)
+
+
 def _core_differential(p: Presentation, sl: SliceBasis) -> tuple:
     """L d in p of the basis monomials of the core slice ``sl``, with
     L = ``p._scale``.
 
     d(m) = sum_s kappa_s s over suffix monomials s, kappa_s in the core's
-    free algebra.  Lists (i, ((s, coordinates of nf(kappa_s) in its core
-    slice), ...)) for the basis monomials m_i with d(m_i) != 0 in the
-    quotient, each coordinate vector as a tuple of (index, value) pairs,
-    which holds less than a dict.  Cached in p, per core slice.
+    free algebra.  Lists (s, entries) per suffix monomial s, in order of
+    first appearance, with the nonzero entries (i, j, v) of the map
+    m_i -> nf(kappa_s) into its core slice as a flat tuple, as
+    :func:`_multiplication` gives them.  Cached in p, per core slice.
     """
     key = ("d", sl.degree, sl.weight)
     hit = p._blocks.get(key)
     if hit is None:
-        core = p.core
-        n = len(core.context.generators)
-        pad = (0,) * (len(p.context.generators) - n)
-        rows = []
+        pad = (0,) * (len(p.context.generators)
+                      - len(p.core.context.generators))
+        by_s: dict = {}
         for i, (b, e) in enumerate(sl.quotient):
             image: dict = {}
             p._leibniz_into(image, Monomial(b, e + pad), 1)
-            terms = []
-            for s, part in _split_suffix(image, n).items():
-                ds, ws = _suffix_grade(p.context, n, s)
-                tgt = quotient_slice(core, sl.degree + 1 - ds,
-                                     sl.weight - ws)
-                coords = tgt.coords(part)
+            for s, _, coords in _core_parts(p, image):
                 if coords:
-                    terms.append((s, tuple(coords.items())))
-            if terms:
-                rows.append((i, tuple(terms)))
-        hit = p._blocks[key] = tuple(rows)
+                    by_s.setdefault(s, []).extend(
+                        [(i, j, v) for j, v in coords.items()])
+        hit = p._blocks[key] = tuple((s, tuple(entries))
+                                     for s, entries in by_s.items())
     return hit
 
 
 def _suffix_tables(p: Presentation) -> tuple:
     """``(odd bits, tables)``: p's derivation tables on its suffix
-    generators, local to the suffix.
+    generators, local to the suffix, for :func:`_leibniz`.
 
     A suffix monomial u has no core part and the base unit, so a term
-    c b x^f of d(y_j) enters d(u) as the core monomial kappa = (unit b,
-    f's core exponents) times the suffix exponents of f, and only the
+    c b x^f of d(y_j) enters d(u) as the core monomial kappa = (b, f's
+    core exponents) times the suffix exponents of f, and only the
     suffix generators' bits of its odd and sign masks can meet u's: the
     masks are shifted down by the core's generator count.  ``tables``
     holds (j, terms) per suffix generator y_j with d(y_j) != 0, a term
@@ -767,7 +784,6 @@ def _suffix_tables(p: Presentation) -> tuple:
     """
     if p._suffix_terms is None:
         n = len(p.core.context.generators)
-        base = p.context.base
         tables = []
         for i, terms in p._derivations:
             if i < n:
@@ -781,9 +797,8 @@ def _suffix_tables(p: Presentation) -> tuple:
                         kappa[q] = x
                     else:
                         items.append((q - n, x))
-                for k, cb in base.product(base.unit, tb).items():
-                    local.append((Monomial(k, tuple(kappa)), tuple(items),
-                                  c * cb, f_odd >> n, sign_mask >> n))
+                local.append((Monomial(tb, tuple(kappa)), tuple(items), c,
+                              f_odd >> n, sign_mask >> n))
             tables.append((i - n, tuple(local)))
         p._suffix_terms = (tuple(bit >> n for bit in p._odd_bits[n:]),
                            tuple(tables))
@@ -793,40 +808,20 @@ def _suffix_tables(p: Presentation) -> tuple:
 def _suffix_differential(p: Presentation, u: tuple) -> tuple:
     """L d(u) = sum c kappa u' for a suffix monomial u, as (c, kappa, u')
     with kappa a monomial of the core's free algebra and L = ``p._scale``,
-    in the order and with the signs of the Leibniz rule
-    (:meth:`Presentation._leibniz_into`) on the padded monomial, from
-    the suffix-local tables of :func:`_suffix_tables`.  Cached in p."""
+    in the order of :func:`_leibniz` on the suffix-local tables of
+    :func:`_suffix_tables`.  Cached in p."""
     key = ("du", u)
     hit = p._blocks.get(key)
     if hit is None:
         odd_bits, tables = _suffix_tables(p)
-        odd = sum(bit for bit, x in zip(odd_bits, u) if x)
         acc: dict = {}
-        for j, terms in tables:
-            ej = u[j]
-            if not ej:
-                continue
-            rest_odd = odd & ~(1 << j)
-            rest = u[:j] + (ej - 1,) + u[j + 1:]
-            for kappa, items, c, f_odd, sign_mask in terms:
-                if rest_odd & f_odd:
-                    continue
-                if items:
-                    exps = list(rest)
-                    for q, x in items:
-                        exps[q] += x
-                    exps = tuple(exps)
-                else:
-                    exps = rest
-                t = ej * c
-                if (rest_odd & sign_mask).bit_count() & 1:
-                    t = -t
-                k = (kappa, exps)
-                v = acc.get(k, 0) + t
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
+        for t, kappa, u2 in _leibniz(tables, odd_bits, u, 0):
+            k = (kappa, u2)
+            v = acc.get(k, 0) + t
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
         hit = p._blocks[key] = tuple((c, kappa, u2)
                                      for (kappa, u2), c in acc.items())
     return hit
@@ -879,12 +874,12 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
     ``skip`` are left empty.  Every row carries the one factor L, so
     ranks and pivot columns are those of d.  Each source block is a core
     slice times a suffix monomial u, and d(m u) = d(m) u + (-1)^|m| m d(u):
-    the first term is the cached d of the core slice moved to the blocks
-    s u, the second the core's cached multiplication by each kappa of
-    d(u) = sum kappa u' placed in the blocks u'.  The first term comes
-    first into an empty row, and distinct s give distinct blocks s u, so
-    its entries are assigned with no merge; the second adds into them.
-    A presentation that is its own core has the one block u = ().
+    the first term is the cached d of the core slice, each s of it moved
+    to the block s u with the sign of s u, the second the core's cached
+    multiplication by each kappa of d(u) = sum c kappa u' placed in the
+    block u' with the sign (-1)^|m| c.  Both are (factor, target offset,
+    entries) for one loop, the first term's ahead of the second's.  A
+    presentation that is its own core has the one block u = ().
     ``tgt`` may be a view of the target slice, with its ``dim`` and only
     some of its ``blocks``: terms in the blocks it leaves out are not
     built.
@@ -898,33 +893,23 @@ def _assemble(p: Presentation, src, tgt, skip=frozenset()) -> list[dict]:
     for u, sl, off in src.blocks:
         if not sl.dim:
             continue
-        # s -> (sign of s u, offset of block s u), or None if s u = 0
-        shifts: dict = {}
-        for i, terms in _core_differential(p, sl):
-            if off + i in skip:
-                continue
-            row = rows[off + i]
-            for s, coords in terms:
-                if s not in shifts:
-                    prod = _suffix_product(parities, s, u)
-                    toff = prod and offsets.get(prod[1])
-                    shifts[s] = None if toff is None else (prod[0], toff)
-                if shifts[s] is None:
-                    continue
-                sign, toff = shifts[s]
-                for j, v in coords:
-                    row[cols[j + toff]] = v if sign > 0 else -v
+        terms = []
+        for s, entries in _core_differential(p, sl):
+            prod = _suffix_product(parities, s, u)
+            toff = prod and offsets.get(prod[1])
+            if toff is not None:
+                terms.append((prod[0], toff, entries))
         odd = sl.degree & 1
         muls = core._blocks.setdefault(("mul", sl.degree, sl.weight), {})
         for c, kappa, u2 in _suffix_differential(p, u):
             toff = offsets.get(u2)
             if toff is None:
                 continue  # the core slice of m kappa is empty
-            if odd:
-                c = -c
             entries = muls.get(kappa)
             if entries is None:
                 entries = muls[kappa] = _multiplication(core, kappa, sl)
+            terms.append((-c if odd else c, toff, entries))
+        for c, toff, entries in terms:
             for i, j, v in entries:
                 i += off
                 if i in skip:
@@ -1166,19 +1151,12 @@ class VerificationReport:
 
 
 def _normal_form(p: Presentation, terms: dict) -> dict:
-    """Normal form of a homogeneous element of p's free algebra.
-
-    A monomial is a core monomial times a monomial u in the relation-free
-    suffix; the part at each u is reduced in the core's slice of its
-    (degree, weight), so no slice of p is built.
-    """
-    ctx = p.core.context
+    """Normal form of a homogeneous element of p's free algebra, each
+    suffix part reduced by :func:`_core_parts`."""
     out = {}
-    for u, part in _split_suffix(terms, len(ctx.generators)).items():
-        m = next(iter(part))
-        sl = quotient_slice(p.core, ctx.monomial_degree(m),
-                            ctx.monomial_weight(m))
-        for (b, e), c in sl.reduce(part).items():
+    for u, sl, coords in _core_parts(p, terms):
+        for j, c in coords.items():
+            b, e = sl.quotient[j]
             out[Monomial(b, e + u)] = c
     return out
 

@@ -68,6 +68,8 @@ form's slice dimensions must match its coefficients.
 ``p1_configuration_table`` and ``p1_configuration_invariants`` are the
 cohomology of r >= 3 ordered points on P^1 and its S_r-invariant part,
 from closed forms alone: F(P^1, r) is PGL_2 times M_{0,r}.
+``unordered_configuration_sign`` is the sign part of the cohomology of
+r ordered points on any base, counted from the base's classes alone.
 
 ``markowitz_pivots`` is the pivot sequence of ``linalg._eliminate``
 from its documented policy alone: Fraction elimination with a plain
@@ -95,6 +97,7 @@ expansion below, and ideal membership is dense elimination in one
 (degree, weight) slice.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -546,6 +549,26 @@ def p1_configuration_invariants(r, t_max):
     Getzler's S_n-equivariant Poincare polynomials of M_{0,n} (1995).
     So the sign-isotypic table is empty."""
     return {(d, w): 1 for d, w in ((0, 0), (3, 4)) if d <= t_max}
+
+
+def unordered_configuration_sign(base, r, t_max):
+    """{(degree, weight): dim} of the sign part of H*(F(X, r)) under S_r,
+    to degree t_max, from the base's classes alone: the length-r part of
+    Sym(Pi H*(X)), in which the parity shift makes the even classes
+    exterior and the odd ones polynomial.  So it counts the multisets of
+    r basis classes in which each even class appears at most once, each
+    at the sums of its classes' degrees and weights."""
+    table = {}
+    for classes in itertools.combinations_with_replacement(
+            range(base.dim), r):
+        if any(a == b and not base.degrees[a] & 1
+               for a, b in zip(classes, classes[1:])):
+            continue
+        key = (sum(base.degrees[a] for a in classes),
+               sum(base.weights[a] for a in classes))
+        if key[0] <= t_max:
+            table[key] = table.get(key, 0) + 1
+    return table
 
 
 def _free_weights(p, degree):

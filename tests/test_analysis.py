@@ -5,7 +5,7 @@ import pytest
 
 from cdgacalc import analysis, engine
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
-                              GeneratorSpec)
+                              GeneratorSpec, Monomial)
 from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                character_euler,
                                compose,
@@ -26,7 +26,8 @@ from cdgacalc.models import (build_base, configuration_model,
                              twisted_section_model)
 from oracle import (evaluate_at_one, isotypic_projector, isotypic_table,
                     map_matrix, matmul, p1_configuration_invariants,
-                    p1_configuration_table, regular_character, same_matrix)
+                    p1_configuration_table, regular_character, same_matrix,
+                    unordered_configuration_sign)
 
 
 def series(coeffs, trunc, var="w"):
@@ -399,6 +400,31 @@ def test_actions_keep_the_core_and_the_suffix_apart():
             assert all((t < n) == (g < n) for g, t in enumerate(gen_to))
 
 
+def test_restricted_actions_image_core_monomials_as_the_padded_ones():
+    # the isotypic bases image core monomials by each action restricted to
+    # the core: the whole action on the padded monomial, sliced back
+    checked = 0
+    for kind, space, r, param in [
+            ("A", "P1", 3, "1"), ("A", "S1", 3, "1"), ("A", "P2", 3, "1"),
+            ("C", "P1", 3, None), ("C", "S1", 3, None), ("C", "P2", 3, None),
+            ("A", "P1xP1", 2, "[1:1]")]:
+        p = _model(kind, space, r, param)
+        core = p.core
+        n = len(core.context.generators)
+        pad = (0,) * (len(p.context.generators) - n)
+        basis = [m for d in range(7) for w in _slice_weights(core, d)
+                 for m in quotient_slice(core, d, w).quotient]
+        for sig in all_permutations(r):
+            action = symmetric_action(p, sig)
+            restricted = action.restricted(core.context)
+            for b, e in basis:
+                (b2, e2), c = action.image(Monomial(b, e + pad))
+                assert restricted.image(Monomial(b, e)) \
+                    == (Monomial(b2, e2[:n]), c), (p.name, sig, b, e)
+                checked += 1
+    assert checked > 2000
+
+
 def test_induced_bases_on_a_proper_sign_stabiliser():
     # in P2 r=3 the suffix monomial alpha1 alpha2 has stabiliser <(01)>
     # in S_3, and the swap acts on it by -1
@@ -581,6 +607,22 @@ def test_points_on_p1_match_closed_forms(r):
             == p1_configuration_invariants(r, r + 1)
         assert isotypic_cohomology(p, group, sign_character(r),
                                    r + 1).entries == {}
+
+
+@pytest.mark.parametrize("space, r", [
+    ("P1", 1), ("P1", 2), ("P1", 3), ("P1", 4), ("P1", 5),
+    ("P2", 1), ("P2", 2), ("P2", 3), ("P2", 4),
+    ("S1", 1), ("S1", 2), ("S1", 3), ("S1", 4),
+    ("P1xP1", 1), ("P1xP1", 2), ("P1xP1", 3),
+    ("S2", 3), ("S1xP1", 2), ("P3", 3)])
+def test_sign_part_of_configuration_spaces_matches_the_shifted_classes(
+        space, r):
+    # the length-r part of Sym(Pi H*(X)), which calls no engine; it pins
+    # the induced isotypic path, stabiliser projectors included
+    base = build_base(parse_space(space))
+    table = isotypic_cohomology(configuration_model(base, r),
+                                all_permutations(r), sign_character(r), r + 3)
+    assert table.entries == unordered_configuration_sign(base, r, r + 3)
 
 
 # Total dims of H^0..H^6 of the trivial and sign pieces under the full

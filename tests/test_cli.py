@@ -269,6 +269,18 @@ def test_invalid_custom_file_exits_2(tmp_path, capsys):
     assert "pairing" in err
 
 
+def test_r1_series_on_a_point_exits_2_naming_alpha(tmp_path, capsys):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({
+        "name": "point", "n": 0, "basis": [{"label": "1", "degree": 0}],
+        "unit": "1", "fundamental": "1"}))
+    code, out, err = run_cli(capsys, "series", "--kind", "r1", "--space",
+                             f"custom:{point}", "--max", "4")
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1
+    assert "alpha would have degree 2n - 1 = -1" in err
+
+
 P1_CLONE = {
     "name": "clone", "n": 1,
     "basis": [{"label": "1", "degree": 0}, {"label": "h", "degree": 2}],

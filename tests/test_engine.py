@@ -855,14 +855,24 @@ def _models_with_suffix_to(max_degree):
 
 def test_suffix_differential_equals_the_leibniz_route():
     # the suffix-local tables give d(u) with the Leibniz routine's terms,
-    # order and signs, on every suffix monomial a block can carry
+    # order and signs, on every suffix monomial a block can carry; the
+    # terms are also L times the factor-by-factor expansion of d(u),
+    # which shares no loop with the engine's
     checked = Counter()
     for p, top in _models_with_suffix_to(8):
+        n = len(p.core.context.generators)
+        unit = p.context.base.unit
         for d in range(top + 1):
             for suffix in p._suffix_monomials(d).values():
                 for u in suffix:
                     got = _suffix_differential(p, u)
                     assert got == suffix_differential(p, u), (p.name, u)
+                    free = free_differential(
+                        p, Monomial(unit, (0,) * n + u))
+                    assert ({Monomial(kappa.base, kappa.exps + u2): c
+                             for c, kappa, u2 in got}
+                            == {m: p._scale * c
+                                for m, c in free.terms.items()}), (p.name, u)
                     checked[len(got) > 1] += 1
     assert checked[True] > 1000 and checked[False]
 
