@@ -382,6 +382,11 @@ def main(argv=None) -> int:
     except (AlgebraError, OSError) as err:
         print(f"cdgacalc: error: {_one_line(err)}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the size bounds admitted a request that still ran out of memory
+        print("cdgacalc: error: the request is too large for the available "
+              "memory", file=sys.stderr)
+        return 2
 
 
 def _attach_dash_values(argv) -> list[str]:

@@ -21,7 +21,11 @@ every normal form are those of eliminating the whole free slice; the
 free slices of a model with a suffix are never enumerated, and its basis
 monomials are only made when something reads them.  The suffix
 monomials u come from :func:`~cdgacalc.algebra.monomial_walk`, the walk
-that also lists the free slices of a context.
+that also lists the free slices of a context.  Each core keeps an index,
+degree -> {weight: nonempty core slice}, built per degree on first use: the
+blocks of a factored slice, the weights of a degree's slices and the
+verify count all read it, and a closed-form core fills it from its
+basis, so no empty core slice is built.
 
 A core slice is a :class:`SliceBasis` made one of two ways.  The core of
 every built-in model is the Kriz-Totaro algebra of a configuration
@@ -139,8 +143,8 @@ class Presentation:
     __slots__ = ("context", "relations", "differential", "name", "params",
                  "_relation_grades", "_derivations", "_scale", "_odd_bits",
                  "_cache", "_core", "_suffix", "_support", "_suffix_terms",
-                 "_weights", "_reduced", "_blocks", "_certificate",
-                 "_closed_form")
+                 "_weights", "_nonempty", "_reduced", "_blocks",
+                 "_certificate", "_closed_form")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -207,6 +211,8 @@ class Presentation:
         # _suffix_tables: d on the suffix generators, local to the suffix
         self._suffix_terms = None
         self._weights: dict = {}
+        # _core_slices' index of a core: degree -> {weight: nonempty slice}
+        self._nonempty: dict = {}
         self._reduced: Optional[Presentation] = None
         # d of core slices, d of suffix monomials, multiplication operators,
         # pivot columns of the top ranked slice of each weight; analysis adds
@@ -570,9 +576,13 @@ class FactoredSlice:
     in ``Presentation._suffix_monomials`` order (suffix degree, then
     weight, then exponents) whose core slice at (degree - |u|,
     weight - wt u) is nonempty; block u holds that slice times u, in the
-    slice's order, from coordinate ``offset`` on.  Its basis as a set,
-    and every normal form, are the ones eliminating the whole free slice
-    gives.  ``quotient`` and ``index`` are built on first read.
+    slice's order, from coordinate ``offset`` on.  The slices come from
+    the core's index of nonempty slices (:func:`_core_slices`), so no
+    empty core slice is built for a closed-form core.  Its basis as a
+    set, and every normal form, are the ones eliminating the whole free
+    slice gives.  ``quotient`` and ``index`` are built on first read.
+    A suffix part without a block must lie in a core slice the index
+    does not hold, where it reduces to zero.
     """
 
     def __init__(self, degree: int, weight: int,
@@ -606,11 +616,14 @@ class FactoredSlice:
             if hit is None:
                 du, wu = _suffix_grade(self._context, n, u)
                 d, w = self.degree - du, self.weight - wu
-                if d < 0 or w < 0:
+                if d < 0 or w in _core_slices(core, d):
                     raise AlgebraError(f"monomial outside slice (degree "
                                        f"{self.degree}, weight {self.weight})")
-                # no block: the core slice is empty and checks the part
-                quotient_slice(core, d, w).coords(part)
+                # no block: the core slice is empty, and an uncached empty
+                # slice checks the part (a generic core has it cached)
+                closed = core._closed_form
+                (SliceBasis(d, w, (), {}, {}, closed) if closed is not None
+                 else quotient_slice(core, d, w)).coords(part)
                 continue
             sl, off = hit
             sl.add_normal_form(out, part.items(), off)
@@ -652,16 +665,18 @@ def quotient_slice(p: Presentation, degree: int,
     """Deterministic basis + projector for one slice of the quotient.
 
     The core's slices are :class:`SliceBasis` objects: listed by its
-    closed form when it has one (an empty slice costs one lookup), else
-    from the rref of their ideal slice.  Any other presentation's slice
-    is a
-    :class:`FactoredSlice`: the union over monomials u in its
-    relation-free suffix of the core's slice at (degree - |u|,
-    weight - wt u) times u.  The ideal slice is block-diagonal in u with
-    those blocks, so the basis as a set and every normal form are the
-    ones the rref of the whole ideal slice would give; the basis is in
-    block order, not in canonical order.  Cached in p; a cached slice
-    is returned before anything else is read.
+    closed form when it has one, else from the rref of their ideal
+    slice.  Any other presentation's slice is a :class:`FactoredSlice`:
+    the union over monomials u in its relation-free suffix of the core's
+    slice at (degree - |u|, weight - wt u) times u.  The walk visits
+    only the core degrees where the core's index (:func:`_core_slices`)
+    holds a nonempty slice, with |u| rising, and finds the core slice of
+    each suffix weight group by one lookup there, so it builds no empty
+    core slice.  The ideal slice is block-diagonal in u with those
+    blocks, so the basis as a set and every normal form are the ones the
+    rref of the whole ideal slice would give; the basis is in block
+    order, not in canonical order.  Cached in p; a cached slice is
+    returned before anything else is read.
     """
     key = ("slice", degree, weight)
     hit = p._cache.get(key)
@@ -695,11 +710,12 @@ def quotient_slice(p: Presentation, degree: int,
         blocks = []
         offset = 0
         for du in range(degree + 1):
+            slices = _core_slices(core, degree - du)
+            if not slices:
+                continue
             for wu, suffix in p._suffix_monomials(du).items():
-                if wu > weight:
-                    continue
-                sl = quotient_slice(core, degree - du, weight - wu)
-                if sl.dim:
+                sl = slices.get(weight - wu)
+                if sl is not None:
                     for u in suffix:
                         blocks.append((u, sl, offset))
                         offset += sl.dim
@@ -1054,27 +1070,45 @@ def _slice_weights(p: Presentation, degree: int) -> list[int]:
 
     A slice is the sum over suffix monomials u of core slices at
     (degree - |u|, weight - wt u), so it is nonempty exactly when one of
-    those core slices is.  A closed-form core reads its weights off the
-    degree's basis; any other core tries each weight of its free slice.
+    those core slices is: the weights are the sums of a weight of the
+    core's index at degree - |u| (:func:`_core_slices`) and one of the
+    suffix's at |u|, over the core degrees the index holds a slice in.
+    No empty core slice of a closed-form core is built.
     """
     hit = p._weights.get(degree)
     if hit is None:
         core = p.core
-        if core is p and p._closed_form is not None:
-            # the closed form lists only nonempty slices
-            weights = set(p._closed_form.basis(degree))
-        elif core is p:
-            ctx = p.context
-            weights = {k for k in {ctx.monomial_weight(m)
-                                   for m in ctx.monomials_of(degree)}
-                       if quotient_slice(p, degree, k).dim}
-        else:
-            weights = set()
-            for du in range(degree + 1):
-                below = _slice_weights(core, degree - du)
-                for wu in _suffix_support(p, du):
-                    weights.update(k + wu for k in below)
+        weights = set()
+        for du in range(degree + 1):
+            support = _suffix_support(p, du)
+            if support:
+                for k in _core_slices(core, degree - du):
+                    weights.update(k + wu for wu in support)
         hit = p._weights[degree] = sorted(weights)
+    return hit
+
+
+def _core_slices(core: Presentation, degree: int) -> dict:
+    """The index of a core's nonempty slices in one degree: weight ->
+    :class:`SliceBasis`, built for a degree on first use and kept apart
+    from the slice cache, which holds the same objects.
+
+    A closed-form core reads the weights off the degree's basis, so it
+    builds no empty slice; any other core builds the slice of each weight
+    of its free slice and keeps those of nonzero dim.
+    """
+    hit = core._nonempty.get(degree)
+    if hit is None:
+        closed = core._closed_form
+        if closed is not None:
+            weights = closed.basis(degree)
+        else:
+            ctx = core.context
+            weights = {ctx.monomial_weight(m)
+                       for m in ctx.monomials_of(degree)}
+        hit = core._nonempty[degree] = {
+            k: sl for k in weights
+            if (sl := quotient_slice(core, degree, k)).dim}
     return hit
 
 

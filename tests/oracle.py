@@ -57,6 +57,10 @@ routine on the padded full monomial, which the suffix-local tables of
 ``engine._suffix_tables`` replaced, and ``slice_weights`` a degree's
 slice weights from the suffix monomials ``suffix_monomials`` lists,
 which ``engine._suffix_support``'s reachability table replaced.
+``every_group_blocks`` is the walk over every suffix weight group that
+``quotient_slice`` made before ``engine._core_slices``' index of the
+nonempty core slices replaced it, and ``nonempty_core_slices`` that
+index from the slice of every free weight.
 ``rref_slice_basis`` is the core slice from the rref of its ideal
 slice, taken also when the ideal slice has no rows, which
 ``quotient_slice`` now skips.
@@ -65,11 +69,12 @@ slice, taken also when the ideal slice has no rows, which
 Totaro's formula and the base's degrees and weights alone; the closed
 form's slice dimensions must match its coefficients.
 
-``p1_configuration_table`` and ``p1_configuration_invariants`` are the
-cohomology of r >= 3 ordered points on P^1 and its S_r-invariant part,
-from closed forms alone: F(P^1, r) is PGL_2 times M_{0,r}.
-``unordered_configuration_sign`` is the sign part of the cohomology of
-r ordered points on any base, counted from the base's classes alone.
+``p1_configuration_table`` is the cohomology of r >= 3 ordered points
+on P^1 from a closed form alone: F(P^1, r) is PGL_2 times M_{0,r}.
+``unordered_configuration_table`` and ``unordered_configuration_sign``
+are the trivial and the sign part of the cohomology of r ordered points
+on any base under S_r, from the base's classes alone: the first from a
+small dense complex, the second by counting.
 
 ``markowitz_pivots`` is the pivot sequence of ``linalg._eliminate``
 from its documented policy alone: Fraction elimination with a plain
@@ -255,7 +260,7 @@ def reference_differential_matrix(p, degree, weight):
 def densify(terms, index, width):
     row = [Fraction(0)] * width
     for m, c in terms.items():
-        row[index[m]] += Fraction(int(c.numerator), int(c.denominator))
+        row[index[m]] += _fraction(c)
     return row
 
 
@@ -472,6 +477,32 @@ def slice_weights(p, degree):
                    for k in _slice_weights(core, degree - du)})
 
 
+def every_group_blocks(p, degree, weight):
+    """The blocks (u, core slice, offset) of p's (degree, weight) slice by
+    the walk over every suffix weight group of every suffix degree, which
+    looks up the core slice of each group, empty or not."""
+    core = p.core
+    blocks = []
+    offset = 0
+    for du in range(degree + 1):
+        for wu, suffix in p._suffix_monomials(du).items():
+            if wu > weight:
+                continue
+            sl = quotient_slice(core, degree - du, weight - wu)
+            if sl.dim:
+                for u in suffix:
+                    blocks.append((u, sl, offset))
+                    offset += sl.dim
+    return tuple(blocks)
+
+
+def nonempty_core_slices(core, degree):
+    """weight -> the nonempty slice of a core in one degree, from the
+    slice of every weight of its free slice."""
+    return {k: sl for k in _free_weights(core, degree)
+            if (sl := quotient_slice(core, degree, k)).dim}
+
+
 def rref_slice_basis(p, degree, weight):
     """The SliceBasis of a presentation that is its own core, from the
     rref of its ideal slice."""
@@ -542,13 +573,93 @@ def p1_configuration_table(r, t_max):
     return {(d, w): c for (d, w), c in table.items() if d <= t_max}
 
 
-def p1_configuration_invariants(r, t_max):
-    """{(degree, weight): dim} of H*(F(P^1, r))^{S_r}, r >= 3, to degree
-    t_max: 1 + t^3 w^4.  S_r acts trivially on H*(PGL_2); the invariants
-    of H*(M_{0,r}) are Q in degree 0 and its sign part is zero, by
-    Getzler's S_n-equivariant Poincare polynomials of M_{0,n} (1995).
-    So the sign-isotypic table is empty."""
-    return {(d, w): 1 for d, w in ((0, 0), (3, 4)) if d <= t_max}
+def unordered_configuration_table(base, r, t_max):
+    """{(degree, weight): dim} of H*(F(X, r))^{S_r}, the cohomology of r
+    unordered points on the base, to degree t_max, from the base's
+    classes alone: the length-r part of (Lambda(V + W), d).
+
+    V is H*(X), each class v_a of length 1 at its own degree and weight;
+    W is H*(X) shifted by 2n - 1 in degree and 2n in weight, each class
+    w_b of length 2.  d is zero on V and sends w_b to (b (x) 1) Delta,
+    taken in Lambda^2 V: each term c b_j (x) b_i of the diagonal class
+    gives c v_k v_i for each basis class b_k of the product b b_j, with
+    its coefficient.  This is the Felix-Thomas model (Topology Appl.
+    102, 2000), which Knudsen re-derives as a Chevalley-Eilenberg
+    complex (Algebr. Geom. Topol. 17, 2017).  A monomial is a sorted
+    tuple of generator indices, V's before W's, each odd one at most
+    once; the ranks are dense, by ``rank_of``."""
+    n = base.n
+    # (degree, weight, length) of v_0.. v_(dim-1), then w_0.. w_(dim-1)
+    gens = [(base.degrees[a], base.weights[a], 1) for a in range(base.dim)]
+    gens += [(d + 2 * n - 1, w + 2 * n, 2) for d, w, _ in gens]
+    odd = [d & 1 for d, _, _ in gens]
+
+    slices = {}
+
+    def grow(start, mono, length, degree, weight):
+        if length == r:
+            slices.setdefault((degree, weight), []).append(mono)
+            return
+        for g in range(start, len(gens)):
+            d, w, k = gens[g]
+            if length + k <= r and degree + d <= t_max + 1:
+                grow(g + odd[g], mono + (g,), length + k, degree + d,
+                     weight + w)
+
+    grow(0, (), 0, 0, 0)
+
+    def times(x, y):
+        """(sign, sorted tuple) of x y; sign 0 when an odd one repeats."""
+        sign = 1
+        for b in y:
+            if odd[b]:
+                if b in x:
+                    return 0, ()
+                if sum(odd[a] for a in x if a > b) & 1:
+                    sign = -sign
+        return sign, tuple(sorted(x + y))
+
+    # generator index of w_b -> d(w_b) as {sorted (k, i): coefficient}
+    triples = _diagonal_triples(base, dual_basis(base))
+    dw = {}
+    for b in range(base.dim):
+        image = {}
+        for j, i, c in triples:
+            for k, c2 in base.product(b, j).items():
+                sign, vv = times((k,), (i,))
+                if sign:
+                    image[vv] = image.get(vv, 0) + sign * _fraction(c * c2)
+        dw[base.dim + b] = image
+
+    def d_rows(degree, weight):
+        target = {m: i for i, m in
+                  enumerate(slices.get((degree + 1, weight), ()))}
+        rows = []
+        for mono in slices.get((degree, weight), ()):
+            row = [Fraction(0)] * len(target)
+            for p, g in enumerate(mono):
+                # d passes the factors before it: (-1)^(their degree)
+                lead = -1 if sum(gens[a][0] for a in mono[:p]) & 1 else 1
+                for vv, c in dw.get(g, {}).items():
+                    s1, left = times(mono[:p], vv)
+                    s2, term = times(left, mono[p + 1:])
+                    if s1 * s2:
+                        row[target[term]] += lead * s1 * s2 * c
+            rows.append(row)
+        return rows
+
+    ranks = {key: rank_of(d_rows(*key)) for key in slices if key[0] <= t_max}
+    table = {}
+    for (d, w), monos in slices.items():
+        if d <= t_max:
+            dim = len(monos) - ranks[d, w] - ranks.get((d - 1, w), 0)
+            if dim:
+                table[d, w] = dim
+    return table
+
+
+def _fraction(c):
+    return Fraction(int(c.numerator), int(c.denominator))
 
 
 def unordered_configuration_sign(base, r, t_max):

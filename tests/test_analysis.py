@@ -25,9 +25,10 @@ from cdgacalc.models import (build_base, configuration_model,
                              section_model, symmetric_action,
                              twisted_section_model)
 from oracle import (evaluate_at_one, isotypic_projector, isotypic_table,
-                    map_matrix, matmul, p1_configuration_invariants,
-                    p1_configuration_table, regular_character, same_matrix,
-                    unordered_configuration_sign)
+                    map_matrix, matmul, p1_configuration_table,
+                    regular_character, same_matrix,
+                    unordered_configuration_sign,
+                    unordered_configuration_table)
 
 
 def series(coeffs, trunc, var="w"):
@@ -599,12 +600,13 @@ def test_points_on_p1_match_closed_forms(r):
     # the model is its own core, so each isotypic basis is the one
     # block's stabiliser projector, an orbit sum over up to 5! = 120
     # permutations at r = 5
-    p = configuration_model(build_base(parse_space("P1")), r)
+    base = build_base(parse_space("P1"))
+    p = configuration_model(base, r)
     assert cohomology(p, r + 1).entries == p1_configuration_table(r, r + 1)
     if r <= 5:
         group = all_permutations(r)
         assert invariant_cohomology(p, group, r + 1).entries \
-            == p1_configuration_invariants(r, r + 1)
+            == unordered_configuration_table(base, r, r + 1)
         assert isotypic_cohomology(p, group, sign_character(r),
                                    r + 1).entries == {}
 
@@ -623,6 +625,21 @@ def test_sign_part_of_configuration_spaces_matches_the_shifted_classes(
     table = isotypic_cohomology(configuration_model(base, r),
                                 all_permutations(r), sign_character(r), r + 3)
     assert table.entries == unordered_configuration_sign(base, r, r + 3)
+
+
+@pytest.mark.parametrize("space, r", [
+    ("P1", 1), ("P1", 2), ("P1", 3), ("P1", 4), ("P1", 5), ("P1", 6),
+    ("P2", 1), ("P2", 2), ("P2", 3), ("P2", 4),
+    ("S1", 1), ("S1", 2), ("S1", 3), ("S1", 4),
+    ("P1xP1", 1), ("P1xP1", 2), ("P1xP1", 3), ("S2", 3)])
+def test_invariant_part_of_configuration_spaces_matches_the_small_complex(
+        space, r):
+    # the length-r part of (Lambda(V + W), d), built from the base's
+    # classes and its diagonal, with dense ranks and no engine call
+    base = build_base(parse_space(space))
+    table = invariant_cohomology(configuration_model(base, r),
+                                 all_permutations(r), r + 3)
+    assert table.entries == unordered_configuration_table(base, r, r + 3)
 
 
 # Total dims of H^0..H^6 of the trivial and sign pieces under the full

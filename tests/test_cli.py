@@ -281,6 +281,21 @@ def test_r1_series_on_a_point_exits_2_naming_alpha(tmp_path, capsys):
     assert "alpha would have degree 2n - 1 = -1" in err
 
 
+def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    # exit 1 is kept for verification failures; the failing allocation is
+    # simulated, not made
+    def build(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_build_model", build)
+    code, out, err = run_cli(capsys, "cohomology", "--space", "P1", "--r",
+                             "17", "--max-degree", "10")
+    assert code == 2 and not out
+    assert err == ("cdgacalc: error: the request is too large for the "
+                   "available memory\n")
+    assert "Traceback" not in err
+
+
 P1_CLONE = {
     "name": "clone", "n": 1,
     "basis": [{"label": "1", "degree": 0}, {"label": "h", "degree": 2}],

@@ -9,7 +9,8 @@ from cdgacalc.algebra import (AlgebraContext, AlgebraError, Element,
 from cdgacalc.analysis import (all_permutations, isotypic_cohomology,
                                sign_character, weightwise_euler)
 from cdgacalc.engine import (Presentation, PresentationError, _assemble,
-                             _slice_weights, _suffix_differential,
+                             _core_slices, _slice_weights,
+                             _suffix_differential,
                              cohomology, differential_matrix,
                              differential_rank, ideal_slice, quotient_slice,
                              verify_d_squared)
@@ -18,8 +19,9 @@ from cdgacalc.models import build_base, cotangent_chern, parse_ample_class, \
     parse_space, section_model, configuration_model, twisted_section_model
 from cdgacalc.rat import ONE, Rational
 
-from oracle import (_free_weights, dense_cohomology_dims, free_differential,
-                    is_zero, reference_differential_matrix, rref_slice_basis,
+from oracle import (_free_weights, dense_cohomology_dims, every_group_blocks,
+                    free_differential, is_zero, nonempty_core_slices,
+                    reference_differential_matrix, rref_slice_basis,
                     slice_d_squared, slice_weights, suffix_differential,
                     suffix_monomials, unfactored_slice, unreduced_cohomology)
 from test_acceptance import random_presentation
@@ -333,11 +335,17 @@ def test_reducing_a_monomial_outside_its_slice_raises():
     j = next(j for j, d in enumerate(p.context.gen_degrees[1:]) if d > 1)
     v = tuple(int(i == j) for i in range(len(u)))
     assert v not in blocks
+    # s[1] has no block in slice (2, 2), whose core slice at (1, 0) is
+    # empty; G12 s[1] has the weight of (2, 4)
+    top = quotient_slice(p, 2, 2)
+    s1 = tuple(int(i == 0) for i in range(len(u)))
+    assert [b[0] for b in top.blocks] == [(0,) * len(u)]
     cases = [(quotient_slice(p.core, 0, 0), g12),
              (quotient_slice(hand, 0, 0), Monomial(hand.context.base.unit,
                                                    (1,))),
              (factored, Monomial(unit, (1,) + u)),
-             (factored, Monomial(unit, (0,) + v))]
+             (factored, Monomial(unit, (0,) + v)),
+             (top, Monomial(unit, (1,) + s1))]
     for sl, m in cases:
         for reduce in (sl.coords, sl.reduce):
             with pytest.raises(AlgebraError, match="outside slice"):
@@ -883,6 +891,42 @@ def test_slice_weights_equal_the_suffix_walk():
     for p, top in _models_with_suffix_to(8):
         for d in range(top + 1):
             assert _slice_weights(p, d) == slice_weights(p, d), (p.name, d)
+
+
+def test_blocks_equal_the_every_group_walk():
+    # the index of nonempty core slices gives each slice the blocks, in
+    # the order, of the walk over every suffix weight group; every weight
+    # of the free slice is checked, empty slices included
+    models = [p for space in ("P1", "S1", "P1xP1") for r in (2, 3)
+              for p in _families(space, r)]
+    models += [random_presentation(seed)[0] for seed in range(24)]
+    checked = Counter()
+    for p in models + [p.reduced for p in models]:
+        core = p.core
+        for d in range(9):
+            assert _core_slices(core, d) == nonempty_core_slices(core, d), \
+                (p.name, d)
+            if core is p:
+                continue
+            for k in sorted({wu + kc for du in range(d + 1)
+                             for wu in p._suffix_monomials(du)
+                             for kc in _free_weights(core, d - du)}):
+                blocks = quotient_slice(p, d, k).blocks
+                assert blocks == every_group_blocks(p, d, k), (p.name, d, k)
+                checked[bool(blocks)] += 1
+    assert checked[True] > 1000 and checked[False] > 100
+
+
+def test_solving_table1_builds_no_empty_core_slice():
+    # the factored slices, the slice weights and the verify count read
+    # the core's index, and a closed-form core lists only nonempty slices
+    for space, r, c, _ in cli.TABLE1_JOBS:
+        p = _section(space, r, c)
+        assert verify_d_squared(p, 9).ok
+        cohomology(p, 10)
+        dims = [sl.dim for key, sl in p.core._cache.items()
+                if key[0] == "slice"]
+        assert dims and 0 not in dims, (space, r)
 
 
 def test_multiplication_tables_equal_products_in_the_target_slice():
