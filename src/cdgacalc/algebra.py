@@ -731,8 +731,8 @@ class MonomialPermutation:
         # the image exponent of x_t is that of its source generator
         self._source = tuple(sorted(range(len(self.gen_to)),
                                     key=self.gen_to.__getitem__))
-        self._odd = tuple((g, t) for g, t in enumerate(self.gen_to)
-                          if context.gen_parities[g])
+        self._odd = tuple(g for g, odd in enumerate(context.gen_parities)
+                          if odd)
 
     def base_image(self, b: int) -> tuple[int, int]:
         """``(b', c)`` with phi(b) = c b', for a base class b."""
@@ -750,12 +750,20 @@ class MonomialPermutation:
         hit = self.base_to[b] = (target, -1 if flip else 1)
         return hit
 
-    def restricted(self, context: AlgebraContext) -> "MonomialPermutation":
-        """This map on ``context``, whose generators are the first ones of
-        this map's context, with the same base, and which this map sends
-        to each other."""
-        return MonomialPermutation(context, self.slots,
-                                   self.gen_to[:len(context.generators)])
+    def restricted(self, context: AlgebraContext,
+                   keep: Optional[Sequence[int]] = None
+                   ) -> "MonomialPermutation":
+        """This map on ``context``, whose generators are those listed in
+        ``keep`` of this map's context (by default its first ones), in
+        order, with the same base, and which this map sends to each
+        other.  The memo of base images is shared."""
+        if keep is None:
+            keep = range(len(context.generators))
+        slot = {g: i for i, g in enumerate(keep)}
+        phi = MonomialPermutation(context, self.slots,
+                                  [slot[self.gen_to[g]] for g in keep])
+        phi.base_to = self.base_to
+        return phi
 
     def image(self, mono: Monomial) -> tuple[Monomial, int]:
         """``(m', c)`` with phi(mono) = c m', for a monomial of the
@@ -764,8 +772,10 @@ class MonomialPermutation:
         e = mono.exps
         # inversions among the images of the odd generators, in order
         seen = inversions = 0
-        for g, t in self._odd:
+        gen_to = self.gen_to
+        for g in self._odd:
             if e[g]:
+                t = gen_to[g]
                 inversions += (seen >> t).bit_count()
                 seen |= 1 << t
         return (Monomial(b, tuple(map(e.__getitem__, self._source))),

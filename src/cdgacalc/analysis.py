@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .algebra import (AlgebraError, BaseAlgebra, Monomial,
                       MonomialPermutation)
 from .engine import (CohomologyTable, Presentation, quotient_slice,
-                     _assemble, _certify, _cleared_rank, _entries)
+                     _assemble, _certify, _cleared_rank, _entries,
+                     _free_generators, _tensor_exterior)
 from .linalg import RrefResult, SparseMatrix, rref
 from .models import symmetric_action
 from .rat import Rational, exact
@@ -562,21 +563,46 @@ def _induced_row(off: int, x: dict, moved: list) -> dict:
     return row
 
 
-def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
-                    character: ClassFunction) -> tuple[Callable, int]:
-    """``(basis_at, |G|)``; ``basis_at(degree, weight)`` is the rref of
-    the image of the character-averaging projector on that quotient
-    slice, as a :class:`_LazyRref`, or None when the slice is empty.  See
-    :func:`isotypic_cohomology`."""
-    elems = _closed_with_generators(subgroup)
-    identity = tuple(range(len(elems[0])))
-    if character.r != len(identity):
-        raise AlgebraError(f"class function is on S_{character.r}, "
-                           f"subgroup permutes {len(identity)} points")
+def _fixed_split(p: Presentation, actions: dict) -> tuple:
+    """``(q, keep, factors)``: q is p with the free exterior factors that
+    every action fixes split off (``engine._free_generators``, over the
+    generators every action maps to themselves), ``keep`` the generators
+    of p that q keeps, in order, and ``factors`` the (degree, weight) of
+    the split ones; q is p when none splits.  Built once per set of
+    fixed generators and cached in p, after p is certified; q shares p's
+    core and d^2 certificate."""
+    ngen = len(p.context.generators)
+    fixed = tuple(g for g in range(ngen)
+                  if all(a.gen_to[g] == g for a in actions.values()))
+    key = ("split", fixed)
+    hit = p._blocks.get(key)
+    if hit is None:
+        diff = {g: img.terms for g, img in p.differential.items()}
+        split = _free_generators(p.context, diff,
+                                 len(p.core.context.generators), fixed)
+        q = p._without(set(split), diff, f"{p.name}, split") if split else p
+        # p is certified, and d^2 = 0 passes to its quotient by the
+        # d-stable ideal of the split generators
+        q._certificate = p._certificate
+        hit = p._blocks[key] = (
+            q, [g for g in range(ngen) if g not in split],
+            tuple((p.context.gen_degrees[s], p.context.gen_weights[s])
+                  for s in split))
+    return hit
+
+
+def _isotypic_bases(p: Presentation, actions: dict,
+                    character: ClassFunction) -> Callable:
+    """``basis_at(degree, weight)``: the rref of the image of the
+    character-averaging projector on that quotient slice of p, as a
+    :class:`_LazyRref`, or None when the slice is empty; the group acts
+    by ``actions``, sigma -> action on p's algebra, over its elements in
+    order.  See :func:`isotypic_cohomology`."""
+    elems = list(actions)
+    identity = tuple(range(character.r))
     # char(sigma^{-1}) = char(sigma): a permutation and its inverse have
     # one cycle type
     chi = {sig: exact(character(sig)) for sig in elems}
-    actions = {sig: symmetric_action(p, sig) for sig in elems}
     # the trivial and the sign character are the linear characters of S_r
     r = character.r
     linear = character.values in (trivial_character(r).values,
@@ -695,7 +721,7 @@ def _isotypic_bases(p: Presentation, subgroup: Sequence[Perm],
         view = SimpleNamespace(dim=sl.dim, blocks=tuple(blocks))
         return _LazyRref(tuple(pivots), view, rows)
 
-    return basis_at, len(elems)
+    return basis_at
 
 
 def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
@@ -732,7 +758,7 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     a block's coset images only with its first row.  So no row that
     clearing drops is built, nor any row of a slice of degree
     max_degree + 1, which serves only as a target.  The core images g(m)
-    are cached in p, and so are the suffix orbits, cosets and signed
+    are cached, and so are the suffix orbits, cosets and signed
     stabilisers, per subgroup: no character enters them, and a second
     character on the same subgroup reuses them.  Any other class
     function takes the rows P(m) over the basis monomials m of the whole
@@ -749,11 +775,36 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     are assembled.  No differential matrix of the slices is made.
     d^2 = 0 is certified first (raises :class:`AlgebraError` if it
     fails).
+
+    The free exterior factors that every action fixes are split off
+    first (:func:`_fixed_split`) by the rule of
+    :attr:`~cdgacalc.engine.Presentation.reduced`: s odd and closed, and
+    phi(g) = g - c h s an automorphism with phi^-1 d phi free of s.  As s
+    is G-fixed, the exact sequence 0 -> s A -> A -> A/(s) -> 0 is
+    G-equivariant, and s A is A/(s) shifted by (|s|, wt s), with d
+    negated, as G-complexes.  Its connecting map vanishes, because phi
+    splits it, and taking the image of P is exact over Q, so
+    H^chi(A) = H^chi(A/(s)) (x) Lambda(s) for every class function: the
+    ranks are taken on A/(s), whose actions are the restrictions of A's,
+    and the table is tensored back.  A factor that some action moves,
+    such as alpha_i when d(alpha_i) = 0, is kept: the quotient by it is
+    not G-equivariant.  The split model is cached in p per set of fixed
+    generators, and the core images, suffix orbits and stabiliser bases
+    above are cached in it.
     """
     if max_degree < 0:
         raise AlgebraError("isotypic_cohomology: max_degree must be >= 0")
-    basis_at, order = _isotypic_bases(p, subgroup, character)
+    elems = _closed_with_generators(subgroup)
+    if character.r != len(elems[0]):
+        raise AlgebraError(f"class function is on S_{character.r}, "
+                           f"subgroup permutes {len(elems[0])} points")
+    actions = {sig: symmetric_action(p, sig) for sig in elems}
     _certify(p)
+    q, keep, factors = _fixed_split(p, actions)
+    if q is not p:
+        actions = {sig: a.restricted(q.context, keep)
+                   for sig, a in actions.items()}
+    basis_at = _isotypic_bases(q, actions, character)
 
     def size(degree: int, weight: int) -> int:
         return getattr(basis_at(degree, weight), "rank", 0)
@@ -763,9 +814,9 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
         kept = src.rows(skip) if src and tgt and tgt.rank else ()
         if not kept:
             return []
-        sl = quotient_slice(p, degree, weight)
+        sl = quotient_slice(q, degree, weight)
         touched = set().union(*kept)
-        d = _assemble(p, sl, tgt.view,
+        d = _assemble(q, sl, tgt.view,
                       {j for j in range(sl.dim) if j not in touched})
         # d(x) lies in the target's rref span, where its coordinates are
         # its entries at the pivot columns, which the view holds
@@ -781,10 +832,11 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
             images.append(image)
         return images
 
-    entries = _entries(p, max_degree, size,
+    entries = _entries(q, max_degree, size,
                        partial(_cleared_rank, {}, {}, size, rows))
-    model = {"name": p.name, **p.params, "subgroup_order": order}
-    return CohomologyTable(entries, max_degree, model)
+    model = {"name": p.name, **p.params, "subgroup_order": len(elems)}
+    return CohomologyTable(_tensor_exterior(entries, factors, max_degree),
+                           max_degree, model)
 
 
 def invariant_cohomology(p: Presentation, subgroup: Sequence[Perm],
@@ -803,7 +855,9 @@ def character_euler(p: Presentation, chi: ClassFunction,
     trace(sigma | slice(i, k)).  For the trivial character this is the
     weightwise Euler characteristic of the invariants; for the character
     of the regular representation it collapses to the plain weightwise
-    Euler characteristic.
+    Euler characteristic.  The trace is a class function, so the sum
+    runs over one permutation per cycle type lambda, weighted by its
+    class size r!/z_lambda: p(r) actions are built, not r!.
     """
     _check_weight_bounds(p)
     r = p.params.get("r")
@@ -811,9 +865,19 @@ def character_euler(p: Presentation, chi: ClassFunction,
         raise AlgebraError("presentation carries no point count r")
     if chi.r != r:
         raise AlgebraError(f"class function is on S_{chi.r}, model has r={r}")
-    perms = all_permutations(r)
-    actions = {sig: symmetric_action(p, sig) for sig in perms}
-    weights = [(sig, c) for sig in perms if (c := exact(chi(sig)))]
+    weights = []
+    for part in _partitions(r):
+        # the cycles (0 1 .. l-1), (l ..), ... of the partition's lengths
+        sig, start = [], 0
+        for length in part:
+            sig += [*range(start + 1, start + length), start]
+            start += length
+        sig = tuple(sig)
+        counts = {length: part.count(length) for length in part}
+        z = math.prod(n ** k * math.factorial(k) for n, k in counts.items())
+        if c := exact(chi(sig)):
+            weights.append((sig, c * (math.factorial(r) // z)))
+    actions = {sig: symmetric_action(p, sig) for sig, _ in weights}
     coeffs: dict[int, int] = {}
     for k in range(w_max + 1):
         total = 0

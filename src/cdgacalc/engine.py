@@ -58,14 +58,19 @@ monomial: a reachability table gives the weights the suffix monomials
 of each degree reach, each odd generator used at most once, and it
 grows only when a higher degree is asked for.
 
-Cohomology is computed on a presentation's *reduced* model: every pair
-of suffix generators (x, y) with d x = c y + phi, c a nonzero scalar and
+Cohomology is computed on a presentation's *reduced* model.  First each
+free exterior factor is split off: an odd closed suffix generator s
+whose every occurrence in d is c d(h s) for a generator h, so that
+g -> g - c h s removes it from d and A = A/(s) (x) Lambda(s) as CDGAs;
+the table of A/(s) is tensored back with Lambda(s).  Then every pair of
+suffix generators (x, y) with d x = c y + phi, c a nonzero scalar and
 neither x nor y in phi, is cancelled by x = 0, y = -phi/c.  That is a
-weight-preserving quasi-isomorphism; on the section and twisted models
-it removes eta_1 and s[X], and with them most of every large slice.  The
-reduced model shares the core and its cached slices.  The S_r actions,
-the character-weighted Euler series and the weightwise Euler series stay
-on the model as built.
+weight-preserving quasi-isomorphism.  On the section and twisted models
+the two steps remove s[1], eta_1 and s[X], and with them most of every
+large slice.  The reduced model shares the core and its cached slices.
+The S_r actions, the character-weighted Euler series and the weightwise
+Euler series stay on the model as built; the isotypic ranks split off
+only the factors that every action fixes.
 
 d^2 = 0 is certified on generators, not slice by slice: once d maps
 every relation into the ideal, d^2 is a derivation of the quotient, so
@@ -143,7 +148,7 @@ class Presentation:
     __slots__ = ("context", "relations", "differential", "name", "params",
                  "_relation_grades", "_derivations", "_scale", "_odd_bits",
                  "_cache", "_core", "_suffix", "_support", "_suffix_terms",
-                 "_weights", "_nonempty", "_reduced", "_blocks",
+                 "_weights", "_nonempty", "_reduced", "_factors", "_blocks",
                  "_certificate", "_closed_form")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
@@ -214,9 +219,13 @@ class Presentation:
         # _core_slices' index of a core: degree -> {weight: nonempty slice}
         self._nonempty: dict = {}
         self._reduced: Optional[Presentation] = None
+        # (degree, weight) of the free exterior factors the reduced model
+        # splits off, which cohomology tensors back
+        self._factors: tuple = ()
         # d of core slices, d of suffix monomials, multiplication operators,
         # pivot columns of the top ranked slice of each weight; analysis adds
-        # core slices' images under the S_r actions
+        # core slices' images under the S_r actions, suffix orbits and the
+        # model split by the free factors a subgroup fixes
         self._blocks: dict = {}
         # verify_d_squared's check of the relations and generators
         self._certificate: Optional[VerificationReport] = None
@@ -280,17 +289,39 @@ class Presentation:
 
     @property
     def reduced(self) -> "Presentation":
-        """This presentation with its contractible generator pairs cancelled.
+        """This presentation with its free exterior factors split off and
+        its contractible generator pairs cancelled.
 
-        A pair (x, y) of generators after the core with d x = c y + phi,
-        c a nonzero multiple of the base unit and neither x nor y in phi,
-        is cancelled by setting x = 0 and y = -phi/c.  That is the
-        quotient by the d-stable ideal (x, d x), a weight-preserving
+        First a generator s splits off when all of these hold, exactly
+        over Q: s is odd, comes after the core and d(s) = 0; each generator
+        g whose d(g) has a term containing s comes after the core (so
+        occurs in no relation) and occurs in no term of any differential;
+        and for each such g a generator h with no s in d(h), so none of
+        the g, and a c in Q^x make the terms of d(g) containing s equal
+        c d(h s), formed by the algebra's product.  Then phi(g) = g - c h s,
+        the identity on every other generator, is an automorphism that
+        fixes the relations, and phi^-1 d phi is d with every term
+        containing s dropped: as d(h s) = d(h) s, phi^-1 d phi(g) =
+        phi^-1(d(g) - c d(h) s) is the part of d(g) free of s, which holds
+        no g, and no other generator's d holds s or a g.  So p is
+        (p/(s), d') (x) (Lambda(s), 0), with d' the differential p/(s)
+        inherits, and H(p) = H(p/(s)) (x) Lambda(s).  Candidates are tested
+        in order, each on the d the earlier ones left.  The (degree,
+        weight) of each s is recorded in this presentation's ``_factors``,
+        for :func:`cohomology` to tensor back; the reduced model records
+        none.  On the section and twisted models s[1] splits off
+        (h = alpha_i, c = 1, or 1/e[X] when twisted), and half of every
+        slice with it.
+
+        Then a pair (x, y) of generators after the core with
+        d x = c y + phi, c a nonzero multiple of the base unit and neither
+        x nor y in phi, is cancelled by setting x = 0 and y = -phi/c.  That
+        is the quotient by the d-stable ideal (x, d x), a weight-preserving
         quasi-isomorphism once d^2 = 0 (Felix-Halperin-Thomas, Rational
         Homotopy Theory, section 14).  Pairs are cancelled greedily until
         none is left.  The result shares this presentation's core, and so
-        the core's cached slices; with nothing to cancel it is this
-        presentation itself.  Built on first use.
+        the core's cached slices; with nothing to split or cancel it is
+        this presentation itself.  Built on first use.
         """
         if self._reduced is None:
             self._reduced = self._cancel_pairs()
@@ -298,11 +329,12 @@ class Presentation:
 
     def _cancel_pairs(self) -> "Presentation":
         ctx = self.context
-        core = self.core
-        first = len(core.context.generators)
+        first = len(self.core.context.generators)
         unit = ctx.base.unit
         diff = {g: img.terms for g, img in self.differential.items()}
-        gone: set = set()
+        split = _free_generators(ctx, diff, first,
+                                 range(first, len(ctx.generators)))
+        gone = set(split)
         while True:
             pair = _contractible_pair(diff, first, unit)
             if pair is None:
@@ -317,6 +349,18 @@ class Presentation:
                     diff[g] = _substitute(ctx, terms, x, y, psi)
         if not gone:
             return self
+        self._factors = tuple((ctx.gen_degrees[s], ctx.gen_weights[s])
+                              for s in split)
+        red = self._without(gone, diff, f"{self.name}, reduced")
+        red._reduced = red
+        return red
+
+    def _without(self, gone: set, diff: dict, name: str) -> "Presentation":
+        """This presentation without the generators in ``gone``, all after
+        the core, and with d from ``diff`` (generator -> terms), in whose
+        terms no gone generator occurs.  It shares the core, and so the
+        core's cached slices."""
+        ctx = self.context
         keep = [i for i in range(len(ctx.generators)) if i not in gone]
         slot = {g: i for i, g in enumerate(keep)}
         rctx = AlgebraContext(ctx.base, [ctx.generators[i] for i in keep])
@@ -330,10 +374,9 @@ class Presentation:
             for (b, e), v in terms.items()})
             for g, terms in diff.items() if terms}
         red = Presentation.__new__(Presentation)
-        red._setup(rctx, rels, self._relation_grades, red_diff,
-                   f"{self.name}, reduced", dict(self.params))
-        red._core = core
-        red._reduced = red
+        red._setup(rctx, rels, self._relation_grades, red_diff, name,
+                   dict(self.params))
+        red._core = self.core
         return red
 
     # -- differential -------------------------------------------------------
@@ -494,6 +537,66 @@ def _substitute(ctx: AlgebraContext, terms: dict, x: int, y: int,
             image = image * psi
         out = out + image
     return out.terms
+
+
+def _free_generators(ctx: AlgebraContext, diff: dict, first: int,
+                     candidates) -> list[int]:
+    """The generators among ``candidates`` that split off as free
+    exterior factors by the rule of :attr:`Presentation.reduced`, in
+    order, with ``diff`` (generator -> terms) updated in place to d with
+    the terms containing them dropped.  ``first`` is the core's generator
+    count.  Only the h whose d has as many terms as the s-part are
+    multiplied out.
+    """
+    parities = ctx.gen_parities
+    split = []
+    for s in candidates:
+        if s < first or not parities[s] or diff.get(s):
+            continue
+        moved = [g for g, terms in diff.items()
+                 if any(m.exps[s] for m in terms)]
+        if any(g < first for g in moved) or any(
+                m.exps[g] for terms in diff.values() for m in terms
+                for g in moved):
+            continue
+        rests = {}
+        for g in moved:
+            part = {m: v for m, v in diff[g].items() if m.exps[s]}
+            if not any(_is_multiple(part, ctx, terms, s)
+                       for terms in diff.values()
+                       if len(terms) == len(part)
+                       and not any(m.exps[s] for m in terms)):
+                break
+            rests[g] = {m: v for m, v in diff[g].items() if not m.exps[s]}
+        else:
+            split.append(s)
+            diff.update(rests)
+    return split
+
+
+def _is_multiple(part: dict, ctx: AlgebraContext, terms: dict,
+                 s: int) -> bool:
+    """Whether ``part`` (Monomial -> Q) is c (``terms``) s for some
+    c in Q^x, the product formed in ``ctx``."""
+    prod = (Element(ctx, terms) * ctx.gen_element(s)).terms
+    if prod.keys() != part.keys():
+        return False
+    m = next(iter(part))
+    c = rat(part[m], prod[m])
+    return all(v == c * prod[k] for k, v in part.items())
+
+
+def _tensor_exterior(entries: dict, factors: tuple, max_degree: int) -> dict:
+    """(d, k) -> dim of the table ``entries`` tensored with Lambda(s) for
+    each (|s|, wt s) in ``factors``: H(d, k) + H(d - |s|, k - wt s), up
+    to max_degree."""
+    for ds, ws in factors:
+        out = dict(entries)
+        for (d, k), v in entries.items():
+            if d + ds <= max_degree:
+                out[(d + ds, k + ws)] = out.get((d + ds, k + ws), 0) + v
+        entries = out
+    return entries
 
 
 @dataclass(frozen=True)
@@ -1139,9 +1242,14 @@ def cohomology(p: Presentation, max_degree: int,
                by_weight: bool = True) -> CohomologyTable:
     """Bigraded cohomology dimensions of the quotient CDGA up to max_degree.
 
-    Computed on ``p.reduced``, which has the same cohomology, one weight
-    at a time (the differential preserves weights); the table carries
-    ``p``'s name and parameters.  Raises :class:`AlgebraError` when the
+    Computed on ``p.reduced``, one weight at a time (the differential
+    preserves weights), and tensored with each free exterior factor
+    Lambda(s) the reduction split off: H(d, k) = H'(d, k)
+    + H'(d - |s|, k - wt s), H' the reduced model's table.  The rule and
+    the automorphism phi(g) = g - c h s that proves it are at
+    :attr:`Presentation.reduced`.  ``cohomology(p.reduced)`` is the
+    cohomology of the reduced model itself, which records no factor.
+    The table carries ``p``'s name and parameters.  Raises :class:`AlgebraError` when the
     check of :func:`verify_d_squared` fails, since the ranks rely on
     d^2 = 0, and for ``by_weight=False``: there is no whole-degree
     computation.  ``by_weight`` stays only because the benchmark passes
@@ -1160,7 +1268,8 @@ def cohomology(p: Presentation, max_degree: int,
         q, max_degree, lambda d, k: quotient_slice(q, d, k).dim,
         lambda d, k: differential_rank(q, d, k))
     model = {"name": p.name, **p.params}
-    return CohomologyTable(entries, max_degree, model)
+    return CohomologyTable(_tensor_exterior(entries, p._factors, max_degree),
+                           max_degree, model)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ reduced row per basis monomial and permutation; ``isotypic_cohomology``
 replaced it with bases induced from core slices (linear characters) or
 orbit sums of free monomials (any other), whose row space must agree.
 ``isotypic_table`` is the cohomology of that projector's image, slice
-by slice, from its ranks alone.
+by slice, from its ranks alone.  ``model_action`` takes a model's
+action onto a presentation split from it by generators the action
+fixes.  ``character_euler_by_elements`` is the sum over every element
+of S_r that ``character_euler``'s sum over cycle types replaced.
 
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
@@ -107,7 +110,8 @@ import math
 from fractions import Fraction
 
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
-                              Element, Monomial, dual_basis, tensor_many)
+                              Element, Monomial, MonomialPermutation,
+                              dual_basis, tensor_many)
 from cdgacalc.analysis import ClassFunction, inverse, trivial_character
 from cdgacalc.engine import (SliceBasis, VerificationReport, _slice_weights,
                              differential_matrix, ideal_slice, quotient_slice)
@@ -741,11 +745,25 @@ def unreduced_cohomology(p, max_degree):
     return dims
 
 
-def isotypic_projector(p, subgroup, character, degree, weight):
+def model_action(p, model, sig):
+    """``symmetric_action(model, sig)`` on p, whose generators are some of
+    the model's, matched by label, which the action maps to each other:
+    a presentation split from the model by generators the action fixes."""
+    phi = symmetric_action(model, sig)
+    if p is model:
+        return phi
+    labels = [g.label for g in model.context.generators]
+    keep = [labels.index(g.label) for g in p.context.generators]
+    return MonomialPermutation(p.context, phi.slots,
+                               [keep.index(phi.gen_to[g]) for g in keep])
+
+
+def isotypic_projector(p, subgroup, character, degree, weight, model=None):
     """sum_sigma char(1) char(sigma^{-1}) M_sigma on one quotient slice.
 
     Row i is the projector applied to basis monomial i, summed matrix by
-    matrix from ``map_matrix``; the 1/|G| is left out.
+    matrix from ``map_matrix``; the 1/|G| is left out.  The actions are
+    those of ``model`` (by default p), taken on p by ``model_action``.
     """
     sl = quotient_slice(p, degree, weight)
     dim_char = character(tuple(range(len(subgroup[0]))))
@@ -754,7 +772,7 @@ def isotypic_projector(p, subgroup, character, degree, weight):
         weight_c = dim_char * character(inverse(sig))
         if not weight_c:
             continue
-        mat = map_matrix(p, symmetric_action(p, sig), degree, weight)
+        mat = map_matrix(p, model_action(p, model or p, sig), degree, weight)
         for i, row in enumerate(mat.rows):
             acc = total.rows[i]
             for j, v in row.items():
@@ -786,6 +804,30 @@ def isotypic_table(p, subgroup, character, max_degree):
             if here - out - into:
                 entries[(d, k)] = here - out - into
     return entries
+
+
+def character_euler_by_elements(p, chi, w_max):
+    """{k: coefficient of w^k} of ``character_euler``, summed over every
+    element of S_r rather than one per cycle type: (1/r!) sum_sigma
+    chi(sigma) sum_i (-1)^i trace(sigma | slice(i, k)), each trace read
+    off the images of the slice's basis monomials."""
+    r = p.params["r"]
+    perms = [tuple(s) for s in itertools.permutations(range(r))]
+    coeffs = {}
+    for k in range(w_max + 1):
+        total = 0
+        for i in range(k + 1):
+            sl = quotient_slice(p, i, k)
+            for sig in perms:
+                phi = symmetric_action(p, sig)
+                trace = sum(sl.coords({image: sign}).get(a, 0)
+                            for a, (image, sign) in enumerate(
+                                map(phi.image, sl.quotient)))
+                total += (-1) ** i * chi(sig) * trace
+        total = Fraction(total) / math.factorial(r)
+        if total:
+            coeffs[k] = total
+    return coeffs
 
 
 def dense_validate(self):

@@ -24,11 +24,12 @@ from cdgacalc.models import (build_base, configuration_model,
                              cotangent_chern, parse_ample_class, parse_space,
                              section_model, symmetric_action,
                              twisted_section_model)
-from oracle import (evaluate_at_one, isotypic_projector, isotypic_table,
+from oracle import (character_euler_by_elements, evaluate_at_one,
+                    isotypic_projector, isotypic_table,
                     map_matrix, matmul, p1_configuration_table,
                     regular_character, same_matrix,
                     unordered_configuration_sign,
-                    unordered_configuration_table)
+                    unordered_configuration_table, unreduced_cohomology)
 
 
 def series(coeffs, trunc, var="w"):
@@ -286,7 +287,8 @@ def test_isotypic_with_zero_dimension_class_function_is_empty():
 def isotypic_bases(p, group, chi, max_degree):
     """Each nonempty slice's basis of the projector's image, as
     isotypic_cohomology builds it, keyed by (degree, weight)."""
-    basis_at = analysis._isotypic_bases(p, group, chi)[0]
+    basis_at = analysis._isotypic_bases(
+        p, {sig: symmetric_action(p, sig) for sig in group}, chi)
     return {(d, k): basis_at(d, k) for d in range(max_degree + 1)
             for k in _slice_weights(p, d)}
 
@@ -452,6 +454,42 @@ def test_induced_bases_on_a_proper_sign_stabiliser():
                 m, sub, chi, degree, weight))
 
 
+SPLIT_DEGREES = {"P1": 6, "P2": 8, "S1": 5, "P1xP1": 6, "S1xP1": 6}
+
+
+@pytest.mark.parametrize("space, r", [
+    ("P1", 2), ("P1", 3), ("P2", 2), ("P2", 3), ("S1", 2), ("S1", 3),
+    ("P1xP1", 2), ("P1xP1", 3), ("S1xP1", 2)])
+def test_split_tables_equal_the_unsplit_computation(space, r):
+    # cohomology and the trivial and sign pieces split off the free
+    # factors; the oracles compute on the model as built.  On AL L^0 over
+    # S1 and S1xP1, d(alpha_i) = 0: alpha_i splits off for cohomology, but
+    # S_r moves it, so the isotypic pieces keep it
+    base = build_base(parse_space(space))
+    cs = ["[2/3:-1]", "[0:0]"] if "x" in space else ["-5/2", "0"]
+    kinds = ([("A", c) for c in cs] + [("C", None)]
+             + [("AL", d) for d in range(4)])
+    if space == "S1xP1":
+        kinds = [("AL", 0)]
+    max_degree = SPLIT_DEGREES[space] - (r == 3)
+    group = all_permutations(r)
+    split = 0
+    for kind, param in kinds:
+        p = _model(kind, space, r, param)
+        assert cohomology(p, max_degree).entries \
+            == unreduced_cohomology(p, max_degree), p.name
+        for chi in (trivial_character(r), sign_character(r)):
+            assert isotypic_cohomology(p, group, chi, max_degree).entries \
+                == isotypic_table(p, group, chi, max_degree), (p.name, chi)
+        factors = analysis._fixed_split(
+            p, {sig: symmetric_action(p, sig) for sig in group})[2]
+        assert len(factors) <= len(p._factors)
+        if kind == "AL" and param == 0 and space in ("S1", "S1xP1"):
+            assert factors == () and len(p._factors) == r
+        split += bool(factors)
+    assert (split > 0) == (len(kinds) > 1)
+
+
 @pytest.mark.parametrize("kind, space, r, param", [
     ("A", "P2", 3, "1"), ("C", "P2", 3, None), ("C", "S1", 3, None),
     ("AL", "P1", 3, 3)])
@@ -481,12 +519,21 @@ def test_isotypic_tables_match_the_projector_oracle(kind, space, r, param):
     ("S1", "1", all_permutations(3), STANDARD_S3),
     ("S1", "-1/2", all_permutations(3), sign_character(3)),
     ("P1xP1", "[2/3:1]", generated_subgroup([(1, 0, 2)], 3),
-     sign_character(3))])
+     sign_character(3)),
+    ("P1", 2, all_permutations(3), sign_character(3)),
+    ("S1", 0, generated_subgroup([(1, 0, 2)], 3), sign_character(3))])
 def test_cleared_restricted_ranks_match_the_projector_oracle(
         monkeypatch, space, param, sub, chi):
     # every rank isotypic_cohomology takes, with its cleared rows left
-    # out, equals rank(P D) of the summed projector times the differential
-    p = _model("A", space, 3, param)
+    # out, equals rank(P D) of the summed projector times the differential,
+    # on the model with its G-fixed free factors split off: s[1] on the A
+    # models (a class c), alpha3 on AL L^0 over S1 under the swap, which
+    # fixes it, and nothing on AL L^2 over P1, where e[X] = 0 (a twist d)
+    kind = "AL" if isinstance(param, int) else "A"
+    p = _model(kind, space, 3, param)
+    q, _, factors = analysis._fixed_split(
+        p, {sig: symmetric_action(p, sig) for sig in sub})
+    assert len(factors) == ((kind, space) != ("AL", "P1"))
     max_degree = 6
     ranked, kept = {}, {}
     at = []
@@ -510,9 +557,9 @@ def test_cleared_restricted_ranks_match_the_projector_oracle(
     isotypic_cohomology(p, sub, chi, max_degree)
     cleared = 0
     for d in range(max_degree + 1):
-        for k in _slice_weights(p, d):
-            proj = isotypic_projector(p, sub, chi, d, k)
-            want = rank(matmul(proj, differential_matrix(p, d, k)))
+        for k in _slice_weights(q, d):
+            proj = isotypic_projector(q, sub, chi, d, k, model=p)
+            want = rank(matmul(proj, differential_matrix(q, d, k)))
             assert ranked.get((d, k), 0) == want, (d, k)
             if (d, k) in kept:
                 cleared += rank(proj) - kept[(d, k)]
@@ -694,6 +741,31 @@ def test_character_euler_matches_summed_traces(space):
             if total:
                 want[k] = total / 6
         assert character_euler(m, chi, w_max).coeffs == want, chi
+
+
+def _standard_character(r):
+    """chi(sigma) = fix(sigma) - 1, the character of the standard
+    representation of S_r."""
+    return ClassFunction(r, {part: part.count(1) - 1
+                             for part in analysis._partitions(r)})
+
+
+@pytest.mark.parametrize("kind, space, r, param", [
+    ("A", "P1", 2, "1"), ("A", "P1", 3, "-5/2"), ("A", "P1", 4, "1"),
+    ("C", "S1", 3, None), ("C", "P2", 4, None), ("AL", "S1", 3, 0)])
+def test_character_euler_by_cycle_type_matches_every_element(kind, space, r,
+                                                             param):
+    # one representative per cycle type, weighted by its class size, gives
+    # the sum over all r! elements
+    p = _model(kind, space, r, param)
+    w_max = 6
+    nonzero = 0
+    for chi in (trivial_character(r), sign_character(r),
+                _standard_character(r)):
+        want = character_euler_by_elements(p, chi, w_max)
+        assert character_euler(p, chi, w_max).coeffs == want, (chi, p.name)
+        nonzero += bool(want)
+    assert nonzero >= 2
 
 
 def test_character_euler_trivial_matches_invariants():

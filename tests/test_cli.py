@@ -58,6 +58,20 @@ def test_eight_points_on_p2_match_the_eager_output_lazily(capsys,
      "cohomology --space P2 --r 2 --model AL --d 2 --max-degree 6 "
      "--by-weight"),
     ("s1_r3_verify.txt", "verify --space S1 --r 3 --max-degree 6"),
+    # recorded before the free exterior factors were split off: on AL L^0
+    # over S1 alpha_i has d = 0 but S_2 moves it; on AL L^2 over P1
+    # e[X] = 0 and s[1] stays; on P3 s[1] splits off
+    ("s1_r2_twisted_d0_trivial.txt",
+     "invariants --space S1 --r 2 --model AL --d 0 --max-degree 5 "
+     "--character trivial"),
+    ("s1_r2_twisted_d0_sign.txt",
+     "invariants --space S1 --r 2 --model AL --d 0 --max-degree 5 "
+     "--character sign"),
+    ("p1_r2_twisted_d2_cohomology_by_weight.txt",
+     "cohomology --space P1 --r 2 --model AL --d 2 --max-degree 6 "
+     "--by-weight"),
+    ("p3_r2_cohomology_by_weight.json",
+     "cohomology --space P3 --r 2 --max-degree 7 --by-weight --format json"),
 ])
 def test_model_families_print_their_golden_stdout(capsys, golden, argv):
     # the model line and the JSON model fields, not only the dims
