@@ -32,8 +32,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .algebra import (AlgebraError, BaseAlgebra, Monomial,
                       MonomialPermutation)
 from .engine import (CohomologyTable, Presentation, quotient_slice,
-                     _assemble, _certify, _cleared_rank, _entries,
-                     _free_generators, _tensor_exterior)
+                     _assemble, _certify, _check_range, _cleared_rank,
+                     _entries, _tensor_exterior)
 from .linalg import RrefResult, SparseMatrix, rref
 from .models import symmetric_action
 from .rat import Rational, exact
@@ -217,6 +217,7 @@ def weightwise_euler(p: Presentation, w_max: int) -> BigradedSeries:
     quotient slice; no differentials enter.  Because weight >= degree
     throughout, only degrees i <= k contribute.
     """
+    _check_range("weightwise_euler: w_max", w_max)
     _check_weight_bounds(p)
     coeffs: dict[int, int] = {}
     for k in range(w_max + 1):
@@ -563,34 +564,6 @@ def _induced_row(off: int, x: dict, moved: list) -> dict:
     return row
 
 
-def _fixed_split(p: Presentation, actions: dict) -> tuple:
-    """``(q, keep, factors)``: q is p with the free exterior factors that
-    every action fixes split off (``engine._free_generators``, over the
-    generators every action maps to themselves), ``keep`` the generators
-    of p that q keeps, in order, and ``factors`` the (degree, weight) of
-    the split ones; q is p when none splits.  Built once per set of
-    fixed generators and cached in p, after p is certified; q shares p's
-    core and d^2 certificate."""
-    ngen = len(p.context.generators)
-    fixed = tuple(g for g in range(ngen)
-                  if all(a.gen_to[g] == g for a in actions.values()))
-    key = ("split", fixed)
-    hit = p._blocks.get(key)
-    if hit is None:
-        diff = {g: img.terms for g, img in p.differential.items()}
-        split = _free_generators(p.context, diff,
-                                 len(p.core.context.generators), fixed)
-        q = p._without(set(split), diff, f"{p.name}, split") if split else p
-        # p is certified, and d^2 = 0 passes to its quotient by the
-        # d-stable ideal of the split generators
-        q._certificate = p._certificate
-        hit = p._blocks[key] = (
-            q, [g for g in range(ngen) if g not in split],
-            tuple((p.context.gen_degrees[s], p.context.gen_weights[s])
-                  for s in split))
-    return hit
-
-
 def _isotypic_bases(p: Presentation, actions: dict,
                     character: ClassFunction) -> Callable:
     """``basis_at(degree, weight)``: the rref of the image of the
@@ -776,31 +749,36 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     d^2 = 0 is certified first (raises :class:`AlgebraError` if it
     fails).
 
-    The free exterior factors that every action fixes are split off
-    first (:func:`_fixed_split`) by the rule of
-    :attr:`~cdgacalc.engine.Presentation.reduced`: s odd and closed, and
-    phi(g) = g - c h s an automorphism with phi^-1 d phi free of s.  As s
-    is G-fixed, the exact sequence 0 -> s A -> A -> A/(s) -> 0 is
-    G-equivariant, and s A is A/(s) shifted by (|s|, wt s), with d
-    negated, as G-complexes.  Its connecting map vanishes, because phi
-    splits it, and taking the image of P is exact over Q, so
-    H^chi(A) = H^chi(A/(s)) (x) Lambda(s) for every class function: the
-    ranks are taken on A/(s), whose actions are the restrictions of A's,
-    and the table is tensored back.  A factor that some action moves,
-    such as alpha_i when d(alpha_i) = 0, is kept: the quotient by it is
-    not G-equivariant.  The split model is cached in p per set of fixed
-    generators, and the core images, suffix orbits and stabiliser bases
-    above are cached in it.
+    The model is first reduced over the generators after the core that
+    every action fixes (:meth:`~cdgacalc.engine.Presentation._reduce`),
+    and each step is G-equivariant as what it removes is G-fixed.  For a
+    free factor s, with phi(g) = g - c h s the automorphism that splits
+    it, 0 -> s A -> A -> A/(s) -> 0 is a G-equivariant exact sequence,
+    s A is A/(s) shifted by (|s|, wt s) with d negated, the connecting
+    map vanishes, and taking the image of P is exact over Q, so
+    H^chi(A) = H^chi(A/(s)) (x) Lambda(s) for every class function.  For
+    a pair (x, y) the ideal (x, d x) is G-stable, so the quotient by it is
+    a G-equivariant quasi-isomorphism.  The ranks are taken on the
+    reduced model, with the restricted actions, and the table is tensored
+    back.  A generator some action moves, such as alpha_i when
+    d(alpha_i) = 0, is kept.  Under S_r no pair is fixed (the eta_i are
+    permuted, the s[b] closed); a subgroup fixing a point i cancels eta_i
+    and s[X].  The reduced model is cached in p per candidate set, and
+    the core images, suffix orbits and stabiliser bases above in it.
     """
-    if max_degree < 0:
-        raise AlgebraError("isotypic_cohomology: max_degree must be >= 0")
+    _check_range("isotypic_cohomology: max_degree", max_degree)
     elems = _closed_with_generators(subgroup)
     if character.r != len(elems[0]):
         raise AlgebraError(f"class function is on S_{character.r}, "
                            f"subgroup permutes {len(elems[0])} points")
     actions = {sig: symmetric_action(p, sig) for sig in elems}
     _certify(p)
-    q, keep, factors = _fixed_split(p, actions)
+    q, keep, factors = p._reduce(tuple(
+        g for g in range(len(p.core.context.generators),
+                         len(p.context.generators))
+        if all(a.gen_to[g] == g for a in actions.values())))
+    # d^2 = 0 on p gives it on its quotient by a d-stable ideal
+    q._certificate = p._certificate
     if q is not p:
         actions = {sig: a.restricted(q.context, keep)
                    for sig, a in actions.items()}
@@ -859,6 +837,7 @@ def character_euler(p: Presentation, chi: ClassFunction,
     runs over one permutation per cycle type lambda, weighted by its
     class size r!/z_lambda: p(r) actions are built, not r!.
     """
+    _check_range("character_euler: w_max", w_max)
     _check_weight_bounds(p)
     r = p.params.get("r")
     if r is None:

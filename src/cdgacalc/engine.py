@@ -58,19 +58,20 @@ monomial: a reachability table gives the weights the suffix monomials
 of each degree reach, each odd generator used at most once, and it
 grows only when a higher degree is asked for.
 
-Cohomology is computed on a presentation's *reduced* model.  First each
-free exterior factor is split off: an odd closed suffix generator s
-whose every occurrence in d is c d(h s) for a generator h, so that
-g -> g - c h s removes it from d and A = A/(s) (x) Lambda(s) as CDGAs;
-the table of A/(s) is tensored back with Lambda(s).  Then every pair of
-suffix generators (x, y) with d x = c y + phi, c a nonzero scalar and
-neither x nor y in phi, is cancelled by x = 0, y = -phi/c.  That is a
-weight-preserving quasi-isomorphism.  On the section and twisted models
-the two steps remove s[1], eta_1 and s[X], and with them most of every
-large slice.  The reduced model shares the core and its cached slices.
-The S_r actions, the character-weighted Euler series and the weightwise
-Euler series stay on the model as built; the isotypic ranks split off
-only the factors that every action fixes.
+Cohomology is computed on a presentation's *reduced* model, which
+:meth:`Presentation._reduce` builds over a set of candidate suffix
+generators, repeating two steps until neither finds anything.  Each
+free exterior factor is split off: an odd closed s whose every
+occurrence in d is c d(h s) for a generator h, so that g -> g - c h s
+removes it from d and A = A/(s) (x) Lambda(s) as CDGAs; the table of
+A/(s) is tensored back with Lambda(s).  Each pair (x, y) with
+d x = c y + phi, c a nonzero scalar and neither x nor y in phi, is
+cancelled by x = 0, y = -phi/c, a weight-preserving
+quasi-isomorphism.  Over the whole suffix of a section or twisted model
+the steps remove s[1], eta_1 and s[X], and most of every large slice.
+The reduced model shares the core and its cached slices.  The S_r
+actions and both Euler series stay on the model as built; the
+isotypic ranks reduce over the generators that every action fixes.
 
 d^2 = 0 is certified on generators, not slice by slice: once d maps
 every relation into the ideal, d^2 is a derivation of the quotient, so
@@ -142,14 +143,31 @@ class PresentationError(AlgebraError):
     input outside its algebra."""
 
 
+# The largest max_degree or w_max a computation accepts; ranges are walked
+# degree by degree, and 100000 did not finish in 10 s on P2 r=2.  At the
+# limit, cohomology and the weightwise Euler series of P2 r=2 take 0.13 and
+# 0.2 s (whole CLI runs, 2.1 GHz Xeon).  The tests, table1, the bench and
+# the ladder reach 26.
+MAX_DEGREE = 100
+
+
+def _check_range(what: str, value: int) -> None:
+    """Raise :class:`AlgebraError` unless 0 <= value <= ``MAX_DEGREE``."""
+    if value < 0:
+        raise AlgebraError(f"{what} must be >= 0")
+    if value > MAX_DEGREE:
+        raise AlgebraError(f"{what} = {value} is above the limit of "
+                           f"{MAX_DEGREE}")
+
+
 class Presentation:
     """Free context + homogeneous relations + generator differential."""
 
     __slots__ = ("context", "relations", "differential", "name", "params",
                  "_relation_grades", "_derivations", "_scale", "_odd_bits",
                  "_cache", "_core", "_suffix", "_support", "_suffix_terms",
-                 "_weights", "_nonempty", "_reduced", "_factors", "_blocks",
-                 "_certificate", "_closed_form")
+                 "_weights", "_nonempty", "_blocks", "_certificate",
+                 "_closed_form")
 
     def __init__(self, context: AlgebraContext, relations: Sequence[Element],
                  differential: dict[int, Element], name: str = "",
@@ -218,14 +236,10 @@ class Presentation:
         self._weights: dict = {}
         # _core_slices' index of a core: degree -> {weight: nonempty slice}
         self._nonempty: dict = {}
-        self._reduced: Optional[Presentation] = None
-        # (degree, weight) of the free exterior factors the reduced model
-        # splits off, which cohomology tensors back
-        self._factors: tuple = ()
         # d of core slices, d of suffix monomials, multiplication operators,
-        # pivot columns of the top ranked slice of each weight; analysis adds
-        # core slices' images under the S_r actions, suffix orbits and the
-        # model split by the free factors a subgroup fixes
+        # pivot columns of the top ranked slice of each weight, the reduced
+        # model per candidate set; analysis adds core slices' images under
+        # the S_r actions and suffix orbits
         self._blocks: dict = {}
         # verify_d_squared's check of the relations and generators
         self._certificate: Optional[VerificationReport] = None
@@ -285,99 +299,97 @@ class Presentation:
             monomial_walk(gens, self._suffix, degree)
         return self._suffix[degree][1]
 
-    # -- contractible pairs --------------------------------------------------
+    # -- the reduced model ---------------------------------------------------
 
     @property
     def reduced(self) -> "Presentation":
-        """This presentation with its free exterior factors split off and
-        its contractible generator pairs cancelled.
+        """``self._reduce()[0]``: reduced over every generator after the
+        core, to a fixpoint, so ``p.reduced.reduced is p.reduced``."""
+        return self._reduce()[0]
 
-        First a generator s splits off when all of these hold, exactly
-        over Q: s is odd, comes after the core and d(s) = 0; each generator
-        g whose d(g) has a term containing s comes after the core (so
-        occurs in no relation) and occurs in no term of any differential;
-        and for each such g a generator h with no s in d(h), so none of
-        the g, and a c in Q^x make the terms of d(g) containing s equal
-        c d(h s), formed by the algebra's product.  Then phi(g) = g - c h s,
-        the identity on every other generator, is an automorphism that
-        fixes the relations, and phi^-1 d phi is d with every term
-        containing s dropped: as d(h s) = d(h) s, phi^-1 d phi(g) =
-        phi^-1(d(g) - c d(h) s) is the part of d(g) free of s, which holds
-        no g, and no other generator's d holds s or a g.  So p is
-        (p/(s), d') (x) (Lambda(s), 0), with d' the differential p/(s)
-        inherits, and H(p) = H(p/(s)) (x) Lambda(s).  Candidates are tested
-        in order, each on the d the earlier ones left.  The (degree,
-        weight) of each s is recorded in this presentation's ``_factors``,
-        for :func:`cohomology` to tensor back; the reduced model records
-        none.  On the section and twisted models s[1] splits off
+    def _reduce(self, candidates: Optional[tuple] = None) -> tuple:
+        """``(q, keep, factors)``: this presentation with the free exterior
+        factors among ``candidates`` split off and the contractible pairs
+        among them cancelled, both steps repeated until neither finds
+        anything, as a cancellation can free a factor and a split a pair.
+        ``candidates`` are generators after the core, all of them by
+        default.  ``keep`` lists the generators q keeps, in order, and
+        ``factors`` the (degree, weight) of the split ones, which q's
+        tables are tensored back with.  q shares the core, and so the
+        core's cached slices; with nothing found it is this presentation.
+        Cached in ``_blocks`` per candidate set.
+
+        A candidate s splits off when all of these hold, exactly over Q:
+        s is odd and d(s) = 0; each generator g whose d(g) has a term
+        containing s comes after the core (so occurs in no relation) and
+        occurs in no term of any differential; and for each such g a
+        generator h with no s in d(h), so none of the g, and a c in Q^x
+        make the terms of d(g) containing s equal c d(h s), formed by the
+        algebra's product.  Then phi(g) = g - c h s, the identity on every
+        other generator, is an automorphism that fixes the relations, and
+        phi^-1 d phi is d with every term containing s dropped: as
+        d(h s) = d(h) s, phi^-1 d phi(g) = phi^-1(d(g) - c d(h) s) is the
+        part of d(g) free of s, which holds no g, and no other generator's
+        d holds s or a g.  So p is (p/(s), d') (x) (Lambda(s), 0), with d'
+        the differential p/(s) inherits, and H(p) = H(p/(s)) (x) Lambda(s).
+        Candidates are tested in order, each on the d the earlier ones
+        left.  On the section and twisted models s[1] splits off
         (h = alpha_i, c = 1, or 1/e[X] when twisted), and half of every
         slice with it.
 
-        Then a pair (x, y) of generators after the core with
-        d x = c y + phi, c a nonzero multiple of the base unit and neither
-        x nor y in phi, is cancelled by setting x = 0 and y = -phi/c.  That
-        is the quotient by the d-stable ideal (x, d x), a weight-preserving
+        Then each pair (x, y) of candidates with d x = c y + phi, c a
+        nonzero multiple of the base unit and neither x nor y in phi, is
+        cancelled greedily by setting x = 0 and y = -phi/c.  That is the
+        quotient by the d-stable ideal (x, d x), a weight-preserving
         quasi-isomorphism once d^2 = 0 (Felix-Halperin-Thomas, Rational
-        Homotopy Theory, section 14).  Pairs are cancelled greedily until
-        none is left.  The result shares this presentation's core, and so
-        the core's cached slices; with nothing to split or cancel it is
-        this presentation itself.  Built on first use.
+        Homotopy Theory, section 14).
         """
-        if self._reduced is None:
-            self._reduced = self._cancel_pairs()
-        return self._reduced
-
-    def _cancel_pairs(self) -> "Presentation":
         ctx = self.context
         first = len(self.core.context.generators)
-        unit = ctx.base.unit
+        if candidates is None:
+            candidates = tuple(range(first, len(ctx.generators)))
+        key = ("reduce", candidates)
+        hit = self._blocks.get(key)
+        if hit is not None:
+            return hit
         diff = {g: img.terms for g, img in self.differential.items()}
-        split = _free_generators(ctx, diff, first,
-                                 range(first, len(ctx.generators)))
-        gone = set(split)
+        live, split = set(candidates), []
         while True:
-            pair = _contractible_pair(diff, first, unit)
-            if pair is None:
+            size = len(live)
+            split += _free_generators(ctx, diff, first, sorted(live))
+            live.difference_update(split)
+            while pair := _contractible_pair(diff, live, ctx.base.unit):
+                x, y, c, phi = pair
+                psi = ctx.element({m: rat(-v, c) for m, v in phi.items()})
+                del diff[x]
+                diff.pop(y, None)
+                live -= {x, y}
+                for g, terms in diff.items():
+                    if any(m.exps[x] or m.exps[y] for m in terms):
+                        diff[g] = _substitute(ctx, terms, x, y, psi)
+            if len(live) == size:
                 break
-            x, y, c, phi = pair
-            psi = ctx.element({m: rat(-v, c) for m, v in phi.items()})
-            del diff[x]
-            diff.pop(y, None)
-            gone.update((x, y))
-            for g, terms in diff.items():
-                if any(m.exps[x] or m.exps[y] for m in terms):
-                    diff[g] = _substitute(ctx, terms, x, y, psi)
-        if not gone:
-            return self
-        self._factors = tuple((ctx.gen_degrees[s], ctx.gen_weights[s])
-                              for s in split)
-        red = self._without(gone, diff, f"{self.name}, reduced")
-        red._reduced = red
-        return red
-
-    def _without(self, gone: set, diff: dict, name: str) -> "Presentation":
-        """This presentation without the generators in ``gone``, all after
-        the core, and with d from ``diff`` (generator -> terms), in whose
-        terms no gone generator occurs.  It shares the core, and so the
-        core's cached slices."""
-        ctx = self.context
-        keep = [i for i in range(len(ctx.generators)) if i not in gone]
-        slot = {g: i for i, g in enumerate(keep)}
-        rctx = AlgebraContext(ctx.base, [ctx.generators[i] for i in keep])
-        # relations live in the core's generators, before every gone slot
-        n = len(keep)
-        rels = tuple(Element(rctx, {Monomial(b, e[:n]): v
-                                    for (b, e), v in rel.terms.items()})
-                     for rel in self.relations)
-        red_diff = {slot[g]: rctx.element({
-            Monomial(b, tuple(map(e.__getitem__, keep))): v
-            for (b, e), v in terms.items()})
-            for g, terms in diff.items() if terms}
-        red = Presentation.__new__(Presentation)
-        red._setup(rctx, rels, self._relation_grades, red_diff, name,
-                   dict(self.params))
-        red._core = self.core
-        return red
+        keep = tuple(g for g in range(len(ctx.generators))
+                     if g in live or g not in candidates)
+        q = self
+        if len(keep) < len(ctx.generators):
+            rctx = AlgebraContext(ctx.base, [ctx.generators[g] for g in keep])
+            # relations live in the core's generators, before every gone one
+            rels = tuple(Element(rctx, {Monomial(b, e[:len(keep)]): v
+                                        for (b, e), v in rel.terms.items()})
+                         for rel in self.relations)
+            slot = {g: i for i, g in enumerate(keep)}
+            red_diff = {slot[g]: rctx.element({
+                Monomial(b, tuple(map(e.__getitem__, keep))): v
+                for (b, e), v in terms.items()})
+                for g, terms in diff.items() if terms}
+            q = Presentation.__new__(Presentation)
+            q._setup(rctx, rels, self._relation_grades, red_diff,
+                     f"{self.name}, reduced", dict(self.params))
+            q._core = self.core
+        hit = self._blocks[key] = (q, keep, tuple(
+            (ctx.gen_degrees[s], ctx.gen_weights[s]) for s in split))
+        return hit
 
     # -- differential -------------------------------------------------------
 
@@ -495,19 +507,18 @@ def _unscaled(terms: dict, scale: int) -> dict:
             for k, v in terms.items() if v}
 
 
-def _contractible_pair(diff: dict, first: int, unit: int):
-    """``(x, y, c, phi)`` for the first generator x >= first whose
-    differential ``diff[x]`` is c y + phi with y >= first a generator
-    times the base unit and neither x nor y in phi; else None."""
-    for x in sorted(diff):
-        if x < first:
-            continue
+def _contractible_pair(diff: dict, candidates: set, unit: int):
+    """``(x, y, c, phi)`` for the first generator x in ``candidates``
+    whose differential ``diff[x]`` is c y + phi with y in ``candidates``
+    a generator times the base unit and neither x nor y in phi; else
+    None."""
+    for x in sorted(candidates.intersection(diff)):
         terms = diff[x]
         for m, c in terms.items():
             if m.base != unit or sum(m.exps) != 1:
                 continue
             y = m.exps.index(1)
-            if y < first:
+            if y not in candidates:
                 continue
             phi = {m2: v for m2, v in terms.items() if m2 != m}
             if not any(m2.exps[x] or m2.exps[y] for m2 in phi):
@@ -541,17 +552,17 @@ def _substitute(ctx: AlgebraContext, terms: dict, x: int, y: int,
 
 def _free_generators(ctx: AlgebraContext, diff: dict, first: int,
                      candidates) -> list[int]:
-    """The generators among ``candidates`` that split off as free
-    exterior factors by the rule of :attr:`Presentation.reduced`, in
-    order, with ``diff`` (generator -> terms) updated in place to d with
-    the terms containing them dropped.  ``first`` is the core's generator
-    count.  Only the h whose d has as many terms as the s-part are
-    multiplied out.
+    """The generators among ``candidates``, all after the core, that split
+    off as free exterior factors by the rule of
+    :meth:`Presentation._reduce`, in order, with ``diff`` (generator ->
+    terms) updated in place to d with the terms containing them dropped.
+    ``first`` is the core's generator count.  Only the h whose d has as
+    many terms as the s-part are multiplied out.
     """
     parities = ctx.gen_parities
     split = []
     for s in candidates:
-        if s < first or not parities[s] or diff.get(s):
+        if not parities[s] or diff.get(s):
             continue
         moved = [g for g, terms in diff.items()
                  if any(m.exps[s] for m in terms)]
@@ -1247,20 +1258,21 @@ def cohomology(p: Presentation, max_degree: int,
     Lambda(s) the reduction split off: H(d, k) = H'(d, k)
     + H'(d - |s|, k - wt s), H' the reduced model's table.  The rule and
     the automorphism phi(g) = g - c h s that proves it are at
-    :attr:`Presentation.reduced`.  ``cohomology(p.reduced)`` is the
-    cohomology of the reduced model itself, which records no factor.
-    The table carries ``p``'s name and parameters.  Raises :class:`AlgebraError` when the
-    check of :func:`verify_d_squared` fails, since the ranks rely on
-    d^2 = 0, and for ``by_weight=False``: there is no whole-degree
-    computation.  ``by_weight`` stays only because the benchmark passes
-    it; a change to the benchmark can drop it.
+    :meth:`Presentation._reduce`.  ``cohomology(p.reduced)`` is the
+    cohomology of the reduced model itself, which splits off no factor.
+    The table carries ``p``'s name and parameters.  Raises
+    :class:`AlgebraError` when the check of :func:`verify_d_squared`
+    fails, since the ranks rely on d^2 = 0, and for ``by_weight=False``:
+    there is no whole-degree computation.  ``by_weight`` stays only
+    because the benchmark passes it; a change to the benchmark can drop
+    it.  A ``max_degree`` above ``MAX_DEGREE`` is refused before anything
+    is built.
     """
-    if max_degree < 0:
-        raise AlgebraError("cohomology: max_degree must be >= 0")
+    _check_range("cohomology: max_degree", max_degree)
     if not by_weight:
         raise AlgebraError("cohomology: only by_weight=True is supported")
     _certify(p)
-    q = p.reduced
+    q, _, factors = p._reduce()
     # d^2 = 0 on p gives it on its quotient by a d-stable ideal, and q has
     # p's relations
     q._certificate = p._certificate
@@ -1268,7 +1280,7 @@ def cohomology(p: Presentation, max_degree: int,
         q, max_degree, lambda d, k: quotient_slice(q, d, k).dim,
         lambda d, k: differential_rank(q, d, k))
     model = {"name": p.name, **p.params}
-    return CohomologyTable(_tensor_exterior(entries, p._factors, max_degree),
+    return CohomologyTable(_tensor_exterior(entries, factors, max_degree),
                            max_degree, model)
 
 
@@ -1357,10 +1369,11 @@ def verify_d_squared(p: Presentation, max_degree: int) -> VerificationReport:
     its nonzero normal form.  ``slices_checked`` counts the relations and
     the nonempty (degree, weight) quotient slices of degree <= max_degree.
     The check of relations and generators is cached in p, where
-    :func:`cohomology` and :func:`differential_rank` read it.
+    :func:`cohomology` and :func:`differential_rank` read it.  A
+    ``max_degree`` above ``MAX_DEGREE`` is refused before any slice is
+    built.
     """
-    if max_degree < 0:
-        raise AlgebraError("verify: max_degree must be >= 0")
+    _check_range("verify: max_degree", max_degree)
     report = _generator_check(p)
     if not report.ok:
         return report

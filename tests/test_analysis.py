@@ -457,6 +457,15 @@ def test_induced_bases_on_a_proper_sign_stabiliser():
 SPLIT_DEGREES = {"P1": 6, "P2": 8, "S1": 5, "P1xP1": 6, "S1xP1": 6}
 
 
+def _fixed_suffix(p, group):
+    """The generators after p's core that every permutation in ``group``
+    fixes: the candidates ``isotypic_cohomology`` reduces over."""
+    actions = [symmetric_action(p, sig) for sig in group]
+    return tuple(g for g in range(len(p.core.context.generators),
+                                  len(p.context.generators))
+                 if all(a.gen_to[g] == g for a in actions))
+
+
 @pytest.mark.parametrize("space, r", [
     ("P1", 2), ("P1", 3), ("P2", 2), ("P2", 3), ("S1", 2), ("S1", 3),
     ("P1xP1", 2), ("P1xP1", 3), ("S1xP1", 2)])
@@ -481,13 +490,50 @@ def test_split_tables_equal_the_unsplit_computation(space, r):
         for chi in (trivial_character(r), sign_character(r)):
             assert isotypic_cohomology(p, group, chi, max_degree).entries \
                 == isotypic_table(p, group, chi, max_degree), (p.name, chi)
-        factors = analysis._fixed_split(
-            p, {sig: symmetric_action(p, sig) for sig in group})[2]
-        assert len(factors) <= len(p._factors)
+        factors = p._reduce(_fixed_suffix(p, group))[2]
+        assert len(factors) <= len(p._reduce()[2])
         if kind == "AL" and param == 0 and space in ("S1", "S1xP1"):
-            assert factors == () and len(p._factors) == r
+            assert factors == () and len(p._reduce()[2]) == r
         split += bool(factors)
     assert (split > 0) == (len(kinds) > 1)
+
+
+def test_ranges_above_the_limit_are_refused_before_any_slice():
+    p = _model("A", "P2", 2, "1")
+    group = all_permutations(2)
+    calls = [
+        lambda n: cohomology(p, n), lambda n: engine.verify_d_squared(p, n),
+        lambda n: isotypic_cohomology(p, group, sign_character(2), n),
+        lambda n: weightwise_euler(p, n),
+        lambda n: character_euler(p, trivial_character(2), n)]
+    for call in calls:
+        with pytest.raises(AlgebraError, match="above the limit of 100"):
+            call(engine.MAX_DEGREE + 1)
+        assert not p._cache and not p.reduced._cache
+    # the bound itself is admitted
+    assert engine.verify_d_squared(p, engine.MAX_DEGREE).ok
+
+
+@pytest.mark.parametrize("space, r, generators, max_degree", [
+    ("P2", 3, [(0, 2, 1)], 8), ("S1", 3, [(0, 2, 1)], 6),
+    ("P1", 4, [(0, 2, 1, 3), (0, 1, 3, 2)], 5)])
+def test_a_fixed_point_cancels_its_pair(space, r, generators, max_degree):
+    # the subgroup fixes point 1, so eta1 and s[X] are fixed, and the
+    # isotypic path cancels them as well as splitting s[1]; under S_r only
+    # s[1] goes.  The tables equal the projector oracle's on the model as
+    # built
+    base = build_base(parse_space(space))
+    unit, top = (f"s[{base.labels[i]}]" for i in (base.unit, base.fundamental))
+    p = _model("A", space, r, "1")
+    sub = generated_subgroup(generators, r)
+    labels = {g.label for g in p.context.generators}
+    for group, lost in ((sub, {"eta1", top, unit}),
+                        (all_permutations(r), {unit})):
+        q = p._reduce(_fixed_suffix(p, group))[0]
+        assert labels - {g.label for g in q.context.generators} == lost
+    for chi in (trivial_character(r), sign_character(r)):
+        assert isotypic_cohomology(p, sub, chi, max_degree).entries \
+            == isotypic_table(p, sub, chi, max_degree), chi
 
 
 @pytest.mark.parametrize("kind, space, r, param", [
@@ -531,8 +577,7 @@ def test_cleared_restricted_ranks_match_the_projector_oracle(
     # fixes it, and nothing on AL L^2 over P1, where e[X] = 0 (a twist d)
     kind = "AL" if isinstance(param, int) else "A"
     p = _model(kind, space, 3, param)
-    q, _, factors = analysis._fixed_split(
-        p, {sig: symmetric_action(p, sig) for sig in sub})
+    q, _, factors = p._reduce(_fixed_suffix(p, sub))
     assert len(factors) == ((kind, space) != ("AL", "P1"))
     max_degree = 6
     ranked, kept = {}, {}

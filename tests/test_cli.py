@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cdgacalc import cli
 from cdgacalc.algebra import AlgebraError
 from cdgacalc.cli import main
+from cdgacalc.engine import MAX_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +267,25 @@ def test_oversized_power_or_group_exits_2_at_once(argv):
     _assert_rejected(code, err)
     assert "above the limit" in err or "than the limit" in err
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv, what", [
+    # each degree or weight up to the bound is walked, so these ran for
+    # minutes
+    ("cohomology --space P2 --r 2 --max-degree 100000",
+     "cohomology: max_degree"),
+    ("euler --space P1 --r 2 --w-max 100000", "weightwise_euler: w_max"),
+    ("verify --space P2 --r 2 --max-degree 100000", "verify: max_degree"),
+    ("invariants --space P2 --r 2 --max-degree 100000",
+     "isotypic_cohomology: max_degree"),
+])
+def test_runaway_range_exits_2_at_once(argv, what):
+    start = time.perf_counter()
+    code, err = _run_quietly(argv.split())
+    _assert_rejected(code, err)
+    assert err == (f"cdgacalc: error: {what} = 100000 is above the limit "
+                   f"of {MAX_DEGREE}\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_invalid_custom_file_exits_2(tmp_path, capsys):

@@ -24,7 +24,8 @@ from oracle import (_free_weights, dense_cohomology_dims, every_group_blocks,
                     reference_differential_matrix, rref_slice_basis,
                     slice_d_squared, slice_weights, suffix_differential,
                     suffix_monomials, unfactored_slice, unreduced_cohomology)
-from test_acceptance import random_presentation
+from test_acceptance import (WITH_DIFFERENTIAL, random_presentation,
+                             random_seeds)
 
 
 def c2_p1(diagonal="good"):
@@ -472,12 +473,13 @@ def test_factored_slices_match_unfactored(space, r):
 
 
 def test_factored_slices_match_unfactored_on_random_presentations():
-    factored = 0
-    for seed in range(24):
+    factored = with_d = 0
+    for seed in random_seeds():
         p, max_degree = random_presentation(seed)
         _assert_slices_match_unfactored(p, max_degree)
         factored += p.core is not p
-    assert factored >= 5
+        with_d += bool(p.differential)
+    assert factored >= 5 and with_d >= WITH_DIFFERENTIAL
 
 
 def _assert_differential_matches_reference(p, max_degree):
@@ -512,12 +514,13 @@ def test_assembled_differential_equals_reference(space, r):
 
 
 def test_assembled_differential_equals_reference_on_random_presentations():
-    nnz = 0
-    for seed in range(24):
+    nnz = with_d = 0
+    for seed in random_seeds():
         p, max_degree = random_presentation(seed)
         for q in {p: None, p.reduced: None}:
             nnz += _assert_differential_matches_reference(q, max_degree)
-    assert nnz > 0
+        with_d += bool(p.differential)
+    assert nnz > 0 and with_d >= WITH_DIFFERENTIAL
 
 
 def test_assembled_differential_moves_odd_suffix_generators():
@@ -772,19 +775,20 @@ def test_reduced_cohomology_equals_the_model_as_built(space, r):
     max_degree = REDUCTION_DEGREES[space] - (r == 3)
     for p in models:
         euler = weightwise_euler(p, max_degree)
-        assert p._reduced is None  # the Euler check never reduces
+        # the Euler check never reduces
+        assert all(key[0] != "reduce" for key in p._blocks)
         red = p.reduced
         lost = ({g.label for g in p.context.generators}
                 - {g.label for g in red.context.generators})
         if p.params["model"] == "C":
-            assert red is p and p._factors == ()
+            assert red is p and p._reduce()[2] == ()
         else:
             # s[1] splits off by eta_i -> eta_i - alpha_i s[1] / e[X],
             # unless d(alpha_i) = e[X] pi_i^*[X] vanishes (AL L^2 over P1)
             free = set() if p.params.get("m") == "0" else {unit}
             assert lost == pair | free and red.core is p.core, p.name
-            assert p._factors == ((1, 2),) * len(free)
-            assert red._factors == ()
+            assert p._reduce()[2] == ((1, 2),) * len(free)
+            assert red._reduce()[2] == ()
         table = cohomology(p, max_degree)
         assert table.model == {"name": p.name, **p.params}
         assert table.entries == unreduced_cohomology(p, max_degree), p.name
@@ -821,13 +825,14 @@ def test_reduction_signs_powers_and_greedy_cancellation():
         lambda g, x: {"e": g["y"] + x, "z": g["y"] * g["y"] + x * g["y"],
                       "t": g["e"] * g["y"] - g["z"]})
     # in odd, b splits off first, as d(w) = d(e) b: w -> w - e b leaves
-    # d(w) = 0, so the odd w splits off after it
-    for p, kept, factors in ((odd, ["a"], ((1, 1), (3, 4))),
+    # d(w) = 0, so the odd w splits off after it; cancelling (e, y) then
+    # leaves a closed and in no differential, so a splits off last
+    for p, kept, factors in ((odd, [], ((1, 1), (3, 4), (1, 1))),
                              (even, [], ())):
         assert verify_d_squared(p, 6).ok
         red = p.reduced
         assert [g.label for g in red.context.generators] == kept
-        assert p._factors == factors
+        assert p._reduce()[2] == factors
         assert not red.differential
         dense = dense_cohomology_dims(p, 6)
         assert cohomology(p, 6).dims() == [dense[d] for d in range(7)]
@@ -891,10 +896,10 @@ def test_twisted_free_factors_split_off():
         red = q.reduced
         assert "s" not in [g.label for g in red.context.generators], seed
         spec = q.context.generators[-1]
-        assert (spec.degree, spec.weight) in q._factors, seed
+        assert (spec.degree, spec.weight) in q._reduce()[2], seed
         dense = dense_cohomology_dims(q, top)
         assert cohomology(q, top).dims() == [dense[d] for d in range(top + 1)]
-        assert red._factors == ()
+        assert red._reduce()[2] == ()
         assert cohomology(red, top).entries \
             == unreduced_cohomology(red, top), seed
     assert twisted >= 10
@@ -931,7 +936,7 @@ def test_free_factors_that_the_rule_refuses():
     for p in (in_a_differential, no_multiple, no_candidate, twisted_m0):
         assert verify_d_squared(p, 5).ok
         labels = [g.label for g in p.reduced.context.generators]
-        assert p._factors == () and {"s", "s[1]"} & set(labels), p.name
+        assert p._reduce()[2] == () and {"s", "s[1]"} & set(labels), p.name
         if p is not twisted_m0:
             assert p.reduced is p
             dense = dense_cohomology_dims(p, 5)
@@ -942,7 +947,34 @@ def test_free_factors_that_the_rule_refuses():
               model([("a", 1, 2), ("s", 1, 2), ("g", 2, 4)],
                     lambda g, c: {"a": c["x"] + c["y"],
                                   "g": (c["x"] + c["y"]) * g["s"] * -3})):
-        assert p.reduced is not p and p._factors == ((1, 2),)
+        assert p.reduced is not p and p._reduce()[2] == ((1, 2),)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_the_reduction_runs_to_a_fixpoint(r):
+    # the reduced model has no free factor or contractible pair left, so
+    # reducing it again finds nothing and returns it
+    models = [p for space in ("P1", "P2", "S1", "P1xP1")
+              for p in _families(space, r)]
+    if r == 2:
+        models += [random_presentation(seed)[0] for seed in random_seeds()]
+    for p in models:
+        red = p.reduced
+        assert red.reduced is red and red._reduce()[2] == (), p.name
+        assert red._reduce()[1] == tuple(range(len(red.context.generators)))
+
+
+def test_a_pair_is_cancelled_only_among_the_candidates():
+    # d(a) = y: (a, y) cancels when both are candidates, and is left alone
+    # when either is not
+    p = _free_presentation("P1", [("a", 1, 2), ("y", 2, 2)],
+                           lambda g, x: {"a": g["y"]})
+    for candidates in ((0,), (1,), ()):
+        assert p._reduce(candidates) == (p, (0, 1), ()), candidates
+    q, keep, factors = p._reduce((0, 1))
+    assert q.context.generators == () and keep == () and factors == ()
+    assert p.reduced is q
+    assert cohomology(p, 4).dims() == [1, 0, 1, 0, 0]
 
 
 # -- the suffix walk, empty ideal slices and clearing -----------------------
@@ -1137,10 +1169,13 @@ def test_cleared_ranks_equal_whole_ranks(space, r):
 
 
 def test_cleared_ranks_equal_whole_ranks_on_random_presentations():
-    for seed in range(24):
+    with_d = 0
+    for seed in random_seeds():
         p, max_degree = random_presentation(seed)
         for q in {p: None, p.reduced: None}:
             _assert_cleared_ranks(q, max_degree)
+        with_d += bool(p.differential)
+    assert with_d >= WITH_DIFFERENTIAL
 
 
 def test_clearing_leaves_out_nonzero_rows():
