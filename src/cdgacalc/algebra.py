@@ -717,7 +717,9 @@ class MonomialPermutation:
     signed monomial c b' x^(pi e), its sign c times that of the
     inversions among the permuted odd generators; no products are formed.
     ``base_image(b) = (b', c)`` is computed on first use and memoised in
-    ``base_to``.
+    ``base_to``.  When ``gen_to`` sends the first n generators to each
+    other, as every S_r action does the core's, :meth:`image` also takes
+    a monomial in those n only, and gives its image there.
     """
 
     __slots__ = ("context", "slots", "gen_to", "base_to", "_source", "_odd")
@@ -750,35 +752,24 @@ class MonomialPermutation:
         hit = self.base_to[b] = (target, -1 if flip else 1)
         return hit
 
-    def restricted(self, context: AlgebraContext,
-                   keep: Optional[Sequence[int]] = None
-                   ) -> "MonomialPermutation":
-        """This map on ``context``, whose generators are those listed in
-        ``keep`` of this map's context (by default its first ones), in
-        order, with the same base, and which this map sends to each
-        other.  The memo of base images is shared."""
-        if keep is None:
-            keep = range(len(context.generators))
-        slot = {g: i for i, g in enumerate(keep)}
-        phi = MonomialPermutation(context, self.slots,
-                                  [slot[self.gen_to[g]] for g in keep])
-        phi.base_to = self.base_to
-        return phi
-
     def image(self, mono: Monomial) -> tuple[Monomial, int]:
         """``(m', c)`` with phi(mono) = c m', for a monomial of the
-        context (every odd exponent at most 1)."""
+        context (every odd exponent at most 1), or of its first
+        ``len(mono.exps)`` generators when phi sends those to each other."""
         b, c = self.base_to.get(mono.base) or self.base_image(mono.base)
         e = mono.exps
+        n = len(e)
         # inversions among the images of the odd generators, in order
         seen = inversions = 0
         gen_to = self.gen_to
         for g in self._odd:
+            if g >= n:
+                break
             if e[g]:
                 t = gen_to[g]
                 inversions += (seen >> t).bit_count()
                 seen |= 1 << t
-        return (Monomial(b, tuple(map(e.__getitem__, self._source))),
+        return (Monomial(b, tuple(map(e.__getitem__, self._source[:n]))),
                 -c if inversions & 1 else c)
 
 

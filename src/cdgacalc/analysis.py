@@ -33,9 +33,10 @@ from .algebra import (AlgebraError, BaseAlgebra, Monomial,
                       MonomialPermutation)
 from .engine import (CohomologyTable, Presentation, quotient_slice,
                      _assemble, _certify, _check_range, _cleared_rank,
-                     _entries, _tensor_exterior)
+                     _core_slices, _entries, _tensor_exterior)
 from .linalg import RrefResult, SparseMatrix, rref
-from .models import symmetric_action
+from .models import (_check_permutation, _generator_map, _layout,
+                     symmetric_action)
 from .rat import Rational, exact
 
 
@@ -215,19 +216,22 @@ def weightwise_euler(p: Presentation, w_max: int) -> BigradedSeries:
 
     Coefficient of w^k is sum_i (-1)^i dim of the (degree i, weight k)
     quotient slice; no differentials enter.  Because weight >= degree
-    throughout, only degrees i <= k contribute.
+    throughout, only degrees i <= k contribute.  A slice is a sum of core
+    slices times suffix monomials, so this is the core's series times
+    (1 - w^wt(g))^(+1 if g is odd, else -1) per suffix generator g.
     """
     _check_range("weightwise_euler: w_max", w_max)
     _check_weight_bounds(p)
     coeffs: dict[int, int] = {}
-    for k in range(w_max + 1):
-        acc = 0
-        for i in range(k + 1):
-            dim = quotient_slice(p, i, k).dim
-            acc += dim if i % 2 == 0 else -dim
-        if acc:
-            coeffs[k] = acc
-    return BigradedSeries(coeffs, w_max, "w")
+    for i in range(w_max + 1):
+        for k, sl in _core_slices(p.core, i).items():
+            if k <= w_max:
+                coeffs[k] = coeffs.get(k, 0) + (-1) ** i * sl.dim
+    series = BigradedSeries(coeffs, w_max, "w")
+    for g in p.context.generators[len(p.core.context.generators):]:
+        factor = _one_minus_power(g.weight, w_max, "w")
+        series *= factor if g.odd else factor.reciprocal()
+    return series
 
 
 def configuration_euler(base: BaseAlgebra, r: int,
@@ -615,16 +619,8 @@ def _isotypic_bases(p: Presentation, actions: dict,
             orbits.update((v, None) for v, _, _ in hit[1])
         return hit
 
-    # each action maps the core's generators to themselves, so its
-    # restriction to the core images core monomials directly
-    core_actions: dict = {}
-
-    def core_action(rho: Perm) -> MonomialPermutation:
-        hit = core_actions.get(rho)
-        if hit is None:
-            hit = core_actions[rho] = actions[rho].restricted(p.core.context)
-        return hit
-
+    # each action maps the core's generators to themselves, so it images
+    # core monomials too
     def core_images(sig: Perm, sl) -> Callable:
         # images(i): coordinates in sl of sig(m_i), m_i its basis monomial
         # i; each computed on first use, cached in p per (sig, sl, i)
@@ -636,7 +632,7 @@ def _isotypic_bases(p: Presentation, actions: dict,
         def images(i: int) -> dict:
             hit = cache.get(i)
             if hit is None:
-                target, c = core_action(sig).image(sl.quotient[i])
+                target, c = actions[sig].image(sl.quotient[i])
                 hit = cache[i] = sl.coords({target: c})
             return hit
 
@@ -649,7 +645,7 @@ def _isotypic_bases(p: Presentation, actions: dict,
         hit = p._blocks.get(key)
         if hit is None:
             rows = _orbit_sum_rows(
-                sl, [(core_action(h), w) for h, w in twisted])
+                sl, [(actions[h], w) for h, w in twisted])
             hit = p._blocks[key] = rref(
                 SparseMatrix.from_rows(len(rows), sl.dim, rows))
         return hit
@@ -759,8 +755,11 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     H^chi(A) = H^chi(A/(s)) (x) Lambda(s) for every class function.  For
     a pair (x, y) the ideal (x, d x) is G-stable, so the quotient by it is
     a G-equivariant quasi-isomorphism.  The ranks are taken on the
-    reduced model, with the restricted actions, and the table is tensored
-    back.  A generator some action moves, such as alpha_i when
+    reduced model and the table is tensored back.  Each element gets one
+    action, built on the reduced model from where it sends p's
+    generators (``models._generator_map``) and cached nowhere; it also
+    images the core's monomials, as it maps the core's generators to
+    themselves.  A generator some action moves, such as alpha_i when
     d(alpha_i) = 0, is kept.  Under S_r no pair is fixed (the eta_i are
     permuted, the s[b] closed); a subgroup fixing a point i cancels eta_i
     and s[X].  The reduced model is cached in p per candidate set, and
@@ -771,17 +770,20 @@ def isotypic_cohomology(p: Presentation, subgroup: Sequence[Perm],
     if character.r != len(elems[0]):
         raise AlgebraError(f"class function is on S_{character.r}, "
                            f"subgroup permutes {len(elems[0])} points")
-    actions = {sig: symmetric_action(p, sig) for sig in elems}
+    layout = _layout(p)
+    maps = {sig: _generator_map(p, layout, _check_permutation(sig, layout.r))
+            for sig in elems}
     _certify(p)
     q, keep, factors = p._reduce(tuple(
         g for g in range(len(p.core.context.generators),
                          len(p.context.generators))
-        if all(a.gen_to[g] == g for a in actions.values())))
+        if all(m[g] == g for m in maps.values())))
     # d^2 = 0 on p gives it on its quotient by a d-stable ideal
     q._certificate = p._certificate
-    if q is not p:
-        actions = {sig: a.restricted(q.context, keep)
-                   for sig, a in actions.items()}
+    slot = {g: i for i, g in enumerate(keep)}
+    actions = {sig: MonomialPermutation(q.context, sig,
+                                        [slot[m[g]] for g in keep])
+               for sig, m in maps.items()}
     basis_at = _isotypic_bases(q, actions, character)
 
     def size(degree: int, weight: int) -> int:

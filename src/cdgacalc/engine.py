@@ -69,9 +69,10 @@ d x = c y + phi, c a nonzero scalar and neither x nor y in phi, is
 cancelled by x = 0, y = -phi/c, a weight-preserving
 quasi-isomorphism.  Over the whole suffix of a section or twisted model
 the steps remove s[1], eta_1 and s[X], and most of every large slice.
-The reduced model shares the core and its cached slices.  The S_r
-actions and both Euler series stay on the model as built; the
-isotypic ranks reduce over the generators that every action fixes.
+The reduced model shares the core and its cached slices.  The
+character Euler series stays on the model as built, and the weightwise
+one reads only the core's slices; the isotypic ranks reduce over the
+generators that every element fixes, and act on that reduced model.
 
 d^2 = 0 is certified on generators, not slice by slice: once d maps
 every relation into the ideal, d^2 is a derivation of the quotient, so

@@ -759,15 +759,17 @@ def symmetric_action(p: Presentation,
     sigma, the s[b] generators stay fixed.  By construction the map is
     multiplicative, commutes with d and preserves the relations, which
     the test suite checks.  Each permutation's map is built once per
-    presentation and cached there.
+    presentation and cached there; ``isotypic_cohomology`` builds its own
+    from :func:`_generator_map`, on the reduced model it ranks.
     """
     layout = _layout(p)
     sig = _check_permutation(sigma, layout.r)
-    return p._cached(("action", sig), lambda: _build_action(p, layout, sig))
+    return p._cached(("action", sig), lambda: MonomialPermutation(
+        p.context, sig, _generator_map(p, layout, sig)))
 
 
-def _build_action(p: Presentation, layout: ModelLayout,
-                  sig: tuple[int, ...]) -> MonomialPermutation:
+def _generator_map(p: Presentation, layout: ModelLayout,
+                   sig: tuple[int, ...]) -> list[int]:
     r = layout.r
     gen_to = list(range(len(p.context.generators)))
     for a in range(1, r + 1):
@@ -778,4 +780,4 @@ def _build_action(p: Presentation, layout: ModelLayout,
         for i in range(1, r + 1):
             gen_to[layout.alpha_index(i)] = layout.alpha_index(sig[i - 1] + 1)
             gen_to[layout.eta_index(i)] = layout.eta_index(sig[i - 1] + 1)
-    return MonomialPermutation(p.context, sig, gen_to)
+    return gen_to

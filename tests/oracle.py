@@ -1086,3 +1086,16 @@ def check_diagonal_identities(base, delta):
     coeff = (delta * delta).terms.get(top, 0)
     chi = euler_characteristic(base)
     assert coeff == chi, f"Δ·Δ has [X]⊗[X]-coefficient {coeff}, not {chi}"
+
+
+def euler_by_slices(p, w_max):
+    """{k: coefficient of w^k} of ``weightwise_euler``, nonzero ones only,
+    from every quotient slice of p itself: sum_i (-1)^i dim slice(i, k)
+    over i <= k, as weight >= degree throughout."""
+    coeffs = {}
+    for k in range(w_max + 1):
+        total = sum((-1) ** i * quotient_slice(p, i, k).dim
+                    for i in range(k + 1))
+        if total:
+            coeffs[k] = total
+    return coeffs

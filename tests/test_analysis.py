@@ -5,7 +5,7 @@ import pytest
 
 from cdgacalc import analysis, engine
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
-                              GeneratorSpec, Monomial)
+                              GeneratorSpec, Monomial, MonomialPermutation)
 from cdgacalc.analysis import (BigradedSeries, ClassFunction, all_permutations,
                                character_euler,
                                compose,
@@ -24,12 +24,14 @@ from cdgacalc.models import (build_base, configuration_model,
                              cotangent_chern, parse_ample_class, parse_space,
                              section_model, symmetric_action,
                              twisted_section_model)
-from oracle import (character_euler_by_elements, evaluate_at_one,
+from oracle import (character_euler_by_elements, euler_by_slices,
+                    evaluate_at_one,
                     isotypic_projector, isotypic_table,
                     map_matrix, matmul, p1_configuration_table,
                     regular_character, same_matrix,
                     unordered_configuration_sign,
                     unordered_configuration_table, unreduced_cohomology)
+from test_acceptance import random_presentation, random_seeds
 
 
 def series(coeffs, trunc, var="w"):
@@ -122,6 +124,39 @@ def test_configuration_euler_matches_engine():
         base = build_base(parse_space(space))
         engine = weightwise_euler(configuration_model(base, r), 14)
         assert configuration_euler(base, r, 14) == engine, (space, r)
+
+
+def _every_model(r):
+    """C, A and AL over P1, S1, P2 and P1xP1 with r points."""
+    return [_model(kind, space, r, param)
+            for space in ("P1", "S1", "P2", "P1xP1")
+            for kind, param in (("C", None),
+                                ("A", "[1:1]" if space == "P1xP1" else "1"),
+                                ("AL", 2))]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_weightwise_euler_equals_the_sum_over_every_slice(r):
+    # the series is the core's times the suffix generators' factors; the
+    # oracle sums the dims of every slice of the model as built
+    for p in _every_model(r):
+        assert weightwise_euler(p, 10).coeffs == euler_by_slices(p, 10), \
+            p.name
+
+
+def test_weightwise_euler_on_random_presentations():
+    # their cores take the rref branch of the core's index
+    for seed in random_seeds():
+        p, top = random_presentation(seed)
+        assert weightwise_euler(p, top + 2).coeffs \
+            == euler_by_slices(p, top + 2), seed
+
+
+def test_weightwise_euler_builds_no_slice_of_the_model():
+    p = _model("A", "S1", 2, "1")
+    assert p.core is not p
+    weightwise_euler(p, 10)
+    assert not any(key[0] == "slice" for key in p._cache)
 
 
 def test_p_r_closed_form_r0_is_pu():
@@ -404,8 +439,9 @@ def test_actions_keep_the_core_and_the_suffix_apart():
 
 
 def test_restricted_actions_image_core_monomials_as_the_padded_ones():
-    # the isotypic bases image core monomials by each action restricted to
-    # the core: the whole action on the padded monomial, sliced back
+    # the isotypic bases image core monomials by the whole action, which
+    # takes a monomial in the core's generators: that is the image of the
+    # padded monomial, sliced back
     checked = 0
     for kind, space, r, param in [
             ("A", "P1", 3, "1"), ("A", "S1", 3, "1"), ("A", "P2", 3, "1"),
@@ -419,13 +455,63 @@ def test_restricted_actions_image_core_monomials_as_the_padded_ones():
                  for m in quotient_slice(core, d, w).quotient]
         for sig in all_permutations(r):
             action = symmetric_action(p, sig)
-            restricted = action.restricted(core.context)
             for b, e in basis:
                 (b2, e2), c = action.image(Monomial(b, e + pad))
-                assert restricted.image(Monomial(b, e)) \
+                assert action.image(Monomial(b, e)) \
                     == (Monomial(b2, e2[:n]), c), (p.name, sig, b, e)
                 checked += 1
     assert checked > 2000
+
+
+def _isotypic_actions(p, group):
+    """The actions ``isotypic_cohomology`` builds for ``group`` on p, in
+    the order it builds them."""
+    built = []
+
+    def record(*args):
+        built.append(MonomialPermutation(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "MonomialPermutation", record)
+        isotypic_cohomology(p, group, trivial_character(len(group[0])), 1)
+    return built
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_one_action_per_element_on_the_ranked_model(r):
+    # each element's action is built once, on the reduced model q that the
+    # isotypic ranks read, and agrees with the action on the model as
+    # built on each basis monomial of q padded back to p's generators
+    cases = [(p, all_permutations(r)) for p in _every_model(r)]
+    if r == 3:
+        # <(2 3)> fixes point 1, so q also drops eta_1 and s[X]
+        cases.append((_model("A", "P2", 3, "1"),
+                      generated_subgroup([(0, 2, 1)], 3)))
+    for p, group in cases:
+        actions = _isotypic_actions(p, group)
+        assert [a.slots for a in actions] == group, p.name
+        assert not any(key[0] == "action" for key in p._cache), p.name
+        q, keep, _ = p._reduce(_fixed_suffix(p, group))
+        assert all(a.context is q.context for a in actions)
+        if len(group) < len(all_permutations(r)):
+            labels = {g.label for g in q.context.generators}
+            assert not {"eta1", "s[x^2]"} & labels, labels
+        basis = [m for d in range(7) for w in _slice_weights(q, d)
+                 for m in quotient_slice(q, d, w).quotient]
+        gone = [g for g in range(len(p.context.generators))
+                if g not in keep]
+        for action in actions:
+            phi = symmetric_action(p, action.slots)
+            for b, e in basis:
+                padded = [0] * len(p.context.generators)
+                for g, x in zip(keep, e):
+                    padded[g] = x
+                (b2, e2), c = phi.image(Monomial(b, tuple(padded)))
+                assert not any(e2[g] for g in gone)
+                assert action.image(Monomial(b, e)) == (
+                    Monomial(b2, tuple(e2[g] for g in keep)), c), \
+                    (p.name, action.slots, b, e)
 
 
 def test_induced_bases_on_a_proper_sign_stabiliser():

@@ -5,8 +5,7 @@ import pytest
 from cdgacalc import models
 from cdgacalc.algebra import AlgebraError, TensorAlgebra
 from cdgacalc.analysis import (all_permutations, invariant_cohomology,
-                               isotypic_cohomology, p_r_closed_form,
-                               sign_character, weightwise_euler)
+                               p_r_closed_form, weightwise_euler)
 from cdgacalc.engine import cohomology, differential_matrix, \
     quotient_slice, verify_d_squared
 from cdgacalc.models import (ProjectiveSpace, Surface, Product, build_base,
@@ -366,17 +365,17 @@ def test_compiled_action_equals_explicit_product(space, r, c, max_degree):
 
 def test_symmetric_action_built_once_per_presentation(monkeypatch):
     calls = []
-    build = models._build_action
-    monkeypatch.setattr(models, "_build_action",
+    build = models._generator_map
+    monkeypatch.setattr(models, "_generator_map",
                         lambda p, layout, sig: calls.append(sig)
                         or build(p, layout, sig))
     p2 = build_base(parse_space("P2"))
     m = section_model(p2, parse_ample_class(p2, "1"), 3)
     group = all_permutations(3)
-    invariant_cohomology(m, group, 3)
-    isotypic_cohomology(m, group, sign_character(3), 3)
+    actions = [symmetric_action(m, sig) for sig in group]
     assert sorted(calls) == group
-    assert symmetric_action(m, [1, 2, 0]) is symmetric_action(m, (1, 2, 0))
+    assert all(symmetric_action(m, list(sig)) is action
+               for sig, action in zip(group, actions))
     assert len(calls) == 6
     other = section_model(p2, parse_ample_class(p2, "1"), 3)
     symmetric_action(other, (1, 2, 0))
