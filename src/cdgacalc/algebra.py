@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import SparseMatrix, rref
@@ -378,14 +379,13 @@ class TensorAlgebra(BaseAlgebra):
         return tuple(out)
 
     def pullback(self, slot: int, coeffs: dict[int, object]) -> dict[int, object]:
-        """Embed a factor element into the tensor algebra (units elsewhere)."""
-        out: dict[int, object] = {}
-        units = [f.unit for f in self.factors]
-        for idx, c in coeffs.items():
-            combo = list(units)
-            combo[slot] = idx
-            out[self._enc(tuple(combo))] = exact(c)
-        return {k: c for k, c in out.items() if c}
+        """Embed a factor element into the tensor algebra (units elsewhere):
+        the encoding is linear, so class idx in ``slot`` sits at the
+        unit's index plus (idx - unit) times the slot's stride."""
+        stride = self._strides[slot]
+        shift = self.unit - self.factors[slot].unit * stride
+        return {shift + idx * stride: exact(c)
+                for idx, c in coeffs.items() if c}
 
 
 def tensor_many(factors: Sequence[BaseAlgebra],
@@ -492,12 +492,12 @@ class AlgebraContext:
     # -- grading ----------------------------------------------------------
 
     def monomial_degree(self, m: Monomial) -> int:
-        return self.base.degrees[m.base] + sum(
-            e * d for e, d in zip(m.exps, self.gen_degrees))
+        return self.base.degrees[m.base] + sum(map(mul, m.exps,
+                                                   self.gen_degrees))
 
     def monomial_weight(self, m: Monomial) -> int:
-        return self.base.weights[m.base] + sum(
-            e * w for e, w in zip(m.exps, self.gen_weights))
+        return self.base.weights[m.base] + sum(map(mul, m.exps,
+                                                   self.gen_weights))
 
     def monomial_key(self, m: Monomial):
         """Canonical order: generator-part degree, exponents, base index."""

@@ -178,6 +178,7 @@ def poincare_series_U(base: BaseAlgebra, max_exp: int,
     of the free algebra on the shifted classes *below* the top degree,
     prod_{i<2n} (1 - (-t)^{i+1})^{(-1)^i b_i}.
     """
+    _check_range("series truncation", max_exp)
     series = BigradedSeries.one(max_exp, variable)
     top = 2 * base.n
     for i in range(0, top + 1):
@@ -216,21 +217,55 @@ def weightwise_euler(p: Presentation, w_max: int) -> BigradedSeries:
 
     Coefficient of w^k is sum_i (-1)^i dim of the (degree i, weight k)
     quotient slice; no differentials enter.  Because weight >= degree
-    throughout, only degrees i <= k contribute.  A slice is a sum of core
-    slices times suffix monomials, so this is the core's series times
+    throughout, only degrees i <= k contribute.  This is the identity's
+    trace series (:func:`_trace_series`): the core's series times
     (1 - w^wt(g))^(+1 if g is odd, else -1) per suffix generator g.
     """
     _check_range("weightwise_euler: w_max", w_max)
     _check_weight_bounds(p)
+    return _trace_series(p, w_max)
+
+
+def _trace_series(p: Presentation, w_max: int,
+                  phi: Optional[MonomialPermutation] = None
+                  ) -> BigradedSeries:
+    """sum_i (-1)^i trace(phi | slice(i, k)) w^k up to w_max, for phi on
+    p's context that sends the core's generators to each other, as every
+    S_r action does, or the identity when None.
+
+    A slice is a sum of core slices times suffix monomials u, and phi
+    sends the block of u to the block of phi(u), so only the u with
+    phi(u) = +-u add a trace.  Those u are products of whole cycles of
+    phi on the suffix generators.  The product of a cycle of l even
+    generators of weight wt is fixed, and its powers add 1/(1 - w^(l wt)).
+    The product of l odd ones goes to (-1)^(l-1) times itself and has
+    degree of the parity of l, so it adds -w^(l wt).  So the series is
+    the core's trace series, each core basis monomial imaged by phi and
+    reduced in its slice, times (1 - w^(l wt)) per odd cycle and its
+    reciprocal per even one.  Each trace is an integer: phi has finite
+    order and rational entries.  No slice of p itself is built.
+    """
     coeffs: dict[int, int] = {}
     for i in range(w_max + 1):
         for k, sl in _core_slices(p.core, i).items():
             if k <= w_max:
-                coeffs[k] = coeffs.get(k, 0) + (-1) ** i * sl.dim
+                trace = sl.dim if phi is None else sum(
+                    sl.coords({image: sign}).get(a, 0)
+                    for a, (image, sign) in enumerate(map(phi.image,
+                                                          sl.quotient)))
+                coeffs[k] = coeffs.get(k, 0) + (-1) ** i * trace
     series = BigradedSeries(coeffs, w_max, "w")
-    for g in p.context.generators[len(p.core.context.generators):]:
-        factor = _one_minus_power(g.weight, w_max, "w")
-        series *= factor if g.odd else factor.reciprocal()
+    gens = p.context.generators
+    gen_to = range(len(gens)) if phi is None else phi.gen_to
+    done: set = set()
+    for g in range(len(p.core.context.generators), len(gens)):
+        if g not in done:
+            cycle = [g]
+            while gen_to[cycle[-1]] != g:
+                cycle.append(gen_to[cycle[-1]])
+            done.update(cycle)
+            factor = _one_minus_power(len(cycle) * gens[g].weight, w_max, "w")
+            series *= factor if gens[g].odd else factor.reciprocal()
     return series
 
 
@@ -244,6 +279,7 @@ def configuration_euler(base: BaseAlgebra, r: int,
     """
     if r < 0:
         raise AlgebraError("the number of points r must be >= 0")
+    _check_range("series truncation", w_max)
     top = 2 * base.n
     e_x: dict[int, int] = {}
     for d, k in zip(base.degrees, base.weights):
@@ -280,6 +316,7 @@ def rho_bracket(base: BaseAlgebra, t_max: int) -> BigradedSeries:
     sum_{i=0}^{n} b_{i+n-1} t^i - sum_{i=1}^{n-1} b_{i+n+1} t^i
     + sum_{i=n+1}^{2n+1} b_{i-n} t^i - sum_{i=n+2}^{2n} b_{i-n-2} t^i.
     """
+    _check_range("series truncation", t_max)
     n = base.n
     bracket: dict[int, int] = {}
 
@@ -314,6 +351,7 @@ def r1_stable_series(base: BaseAlgebra, t_max: int) -> BigradedSeries:
     hits, so it is P_X(t) - t^{2n} + t^{2n-1} (P_X(t) - 1).  Raises
     :class:`AlgebraError` on a point (n = 0), where alpha has no degree.
     """
+    _check_range("series truncation", t_max)
     top = 2 * base.n
     if not top:
         raise AlgebraError("r1 series: alpha would have degree 2n - 1 = -1 "
@@ -837,7 +875,10 @@ def character_euler(p: Presentation, chi: ClassFunction,
     of the regular representation it collapses to the plain weightwise
     Euler characteristic.  The trace is a class function, so the sum
     runs over one permutation per cycle type lambda, weighted by its
-    class size r!/z_lambda: p(r) actions are built, not r!.
+    class size r!/z_lambda: p(r) actions are built, not r!.  Each
+    permutation's series is read from the core's slices and its cycles
+    on the suffix generators (:func:`_trace_series`), so no slice of the
+    model as built is made.
     """
     _check_range("character_euler: w_max", w_max)
     _check_weight_bounds(p)
@@ -846,7 +887,7 @@ def character_euler(p: Presentation, chi: ClassFunction,
         raise AlgebraError("presentation carries no point count r")
     if chi.r != r:
         raise AlgebraError(f"class function is on S_{chi.r}, model has r={r}")
-    weights = []
+    sums: dict = {}
     for part in _partitions(r):
         # the cycles (0 1 .. l-1), (l ..), ... of the partition's lengths
         sig, start = [], 0
@@ -857,22 +898,12 @@ def character_euler(p: Presentation, chi: ClassFunction,
         counts = {length: part.count(length) for length in part}
         z = math.prod(n ** k * math.factorial(k) for n, k in counts.items())
         if c := exact(chi(sig)):
-            weights.append((sig, c * (math.factorial(r) // z)))
-    actions = {sig: symmetric_action(p, sig) for sig, _ in weights}
+            c *= math.factorial(r) // z
+            for k, v in _trace_series(p, w_max, symmetric_action(p, sig)
+                                      ).coeffs.items():
+                sums[k] = sums.get(k, 0) + c * v
     coeffs: dict[int, int] = {}
-    for k in range(w_max + 1):
-        total = 0
-        for i in range(k + 1):
-            sl = quotient_slice(p, i, k)
-            if sl.dim == 0:
-                continue
-            for sig, c in weights:
-                # the diagonal entry at a is coordinate a of sigma(m_a)
-                tr = 0
-                for a, mono in enumerate(sl.quotient):
-                    image, sign = actions[sig].image(mono)
-                    tr += sl.coords({image: sign}).get(a, 0)
-                total += c * tr if i % 2 == 0 else -c * tr
+    for k, total in sorted(sums.items()):
         total = exact(Rational(total) / math.factorial(r))
         if total:
             if type(total) is not int:

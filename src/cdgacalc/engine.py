@@ -70,9 +70,10 @@ cancelled by x = 0, y = -phi/c, a weight-preserving
 quasi-isomorphism.  Over the whole suffix of a section or twisted model
 the steps remove s[1], eta_1 and s[X], and most of every large slice.
 The reduced model shares the core and its cached slices.  The
-character Euler series stays on the model as built, and the weightwise
-one reads only the core's slices; the isotypic ranks reduce over the
-generators that every element fixes, and act on that reduced model.
+weightwise and the character Euler series read only the core's slices
+and the cycles of each permutation on the suffix generators; the
+isotypic ranks reduce over the generators that every element fixes,
+and act on that reduced model.
 
 d^2 = 0 is certified on generators, not slice by slice: once d maps
 every relation into the ideal, d^2 is a derivation of the quotient, so

@@ -530,9 +530,13 @@ def _model(base: BaseAlgebra, r: int, marks: Optional[tuple], name: str,
     """The Kriz-Totaro configuration model of r points on X, and with
     ``marks = (a, c)``, two base classes, the marked model over it:
     generators s[b], alpha_i and eta_i with d(alpha_i) = pi_i^*(a) and
-    d(eta_i) = sum_j pi_i^*(b_j^dual) s[b_j] - pi_i^*(c) alpha_i.  The
-    closed-form core over the tensor power is attached, which the core of
-    the presentation takes over when it is built.  Raises
+    d(eta_i) = sum_j pi_i^*(b_j^dual) s[b_j] - pi_i^*(c) alpha_i.  Each
+    relation and differential is written as a term table, monomial ->
+    coefficient, with every term's monomial and Koszul sign known
+    without forming a product, and goes through the checks of
+    ``Presentation(...)``.  The closed-form core over the tensor power
+    is attached, which the core of the presentation takes over when it
+    is built.  Raises
     :class:`AlgebraError` before building anything when dim(B)^r would
     exceed ``MAX_TENSOR_DIM``."""
     # dim(B) >= 2, so dim(B)^bit_length(MAX) > MAX already: capping r
@@ -554,12 +558,18 @@ def _model(base: BaseAlgebra, r: int, marks: Optional[tuple], name: str,
                  for i in range(1, r + 1)]
     ctx = AlgebraContext(tensor, gens)
     duals = dual_basis(base)
+    g = layout.g_index
+    zero = (0,) * len(gens)
 
-    def g(a: int, b: int) -> Element:
-        return ctx.gen_element(layout.g_index(a, b))
+    def mono(b: int, *ones: int) -> Monomial:
+        """Base class b times the generators ``ones``, in index order."""
+        exps = list(zero)
+        for i in ones:
+            exps[i] = 1
+        return Monomial(b, tuple(exps))
 
-    def pull(i: int, cls: dict) -> Element:
-        return ctx.base_element(tensor.pullback(i - 1, cls))
+    def pull(i: int, cls: dict) -> dict:
+        return tensor.pullback(i - 1, cls)
 
     diagonal = _diagonal_triples(base, duals)
     diff: dict[int, Element] = {}
@@ -571,20 +581,32 @@ def _model(base: BaseAlgebra, r: int, marks: Optional[tuple], name: str,
                 combo[a - 1], combo[b - 1] = j, k
                 enc = tensor.encode(combo)
                 terms[enc] = terms.get(enc, 0) + c
-            diff[layout.g_index(a, b)] = ctx.base_element(terms)
+            diff[g(a, b)] = ctx.base_element(terms)
+    # Every term below is a base class times at most two generators and is
+    # written straight into its table: a base class left of the generators
+    # takes no sign, and no two terms of one table share a monomial.
     if marks:
         a_class, c_class = marks
         for i in range(1, r + 1):
-            alpha = ctx.gen_element(layout.alpha_index(i))
-            diff[layout.alpha_index(i)] = pull(i, a_class)
-            eps = sum((pull(i, duals[j]) * ctx.gen_element(layout.s_index(j))
-                       for j in range(base.dim)), ctx.zero())
-            diff[layout.eta_index(i)] = eps - pull(i, c_class) * alpha
-    # the Arnold relations, then (pi_a^* x - pi_b^* x) G_ab
-    relations = [g(a, b) * g(a, c) + g(b, c) * g(b, a) + g(c, a) * g(c, b)
+            diff[layout.alpha_index(i)] = ctx.base_element(pull(i, a_class))
+            terms = {mono(b, layout.s_index(j)): v for j in range(base.dim)
+                     for b, v in pull(i, duals[j]).items()}
+            terms.update((mono(b, layout.alpha_index(i)), -v)
+                         for b, v in pull(i, c_class).items())
+            diff[layout.eta_index(i)] = Element(ctx, terms)
+    # The Arnold relations G_ab G_ac - G_ab G_bc + G_ac G_bc (a < b < c):
+    # the G_ab are odd, of degree 2n - 1 with n >= 1, and indexed in
+    # lexicographic order, so G_bc G_ab = -G_ab G_bc.  Then the pullback
+    # relations (pi_a^* x - pi_b^* x) G_ab, one per class x, each pi_i^* x
+    # a single base class.
+    unit = tensor.unit
+    relations = [Element(ctx, {mono(unit, g(a, b), g(a, c)): ONE,
+                               mono(unit, g(a, b), g(b, c)): -ONE,
+                               mono(unit, g(a, c), g(b, c)): ONE})
                  for a in range(1, r + 1) for b in range(a + 1, r + 1)
                  for c in range(b + 1, r + 1)]
-    relations += [(pull(a, {x: ONE}) - pull(b, {x: ONE})) * g(a, b)
+    relations += [Element(ctx, {mono(*pull(a, {x: ONE}), g(a, b)): ONE,
+                                mono(*pull(b, {x: ONE}), g(a, b)): -ONE})
                   for a in range(1, r + 1) for b in range(a + 1, r + 1)
                   for x in base.positive_degree_indices()]
     p = Presentation(ctx, relations, diff, name=name, params=params)
@@ -759,8 +781,10 @@ def symmetric_action(p: Presentation,
     sigma, the s[b] generators stay fixed.  By construction the map is
     multiplicative, commutes with d and preserves the relations, which
     the test suite checks.  Each permutation's map is built once per
-    presentation and cached there; ``isotypic_cohomology`` builds its own
-    from :func:`_generator_map`, on the reduced model it ranks.
+    presentation and cached there, for ``character_euler``, which images
+    only the basis monomials of core slices with it, and for library
+    callers; ``isotypic_cohomology`` builds its own from
+    :func:`_generator_map`, on the reduced model it ranks.
     """
     layout = _layout(p)
     sig = _check_permutation(sigma, layout.r)

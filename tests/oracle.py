@@ -35,7 +35,9 @@ orbit sums of free monomials (any other), whose row space must agree.
 by slice, from its ranks alone.  ``model_action`` takes a model's
 action onto a presentation split from it by generators the action
 fixes.  ``character_euler_by_elements`` is the sum over every element
-of S_r that ``character_euler``'s sum over cycle types replaced.
+of S_r, and over every slice of the model as built, that
+``character_euler``'s sum over cycle types of core traces times suffix
+cycle factors replaced.
 
 ``dense_validate`` and ``dense_tensor_table`` are the all-pairs and
 all-triples loops that ``BaseAlgebra.validate`` and ``TensorAlgebra``
@@ -89,7 +91,12 @@ queue, and no heap or column index.
 tests use.  ``same_matrix`` is the comparison of two matrices; a
 SparseMatrix defines no ``==``.  ``map_matrix`` is the matrix of a
 signed monomial permutation on one quotient slice, whose traces
-``character_euler`` now reads one diagonal entry at a time.
+``character_euler`` now reads one diagonal entry at a time, on the
+core's slices only.
+
+``model_by_elements`` forms a built-in model's relations and
+differential by ``Element`` products, as ``models._model`` did before
+it wrote each term's monomial and sign into its tables directly.
 
 ``diagonal_class`` is the diagonal class of a base as an element of
 base (x) base, and ``euler_characteristic`` the alternating sum of a
@@ -110,13 +117,15 @@ import math
 from fractions import Fraction
 
 from cdgacalc.algebra import (AlgebraContext, AlgebraError, BaseAlgebra,
-                              Element, Monomial, MonomialPermutation,
-                              dual_basis, tensor_many)
+                              Element, GeneratorSpec, Monomial,
+                              MonomialPermutation, dual_basis, tensor_many,
+                              tensor_power)
 from cdgacalc.analysis import ClassFunction, inverse, trivial_character
 from cdgacalc.engine import (SliceBasis, VerificationReport, _slice_weights,
                              differential_matrix, ideal_slice, quotient_slice)
 from cdgacalc.linalg import SparseMatrix, rank, rref
-from cdgacalc.models import _diagonal_triples, symmetric_action
+from cdgacalc.models import (ModelLayout, _diagonal_triples,
+                             symmetric_action)
 from cdgacalc.rat import ONE, Rational
 
 
@@ -1099,3 +1108,57 @@ def euler_by_slices(p, w_max):
         if total:
             coeffs[k] = total
     return coeffs
+
+
+def model_by_elements(base, r, marks):
+    """The relations and differential of ``models._model(base, r, marks,
+    ...)`` formed by ``Element`` arithmetic, as ``_model`` formed them
+    before it wrote its term tables directly: (relations, differential)
+    as lists and a dict of term dicts, in ``_model``'s order."""
+    tensor = tensor_power(base, r)
+    n = base.n
+    gens = [GeneratorSpec(f"G{a}_{b}", 2 * n - 1, 2 * n)
+            for a in range(1, r + 1) for b in range(a + 1, r + 1)]
+    if marks:
+        gens += [GeneratorSpec(f"s{j}", base.degrees[j] + 1,
+                               base.weights[j] + 2) for j in range(base.dim)]
+        gens += [GeneratorSpec(f"alpha{i}", 2 * n - 1, 2 * n)
+                 for i in range(1, r + 1)]
+        gens += [GeneratorSpec(f"eta{i}", 2 * n, 2 * n + 2)
+                 for i in range(1, r + 1)]
+    ctx = AlgebraContext(tensor, gens)
+    layout = ModelLayout(r, r * (r - 1) // 2, base.dim, marks is not None)
+    duals = dual_basis(base)
+
+    def g(a, b):
+        return ctx.gen_element(layout.g_index(a, b))
+
+    def pull(i, cls):
+        return ctx.base_element(tensor.pullback(i - 1, cls))
+
+    diff = {}
+    for a in range(1, r + 1):
+        for b in range(a + 1, r + 1):
+            terms = {}
+            for j, k, c in _diagonal_triples(base, duals):
+                combo = [base.unit] * r
+                combo[a - 1], combo[b - 1] = j, k
+                enc = tensor.encode(combo)
+                terms[enc] = terms.get(enc, 0) + c
+            diff[layout.g_index(a, b)] = ctx.base_element(terms)
+    if marks:
+        a_class, c_class = marks
+        for i in range(1, r + 1):
+            alpha = ctx.gen_element(layout.alpha_index(i))
+            diff[layout.alpha_index(i)] = pull(i, a_class)
+            eps = sum((pull(i, duals[j]) * ctx.gen_element(layout.s_index(j))
+                       for j in range(base.dim)), ctx.zero())
+            diff[layout.eta_index(i)] = eps - pull(i, c_class) * alpha
+    relations = [g(a, b) * g(a, c) + g(b, c) * g(b, a) + g(c, a) * g(c, b)
+                 for a in range(1, r + 1) for b in range(a + 1, r + 1)
+                 for c in range(b + 1, r + 1)]
+    relations += [(pull(a, {x: ONE}) - pull(b, {x: ONE})) * g(a, b)
+                  for a in range(1, r + 1) for b in range(a + 1, r + 1)
+                  for x in base.positive_degree_indices()]
+    return ([rel.terms for rel in relations],
+            {i: img.terms for i, img in diff.items()})

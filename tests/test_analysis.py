@@ -899,6 +899,27 @@ def test_character_euler_by_cycle_type_matches_every_element(kind, space, r,
     assert nonzero >= 2
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_character_euler_equals_the_traces_on_every_slice(r):
+    # each permutation's series is the core's trace series times its
+    # cycles on the suffix generators; the oracle sums the traces over
+    # every element and every slice of the model as built
+    for p in _every_model(r):
+        for chi in (trivial_character(r), sign_character(r),
+                    _standard_character(r)):
+            assert character_euler(p, chi, 8).coeffs \
+                == character_euler_by_elements(p, chi, 8), (chi, p.name)
+
+
+def test_character_euler_builds_no_slice_of_the_model():
+    for p in (_model("A", "S1", 2, "1"), _model("AL", "P1", 3, 2)):
+        assert p.core is not p
+        for chi in (trivial_character(p.params["r"]),
+                    sign_character(p.params["r"])):
+            character_euler(p, chi, 10)
+        assert not any(key[0] == "slice" for key in p._cache), p.name
+
+
 def test_character_euler_trivial_matches_invariants():
     p1 = build_base(parse_space("P1"))
     m = section_model(p1, parse_ample_class(p1, "1"), 2)

@@ -288,6 +288,25 @@ def test_runaway_range_exits_2_at_once(argv, what):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("kind", ["pu-weight", "pu-degree", "pr", "rho",
+                                  "r1"])
+def test_series_truncation_is_bounded(kind, capsys):
+    # the series products are quadratic in the truncation: --kind pr at
+    # P2 r=3 took 2.6 s at --max 10000 and ran past 30 s at 100000
+    argv = ["series", "--space", "P2", "--kind", kind, "--r", "3"]
+    for top in (MAX_DEGREE + 1, 100000):
+        start = time.perf_counter()
+        code, err = _run_quietly(argv + ["--max", str(top)])
+        _assert_rejected(code, err)
+        assert err == (f"cdgacalc: error: series truncation = {top} is "
+                       f"above the limit of {MAX_DEGREE}\n")
+        assert time.perf_counter() - start < 1
+    code, out, err = run_cli(capsys, *argv, "--max", str(MAX_DEGREE),
+                             "--format", "json")
+    assert code == 0 and not err
+    assert len(json.loads(out)["result"]["coefficients"]) == MAX_DEGREE + 1
+
+
 def test_invalid_custom_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -18,7 +18,7 @@ from oracle import (_free_weights, check_d_and_relations,
                     check_diagonal_identities, check_graded_permutation,
                     check_multiplicative, check_tensor_products,
                     diagonal_class, euler_characteristic, explicit_image,
-                    map_matrix, matmul, same_matrix)
+                    map_matrix, matmul, model_by_elements, same_matrix)
 
 
 def test_build_base_presets():
@@ -475,3 +475,39 @@ def test_section_model_s2_three_points():
     p = section_model(s2, parse_ample_class(s2, "1"), 3)
     assert verify_d_squared(p, 2).ok
     assert weightwise_euler(p, 5) == p_r_closed_form(s2, 3, 5)
+
+
+_CLASSES = {1: ("1", "0", "-5/2"), 2: ("[1:0]", "[0:0]", "[2/3:-1]")}
+
+
+@pytest.mark.parametrize("space", ["P1", "P2", "P3", "S1", "S2", "P1xP1"])
+def test_term_tables_equal_the_element_products(space, monkeypatch):
+    # _model writes its relations and differential as term tables; the
+    # oracle forms them by Element products, as _model did before.  Both
+    # are compared in order, term by term.
+    built = []
+    build = models._model
+
+    def spy(base, r, marks, *rest):
+        p = build(base, r, marks, *rest)
+        built.append((p, model_by_elements(base, r, marks)))
+        return p
+
+    monkeypatch.setattr(models, "_model", spy)
+    spec = parse_space(space)
+    base = build_base(spec)
+    chern = cotangent_chern(spec)
+    for r in (1, 2, 3, 4):
+        configuration_model(base, r)
+        for c in _CLASSES[len(base.basis_of_degree(2))]:
+            section_model(base, parse_ample_class(base, c), r)
+        for d in (0, 1, 2):
+            twisted_section_model(base, chern, d, r)
+    assert len(built) == 28
+    for p, (relations, diff) in built:
+        assert [list(rel.terms.items()) for rel in p.relations] \
+            == [list(rel.items()) for rel in relations], p.name
+        assert {g: list(img.terms.items())
+                for g, img in p.differential.items()} \
+            == {g: list(img.items()) for g, img in diff.items() if img}, \
+            p.name
